@@ -32,7 +32,7 @@ def main() -> int:
     ap.add_argument("--out", default="ablations", help="output directory")
     ap.add_argument("--seed", type=int, default=0, help="pipeline seed")
     ap.add_argument("--trials", type=int, default=8, help="trials per arm / grid point")
-    ap.add_argument("--jobs", type=int, default=4, help="parallel trial workers")
+    ap.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -50,7 +50,7 @@ def main() -> int:
         "schedule": {"T": 20, "beta_1": 0.05, "beta_T": 0.3},
         "sampler": {"rho": 0.2, "guidance_scale": 2.0, "steps": 20},
         "energy": {"lam": 0.01, "delta": 0.02},
-        "dataset": str(bench / "manifest.json"),
+        "dataset": "bench/manifest.json",  # relative to config.json
         "trials": args.trials,
         "seed": args.seed,
         "out": str(out / "run"),

@@ -14,11 +14,7 @@ from .denoiser import (
     ModelError,
     ToyAttentionDenoiser,
     fd_vjp_check,
-    fit_toy,
-    ldm_loss,
-    toy_from_json,
     toy_init,
-    toy_to_json,
 )
 from .energy import (
     AttentionLayer,
@@ -50,20 +46,17 @@ from .grids import (
 from .rng import RandomStream, gaussian_field
 from .sampler import (
     FinalState,
-    NoiseSchedule,
     SamplerConfig,
     SamplerError,
-    ScheduleError,
     StepEntry,
     TrajectoryRecord,
     ancestral_step,
     cfg_mix,
     csc_correct,
     eps_to_score,
-    make_schedule,
-    q_sample,
     sample,
 )
+from .schedule import NoiseSchedule, ScheduleError, make_schedule, q_sample
 from .scenes import (
     BenchSample,
     Rect,

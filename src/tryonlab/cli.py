@@ -19,6 +19,7 @@ from .energy import EnergyError
 from .experiments import (
     ConfigError,
     SWEEP_METRIC_COLUMNS,
+    SWEEPS,
     build_model,
     build_schedule,
     load_config,
@@ -26,7 +27,6 @@ from .experiments import (
     paired_run,
     run_summary,
     sweep_rows,
-    sweep_value_column,
 )
 from .grids import GridError
 from .plotting import PlotError, plot_all
@@ -106,7 +106,7 @@ def cmd_sweep(args) -> int:
     )
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    value_col = sweep_value_column(args.kind)
+    value_col = SWEEPS[args.kind].column
     path = outdir / f"sweep_{args.kind}.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -208,9 +208,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="ablation grid over one knob")
-    p_sweep.add_argument(
-        "--kind", required=True, choices=("scale_factor", "guidance", "layers")
-    )
+    p_sweep.add_argument("--kind", required=True, choices=tuple(SWEEPS))
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -11,16 +11,15 @@ statistically.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
 
 from .energy import AttentionLayer
-from .grids import Grid, GridError
+from .grids import Grid
 from .kernels import (
     avg_pool2,
     avg_pool2_adjoint,
@@ -29,8 +28,8 @@ from .kernels import (
     sigmoid,
     softplus,
 )
-from .rng import RandomStream, gaussian_field
-from .schedule import NoiseSchedule, q_sample
+from .rng import RandomStream
+from .schedule import NoiseSchedule
 
 __all__ = [
     "Condition",
@@ -40,10 +39,6 @@ __all__ = [
     "ModelError",
     "toy_init",
     "fd_vjp_check",
-    "ldm_loss",
-    "fit_toy",
-    "toy_to_json",
-    "toy_from_json",
 ]
 
 LAYER_FULL = "full"
@@ -254,103 +249,3 @@ def fd_vjp_check(
         if denom > 1e-12:
             worst = max(worst, abs(analytic - fd) / denom)
     return worst
-
-
-def _draw_pair(dataset, schedule, rng):
-    idx = int(rng.integers(1, 0, len(dataset))[0])
-    t = int(rng.integers(1, 1, schedule.T + 1)[0])
-    x0 = dataset[idx]
-    eps = gaussian_field(rng, x0.height, x0.width)
-    return q_sample(x0, t, eps, schedule), t, eps
-
-
-def ldm_loss(
-    model,
-    dataset: list[Grid],
-    schedule: NoiseSchedule,
-    rng: RandomStream,
-    n_draws: int,
-    cond: Condition = Condition.GARMENT,
-) -> float:
-    """Monte-Carlo denoising loss: mean per-pixel squared error between
-    drawn and predicted noise over uniform t and Gaussian eps."""
-    if not dataset:
-        raise ModelError("empty dataset")
-    if n_draws < 1:
-        raise ModelError("n_draws must be >= 1")
-    total = 0.0
-    for _ in range(n_draws):
-        x_t, t, eps = _draw_pair(dataset, schedule, rng)
-        eps_hat, _ = model.predict(x_t, t, cond)
-        diff = eps.a - eps_hat.a
-        total += float((diff * diff).mean())
-    return total / n_draws
-
-
-def fit_toy(
-    model: ToyAttentionDenoiser,
-    dataset: list[Grid],
-    schedule: NoiseSchedule,
-    iters: int,
-    step_size: float,
-    rng: RandomStream | None = None,
-    draws_per_iter: int = 8,
-) -> ToyAttentionDenoiser:
-    """Gradient descent on the output scalars (u, v) only; kernel and
-    queries stay frozen, so the per-batch loss is quadratic in (u, v)."""
-    if iters < 0:
-        raise ModelError("iters must be >= 0")
-    if not dataset:
-        raise ModelError("empty dataset")
-    if iters == 0:
-        return model
-    if rng is None:
-        rng = RandomStream(0).child("fit-toy")
-    u, v = model.u, model.v
-    hw = model.h * model.w
-    for _ in range(iters):
-        gu = gv = 0.0
-        for _ in range(draws_per_iter):
-            x_t, t, eps = _draw_pair(dataset, schedule, rng)
-            _, layers = model.predict(x_t, t, Condition.GARMENT)
-            basis_u = x_t.a
-            basis_v = hw * layers[0].map.a * x_t.a
-            r = u * basis_u + v * basis_v - eps.a
-            gu += 2.0 * float((r * basis_u).mean())
-            gv += 2.0 * float((r * basis_v).mean())
-        u -= step_size * gu / draws_per_iter
-        v -= step_size * gv / draws_per_iter
-    return replace(model, u=u, v=v)
-
-
-def toy_to_json(model: ToyAttentionDenoiser) -> str:
-    return json.dumps(
-        {
-            "kernel": model.kernel.tolist(),
-            "q_garment": model.q_garment.tolist(),
-            "q_null": model.q_null.tolist(),
-            "u": model.u,
-            "v": model.v,
-            "dims": [model.h, model.w, model.channels],
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def toy_from_json(doc: str) -> ToyAttentionDenoiser:
-    d = json.loads(doc)
-    h, w, channels = (int(x) for x in d["dims"])
-    kernel = np.asarray(d["kernel"], dtype=np.float64)
-    if kernel.shape != (channels, 3, 3):
-        raise ModelError(f"kernel shape {kernel.shape} != ({channels}, 3, 3)")
-    return ToyAttentionDenoiser(
-        kernel=kernel,
-        q_garment=np.asarray(d["q_garment"], dtype=np.float64),
-        q_null=np.asarray(d["q_null"], dtype=np.float64),
-        u=float(d["u"]),
-        v=float(d["v"]),
-        h=h,
-        w=w,
-        channels=channels,
-    )

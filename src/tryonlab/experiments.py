@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from math import nan
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,15 +22,9 @@ from .denoiser import LAYER_FULL, LAYER_HALF, ToyAttentionDenoiser, toy_init
 from .energy import EnergyConfig, EnergyError
 from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
 from .rng import RandomStream
-from .sampler import (
-    NoiseSchedule,
-    SamplerConfig,
-    SamplerError,
-    TrajectoryRecord,
-    make_schedule,
-)
+from .sampler import SamplerConfig, SamplerError, TrajectoryRecord
 from .sampler import sample as run_sampler
-from .schedule import ScheduleError
+from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
 
 __all__ = [
@@ -49,6 +45,7 @@ __all__ = [
     "GUIDANCE_GRID",
     "LAYER_GRID",
     "LAYER_SELECTIONS",
+    "SWEEPS",
     "SWEEP_METRIC_COLUMNS",
     "point_metrics",
     "sweep_rows",
@@ -57,19 +54,46 @@ __all__ = [
 # Ablation grids; rows are emitted exactly in this order.
 SCALE_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 GUIDANCE_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 5.0)
-LAYER_GRID = ("both", "full_only", "half_only")
 LAYER_SELECTIONS = {
     "both": None,
     "full_only": frozenset({LAYER_FULL}),
     "half_only": frozenset({LAYER_HALF}),
 }
+LAYER_GRID = tuple(LAYER_SELECTIONS)
 
-# toy_vtid compares the clamped final latent against the dataset's exact
-# composite ground truth: a stand-in for perceptual try-on metrics.
-SWEEP_METRIC_COLUMNS = (
-    "mean_final_e_attract",
-    "mean_final_in_mask_fraction_full",
-    "mean_final_in_mask_fraction_half",
+
+class SweepKind(NamedTuple):
+    """One ablation: its CSV value column, its grid, and how a grid value
+    changes the sampler config."""
+
+    column: str
+    grid: tuple
+    apply: Callable[[SamplerConfig, object], SamplerConfig]
+
+
+def _select_layers(cfg: SamplerConfig, value: str) -> SamplerConfig:
+    return replace(cfg, energy_cfg=replace(cfg.energy_cfg, layer_select=LAYER_SELECTIONS[value]))
+
+
+SWEEPS = {
+    "scale_factor": SweepKind(
+        "rho", SCALE_GRID, lambda cfg, v: replace(cfg, rho=v, csc_enabled=True)
+    ),
+    "guidance": SweepKind(
+        "guidance_scale", GUIDANCE_GRID, lambda cfg, v: replace(cfg, guidance_scale=v)
+    ),
+    "layers": SweepKind("layers", LAYER_GRID, _select_layers),
+}
+
+# A sweep row holds the trial mean of each of these final metrics, plus
+# toy_vtid: the clamped final latent against the dataset's exact composite
+# ground truth, a stand-in for perceptual try-on metrics.
+_SWEPT_METRICS = (
+    "final_e_attract",
+    "final_in_mask_fraction_full",
+    "final_in_mask_fraction_half",
+)
+SWEEP_METRIC_COLUMNS = tuple(f"mean_{m}" for m in _SWEPT_METRICS) + (
     "mean_toy_vtid_vs_reference",
 )
 
@@ -95,13 +119,52 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelConfig
-    schedule: ScheduleConfig
-    sampler: SamplerConfig
-    dataset: str | None
-    trials: int
-    out: str
-    seed: int
+    model: ModelConfig = field(default_factory=ModelConfig)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    dataset: str | None = None
+    trials: int = 8
+    out: str = "out"
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"config.trials: must be >= 1, got {self.trials}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_step_range(v) -> bool:
+    return v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))
+
+
+def _is_id_list(v) -> bool:
+    return v is None or (isinstance(v, list) and all(isinstance(s, str) for s in v))
+
+
+# How a config field is read from JSON, keyed by its annotation string (the
+# config modules postpone annotations): (accepts, convert, what the error
+# message says was expected). The config classes' __post_init__ turn JSON
+# lists into tuples and frozensets.
+_READERS = {
+    "int": (_is_int, None, "an integer"),
+    "float": (_is_num, float, "a number"),
+    "bool": (lambda v: isinstance(v, bool), None, "true/false"),
+    "str": (lambda v: isinstance(v, str), None, "a path string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), None, "a manifest path string"),
+    "tuple[int, int] | None": (_is_step_range, None, "null or [start, stop]"),
+    "frozenset[str] | None": (_is_id_list, None, "null or a list of layer ids"),
+}
+
+# The JSON objects nested in a config. "energy" is its own object in JSON
+# but lives in SamplerConfig.energy_cfg.
+_SECTIONS = ("model", "schedule", "energy", "sampler")
 
 
 def _require_dict(node, path: str) -> dict:
@@ -110,86 +173,36 @@ def _require_dict(node, path: str) -> dict:
     return node
 
 
-def _reject_unknown(sec: dict, path: str, known: set[str]) -> None:
+def _reject_unknown(sec: dict, path: str, known) -> None:
     for key in sec:
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _get_int(sec: dict, path: str, key: str, default: int) -> int:
-    v = sec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
+def _read(cls, sec, path: str, **given):
+    """Build config class `cls` from the JSON object `sec`.
 
-
-def _get_num(sec: dict, path: str, key: str, default: float) -> float:
-    v = sec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _get_bool(sec: dict, path: str, key: str, default: bool) -> bool:
-    v = sec.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {v!r}")
-    return v
-
-
-def _parse_energy(sec: dict) -> EnergyConfig:
-    _reject_unknown(
-        sec, "energy", {"lam", "delta", "support_tau", "epsilon_den", "layer_select"}
-    )
-    select = sec.get("layer_select")
-    if select is not None:
-        if not isinstance(select, list) or not all(isinstance(s, str) for s in select):
-            raise ConfigError(
-                f"energy.layer_select: expected null or a list of layer ids, got {select!r}"
-            )
-        select = frozenset(select)
+    Absent fields take the dataclass default; `given` supplies the fields
+    parsed from their own JSON objects.
+    """
+    sec = _require_dict(sec, path)
+    own = [f for f in fields(cls) if f.name not in given]
+    _reject_unknown(sec, path, {f.name for f in own})
+    values = dict(given)
+    for f in own:
+        if f.name not in sec:
+            continue
+        v = sec[f.name]
+        accepts, convert, expected = _READERS[f.type]
+        if not accepts(v):
+            # dataset errors share the bare "dataset:" prefix of load_dataset's
+            name = f.name if f.name == "dataset" else f"{path}.{f.name}"
+            raise ConfigError(f"{name}: expected {expected}, got {v!r}")
+        values[f.name] = convert(v) if convert else v
     try:
-        return EnergyConfig(
-            lam=_get_num(sec, "energy", "lam", 0.01),
-            delta=_get_num(sec, "energy", "delta", 0.02),
-            support_tau=_get_num(sec, "energy", "support_tau", 0.01),
-            epsilon_den=_get_num(sec, "energy", "epsilon_den", 1e-8),
-            layer_select=select,
-        )
-    except EnergyError as e:
-        raise ConfigError(f"energy: {e}") from e
-
-
-def _parse_sampler(sec: dict, energy: EnergyConfig) -> SamplerConfig:
-    _reject_unknown(
-        sec,
-        "sampler",
-        {"rho", "guidance_scale", "steps", "csc_enabled", "record_snapshots", "csc_step_range"},
-    )
-    rng_range = sec.get("csc_step_range")
-    if rng_range is not None:
-        ok = (
-            isinstance(rng_range, list)
-            and len(rng_range) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in rng_range)
-        )
-        if not ok:
-            raise ConfigError(
-                f"sampler.csc_step_range: expected null or [start, stop], got {rng_range!r}"
-            )
-        rng_range = (rng_range[0], rng_range[1])
-    try:
-        return SamplerConfig(
-            rho=_get_num(sec, "sampler", "rho", 0.2),
-            guidance_scale=_get_num(sec, "sampler", "guidance_scale", 2.0),
-            steps=_get_int(sec, "sampler", "steps", 20),
-            csc_enabled=_get_bool(sec, "sampler", "csc_enabled", True),
-            energy_cfg=energy,
-            record_snapshots=_get_bool(sec, "sampler", "record_snapshots", False),
-            csc_step_range=rng_range,
-        )
-    except SamplerError as e:
-        raise ConfigError(f"sampler: {e}") from e
+        return cls(**values)
+    except (EnergyError, SamplerError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def parse_config(doc) -> ExperimentConfig:
@@ -199,46 +212,14 @@ def parse_config(doc) -> ExperimentConfig:
     fields are rejected so typos cannot silently fall back to defaults.
     """
     top = _require_dict(doc, "config")
-    _reject_unknown(
-        top,
-        "config",
-        {"model", "schedule", "sampler", "energy", "dataset", "trials", "out", "seed"},
-    )
-    model_sec = _require_dict(top.get("model", {}), "model")
-    _reject_unknown(model_sec, "model", {"seed", "h", "w", "channels"})
-    model = ModelConfig(
-        seed=_get_int(model_sec, "model", "seed", 7),
-        h=_get_int(model_sec, "model", "h", 48),
-        w=_get_int(model_sec, "model", "w", 36),
-        channels=_get_int(model_sec, "model", "channels", 4),
-    )
-    sched_sec = _require_dict(top.get("schedule", {}), "schedule")
-    _reject_unknown(sched_sec, "schedule", {"T", "beta_1", "beta_T"})
-    sched = ScheduleConfig(
-        T=_get_int(sched_sec, "schedule", "T", 20),
-        beta_1=_get_num(sched_sec, "schedule", "beta_1", 0.05),
-        beta_T=_get_num(sched_sec, "schedule", "beta_T", 0.3),
-    )
-    energy = _parse_energy(_require_dict(top.get("energy", {}), "energy"))
-    sampler = _parse_sampler(_require_dict(top.get("sampler", {}), "sampler"), energy)
-
-    dataset = top.get("dataset")
-    if dataset is not None and not isinstance(dataset, str):
-        raise ConfigError(f"dataset: expected a manifest path string, got {dataset!r}")
-    trials = _get_int(top, "config", "trials", 8)
-    if trials < 1:
-        raise ConfigError(f"config.trials: must be >= 1, got {trials}")
-    out = top.get("out", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"config.out: expected a path string, got {out!r}")
-    return ExperimentConfig(
-        model=model,
-        schedule=sched,
-        sampler=sampler,
-        dataset=dataset,
-        trials=trials,
-        out=out,
-        seed=_get_int(top, "config", "seed", 0),
+    _reject_unknown(top, "config", {f.name for f in fields(ExperimentConfig)} | set(_SECTIONS))
+    model = _read(ModelConfig, top.get("model", {}), "model")
+    schedule = _read(ScheduleConfig, top.get("schedule", {}), "schedule")
+    energy = _read(EnergyConfig, top.get("energy", {}), "energy")
+    sampler = _read(SamplerConfig, top.get("sampler", {}), "sampler", energy_cfg=energy)
+    scalars = {k: v for k, v in top.items() if k not in _SECTIONS}
+    return _read(
+        ExperimentConfig, scalars, "config", model=model, schedule=schedule, sampler=sampler
     )
 
 
@@ -257,38 +238,25 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _echo(obj) -> dict:
+    """The fields of one config object; tuples become lists, sets sorted lists."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, frozenset):
+            v = sorted(v)
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[f.name] = v
+    return out
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-ready echo of a config (sets become sorted lists)."""
-    e = cfg.sampler.energy_cfg
-    return {
-        "model": {"seed": cfg.model.seed, "h": cfg.model.h, "w": cfg.model.w,
-                  "channels": cfg.model.channels},
-        "schedule": {"T": cfg.schedule.T, "beta_1": cfg.schedule.beta_1,
-                     "beta_T": cfg.schedule.beta_T},
-        "sampler": {
-            "rho": cfg.sampler.rho,
-            "guidance_scale": cfg.sampler.guidance_scale,
-            "steps": cfg.sampler.steps,
-            "csc_enabled": cfg.sampler.csc_enabled,
-            "record_snapshots": cfg.sampler.record_snapshots,
-            "csc_step_range": list(cfg.sampler.csc_step_range)
-            if cfg.sampler.csc_step_range
-            else None,
-        },
-        "energy": {
-            "lam": e.lam,
-            "delta": e.delta,
-            "support_tau": e.support_tau,
-            "epsilon_den": e.epsilon_den,
-            "layer_select": sorted(e.layer_select) if e.layer_select is not None else None,
-        },
-        "dataset": cfg.dataset,
-        "trials": cfg.trials,
-        "out": cfg.out,
-        "seed": cfg.seed,
-    }
-
-
+    """JSON-ready echo of a config, laid out as parse_config reads it."""
+    doc = _echo(cfg)
+    doc.update({name: _echo(getattr(cfg, name)) for name in ("model", "schedule", "sampler")})
+    doc["energy"] = _echo(doc["sampler"].pop("energy_cfg"))
+    return doc
 @dataclass(frozen=True)
 class DatasetSample:
     person: SceneImage
@@ -418,28 +386,19 @@ def run_trials(
         return list(pool.map(one, range(trials)))
 
 
-FINAL_METRICS = (
-    "final_e_total",
-    "final_e_attract",
-    "final_e_repel",
-    "final_in_mask_fraction_full",
-    "final_in_mask_fraction_half",
-)
+# Readers of each final metric off a trial's final state; a layer the
+# model does not expose reads NaN.
+FINAL_METRICS = {
+    "final_e_total": lambda final: final.e_total,
+    "final_e_attract": lambda final: final.e_attract,
+    "final_e_repel": lambda final: final.e_repel,
+    "final_in_mask_fraction_full": lambda final: final.in_mask_fraction.get(LAYER_FULL, nan),
+    "final_in_mask_fraction_half": lambda final: final.in_mask_fraction.get(LAYER_HALF, nan),
+}
 
 
-def _final_metric(result: TrialResult, name: str) -> float:
-    final = result.record.final
-    if name == "final_e_total":
-        return final.e_total
-    if name == "final_e_attract":
-        return final.e_attract
-    if name == "final_e_repel":
-        return final.e_repel
-    if name == "final_in_mask_fraction_full":
-        return final.in_mask_fraction.get(LAYER_FULL, float("nan"))
-    if name == "final_in_mask_fraction_half":
-        return final.in_mask_fraction.get(LAYER_HALF, float("nan"))
-    raise KeyError(name)
+def _final_values(results: list[TrialResult], name: str) -> list[float]:
+    return [FINAL_METRICS[name](r.record.final) for r in results]
 
 
 def paired_run(
@@ -481,8 +440,8 @@ def run_summary(
     """
     out: dict = {"trials": len(csc), "arms": {}, "delta": {}, "effect_size": {}}
     values = {
-        "csc": {m: np.array([_final_metric(r, m) for r in csc]) for m in FINAL_METRICS},
-        "baseline": {m: np.array([_final_metric(r, m) for r in base]) for m in FINAL_METRICS},
+        arm: {m: np.array(_final_values(results, m)) for m in FINAL_METRICS}
+        for arm, results in (("csc", csc), ("baseline", base))
     }
     for arm in ("csc", "baseline"):
         out["arms"][arm] = {m: float(values[arm][m].mean()) for m in FINAL_METRICS}
@@ -508,33 +467,9 @@ def point_metrics(
     if fx is None:
         fx = pixel_extractor()
     results = run_trials(model, schedule, samp_cfg, dataset, trials, seed, jobs, fx=fx)
-    return {
-        "mean_final_e_attract": float(
-            np.mean([_final_metric(r, "final_e_attract") for r in results])
-        ),
-        "mean_final_in_mask_fraction_full": float(
-            np.mean([_final_metric(r, "final_in_mask_fraction_full") for r in results])
-        ),
-        "mean_final_in_mask_fraction_half": float(
-            np.mean([_final_metric(r, "final_in_mask_fraction_half") for r in results])
-        ),
-        "mean_toy_vtid_vs_reference": float(np.mean([r.toy_vtid for r in results])),
-    }
-
-
-def _sweep_cfg(kind: str, value, samp_cfg: SamplerConfig) -> SamplerConfig:
-    if kind == "scale_factor":
-        return replace(samp_cfg, rho=value, csc_enabled=True)
-    if kind == "guidance":
-        return replace(samp_cfg, guidance_scale=value)
-    if kind == "layers":
-        energy = replace(samp_cfg.energy_cfg, layer_select=LAYER_SELECTIONS[value])
-        return replace(samp_cfg, energy_cfg=energy)
-    raise ConfigError(f"unknown sweep kind {kind!r} (use scale_factor, guidance, layers)")
-
-
-def sweep_value_column(kind: str) -> str:
-    return {"scale_factor": "rho", "guidance": "guidance_scale", "layers": "layers"}[kind]
+    means = {f"mean_{m}": float(np.mean(_final_values(results, m))) for m in _SWEPT_METRICS}
+    means["mean_toy_vtid_vs_reference"] = float(np.mean([r.toy_vtid for r in results]))
+    return means
 
 
 def sweep_rows(
@@ -548,14 +483,14 @@ def sweep_rows(
     jobs: int = 1,
 ) -> list[dict]:
     """One row per grid point, in grid order, keyed by the value column."""
-    grids = {"scale_factor": SCALE_GRID, "guidance": GUIDANCE_GRID, "layers": LAYER_GRID}
-    if kind not in grids:
-        raise ConfigError(f"unknown sweep kind {kind!r} (use scale_factor, guidance, layers)")
+    if kind not in SWEEPS:
+        raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
+    sweep = SWEEPS[kind]
     rows = []
-    for value in grids[kind]:
-        cfg = _sweep_cfg(kind, value, samp_cfg)
+    for value in sweep.grid:
+        cfg = sweep.apply(samp_cfg, value)
         metrics = point_metrics(model, schedule, cfg, dataset, trials, seed, jobs)
-        rows.append({sweep_value_column(kind): value, **metrics})
+        rows.append({sweep.column: value, **metrics})
     return rows
 
 

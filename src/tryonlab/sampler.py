@@ -20,13 +20,9 @@ from .denoiser import LAYER_FULL, LAYER_HALF, Condition
 from .energy import EnergyConfig, _evaluate_layers, e_total
 from .grids import BinaryMask, Grid, resample_mask
 from .rng import RandomStream, gaussian_field
-from .schedule import NoiseSchedule, ScheduleError, make_schedule, q_sample
+from .schedule import NoiseSchedule
 
 __all__ = [
-    "NoiseSchedule",
-    "ScheduleError",
-    "make_schedule",
-    "q_sample",
     "SamplerConfig",
     "SamplerError",
     "StepEntry",
@@ -73,7 +69,6 @@ class SamplerConfig:
     steps: int = 20
     csc_enabled: bool = True
     energy_cfg: EnergyConfig = field(default_factory=EnergyConfig)
-    record_snapshots: bool = False
     csc_step_range: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -115,7 +110,6 @@ class StepEntry:
     branch: str
     in_mask_fraction: dict[str, float]
     grad_norm: float
-    snapshot: Grid | None = None
 
 
 @dataclass(frozen=True)
@@ -292,7 +286,6 @@ def sample(
                 branch=breakdown.branch_label,
                 in_mask_fraction=_fractions(breakdown),
                 grad_norm=grad_norm,
-                snapshot=x if config.record_snapshots else None,
             )
         )
 

@@ -1,8 +1,11 @@
 """Command-line verbs, config parsing, and batch experiment drivers."""
 
 import csv
+import importlib.util
 import json
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,20 @@ class TestParseConfig:
             ({"out": 3}, "config.out"),
             ({"wat": 1}, "config.wat: unknown field"),
             ({"model": []}, "model: expected an object"),
+            ({"model": {"h": 4.0}}, "model.h: expected an integer"),
+            ({"model": {"w": "36"}}, "model.w: expected an integer"),
+            ({"model": {"channels": None}}, "model.channels: expected an integer"),
+            ({"schedule": {"beta_1": "0.05"}}, "schedule.beta_1: expected a number"),
+            ({"schedule": {"beta_T": True}}, "schedule.beta_T: expected a number"),
+            ({"sampler": {"guidance_scale": [2]}}, "sampler.guidance_scale: expected a number"),
+            ({"sampler": {"steps": 20.0}}, "sampler.steps: expected an integer"),
+            ({"sampler": {"csc_enabled": 1}}, "sampler.csc_enabled: expected true/false"),
+            ({"sampler": {"record_snapshots": False}}, "sampler.record_snapshots: unknown field"),
+            ({"energy": {"lam": "small"}}, "energy.lam: expected a number"),
+            ({"energy": {"delta": None}}, "energy.delta: expected a number"),
+            ({"energy": {"support_tau": False}}, "energy.support_tau: expected a number"),
+            ({"energy": {"epsilon_den": "1e-8"}}, "energy.epsilon_den: expected a number"),
+            ({"seed": 1.5}, "config.seed: expected an integer"),
         ],
     )
     def test_errors_name_the_field(self, doc, needle):
@@ -75,9 +92,21 @@ class TestParseConfig:
         cfg = parse_config(
             {
                 "model": {"seed": 3, "h": 16, "w": 12, "channels": 3},
-                "schedule": {"T": 8},
-                "sampler": {"steps": 6, "csc_step_range": [1, 4]},
-                "energy": {"layer_select": ["full", "half"]},
+                "schedule": {"T": 8, "beta_1": 0.01, "beta_T": 0.2},
+                "sampler": {
+                    "rho": 0.5,
+                    "guidance_scale": 1.5,
+                    "steps": 6,
+                    "csc_enabled": False,
+                    "csc_step_range": [1, 4],
+                },
+                "energy": {
+                    "lam": 0.1,
+                    "delta": 0.05,
+                    "support_tau": 0.2,
+                    "epsilon_den": 1e-6,
+                    "layer_select": ["full", "half"],
+                },
                 "dataset": "data/manifest.json",
                 "trials": 2,
                 "out": "somewhere",
@@ -85,6 +114,13 @@ class TestParseConfig:
             }
         )
         assert parse_config(config_to_dict(cfg)) == cfg
+        echo, default = config_to_dict(cfg), config_to_dict(parse_config({}))
+        for name, value in echo.items():
+            if isinstance(value, dict):
+                for key, v in value.items():
+                    assert v != default[name][key], f"{name}.{key} left at its default"
+            else:
+                assert value != default[name], f"{name} left at its default"
 
 
 class TestLoadConfig:
@@ -435,6 +471,21 @@ class TestPlotCommand:
         # resulting OSError is not a user error and maps to exit code 1
         assert main(["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
         assert "Traceback" in capsys.readouterr().err
+
+
+class TestAblationScript:
+    def test_relative_out(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_ablations.py"
+        spec = importlib.util.spec_from_file_location("reproduce_ablations", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            sys, "argv", ["reproduce_ablations.py", "--out", "ablations", "--trials", "1",
+                          "--jobs", "1"]
+        )
+        assert script.main() == 0
+        assert (tmp_path / "ablations" / "run" / "summary.json").is_file()
 
 
 class TestLoadDataset:

@@ -1,4 +1,4 @@
-"""Toy attention denoiser, linear-Gaussian reference model, loss, and VJP."""
+"""Toy attention denoiser, linear-Gaussian reference model, and VJP."""
 
 import math
 
@@ -12,14 +12,9 @@ from tryonlab import (
     ModelError,
     RandomStream,
     fd_vjp_check,
-    fit_toy,
     gaussian_field,
-    ldm_loss,
     make_schedule,
-    q_sample,
-    toy_from_json,
     toy_init,
-    toy_to_json,
 )
 
 H, W, C = 16, 12, 4
@@ -213,103 +208,3 @@ class TestLinearGaussianModel:
         want_intercept = -math.sqrt(ab) * mu0 * math.sqrt(1 - ab) / denom
         assert abs(slope - want_slope) < 0.01 * abs(want_slope)
         assert abs(intercept - want_intercept) < 0.01 * abs(want_intercept)
-
-
-class _ZeroModel:
-    """Predicts eps = 0; its denoising loss is the noise variance."""
-
-    def predict(self, x, t, cond):
-        return Grid.zeros(*x.shape), []
-
-    def attention_vjp(self, x, t, cond, grad_layers):
-        return Grid.zeros(*x.shape)
-
-
-class TestLdmLoss:
-    def test_zero_predictor_loss_is_noise_variance(self, schedule):
-        rng = RandomStream(14).child("data")
-        dataset = [gaussian_field(rng, 8, 8) for _ in range(4)]
-        n_draws = 400
-        loss = ldm_loss(_ZeroModel(), dataset, schedule, RandomStream(15), n_draws)
-        # estimator std is sqrt(2 / (n_draws * pixels)) ~ 0.009; allow 5 sigma
-        assert abs(loss - 1.0) < 0.045
-
-    def test_exact_model_beats_corrupted_model(self):
-        schedule = make_schedule(50, 0.02, 0.2)
-        mu0 = 0.5
-        rng = RandomStream(16).child("data")
-        dataset = [Grid(mu0 + rng.normals(64).reshape(8, 8)) for _ in range(8)]
-        exact = LinearGaussianModel(mu0=mu0, sigma0=1.0, schedule=schedule)
-        shifted = LinearGaussianModel(mu0=mu0 + 1.0, sigma0=1.0, schedule=schedule)
-        loss_exact = ldm_loss(exact, dataset, schedule, RandomStream(17), 300)
-        loss_shifted = ldm_loss(shifted, dataset, schedule, RandomStream(17), 300)
-        assert loss_exact < loss_shifted
-        # the optimal predictor keeps only the posterior variance
-        assert loss_exact < 1.0
-
-    def test_estimates_agree_across_draw_counts(self, schedule):
-        rng = RandomStream(18).child("data")
-        dataset = [gaussian_field(rng, 8, 8) for _ in range(4)]
-        a = ldm_loss(_ZeroModel(), dataset, schedule, RandomStream(19), 200)
-        b = ldm_loss(_ZeroModel(), dataset, schedule, RandomStream(19), 400)
-        assert abs(a - b) < 6.0 / math.sqrt(200 * 64)
-
-    def test_rejects_empty_dataset(self, schedule):
-        with pytest.raises(ModelError):
-            ldm_loss(_ZeroModel(), [], schedule, RandomStream(0), 10)
-
-    def test_rejects_zero_draws(self, schedule):
-        with pytest.raises(ModelError):
-            ldm_loss(_ZeroModel(), [Grid.zeros(4, 4)], schedule, RandomStream(0), 0)
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    rng = RandomStream(20).child("data")
-    return [Grid(0.3 + 0.5 * rng.normals(H * W).reshape(H, W)) for _ in range(6)]
-
-
-class TestFitToy:
-    def test_zero_iters_returns_model_unchanged(self, toy, schedule, dataset):
-        assert fit_toy(toy, dataset, schedule, iters=0, step_size=0.1) is toy
-
-    def test_zero_step_size_keeps_scalars(self, toy, schedule, dataset):
-        out = fit_toy(toy, dataset, schedule, iters=3, step_size=0.0)
-        assert (out.u, out.v) == (toy.u, toy.v)
-
-    def test_descent_does_not_increase_loss(self, toy, schedule, dataset):
-        before = ldm_loss(toy, dataset, schedule, RandomStream(21), 200)
-        fitted = fit_toy(
-            toy, dataset, schedule, iters=25, step_size=0.05, rng=RandomStream(22)
-        )
-        after = ldm_loss(fitted, dataset, schedule, RandomStream(21), 200)
-        assert after <= before
-
-    def test_rejects_negative_iters(self, toy, schedule, dataset):
-        with pytest.raises(ModelError):
-            fit_toy(toy, dataset, schedule, iters=-1, step_size=0.1)
-
-
-class TestToyJson:
-    def test_roundtrip_is_exact(self, toy):
-        back = toy_from_json(toy_to_json(toy))
-        assert np.array_equal(back.kernel, toy.kernel)
-        assert np.array_equal(back.q_garment, toy.q_garment)
-        assert np.array_equal(back.q_null, toy.q_null)
-        assert (back.u, back.v) == (toy.u, toy.v)
-        assert (back.h, back.w, back.channels) == (toy.h, toy.w, toy.channels)
-
-    def test_roundtripped_model_predicts_identically(self, toy):
-        back = toy_from_json(toy_to_json(toy))
-        x = rand_x(23)
-        a, _ = toy.predict(x, 5, Condition.GARMENT)
-        b, _ = back.predict(x, 5, Condition.GARMENT)
-        assert a.a.tobytes() == b.a.tobytes()
-
-    def test_rejects_malformed_kernel(self, toy):
-        import json
-
-        d = json.loads(toy_to_json(toy))
-        d["kernel"] = d["kernel"][:-1]  # drop one channel
-        with pytest.raises(ModelError):
-            toy_from_json(json.dumps(d))

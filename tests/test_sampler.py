@@ -330,20 +330,6 @@ class TestSampleLoop:
             else:
                 assert e.grad_norm == 0.0
 
-    def test_snapshots_follow_flag(self, toy, mask, schedule):
-        _, rec = sample(
-            toy,
-            mask,
-            SamplerConfig(steps=3, record_snapshots=True),
-            schedule,
-            RandomStream(19).child("run"),
-        )
-        assert all(e.snapshot is not None and e.snapshot.shape == (16, 12) for e in rec.entries)
-        _, rec = sample(
-            toy, mask, SamplerConfig(steps=3), schedule, RandomStream(19).child("run")
-        )
-        assert all(e.snapshot is None for e in rec.entries)
-
     def test_energies_finite_throughout(self, toy, mask, schedule):
         for seed in range(4):
             _, rec = sample(
