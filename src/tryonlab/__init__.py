@@ -13,7 +13,6 @@ from .denoiser import (
     LinearGaussianModel,
     ModelError,
     ToyAttentionDenoiser,
-    fd_vjp_check,
     toy_init,
 )
 from .energy import (

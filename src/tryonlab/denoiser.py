@@ -1,11 +1,14 @@
 """Denoiser contract and two reference implementations.
 
-The contract every sampler-facing model satisfies: predict noise and
-expose attention maps, plus a vector-Jacobian product that pulls
-attention-space gradients back to the latent. ToyAttentionDenoiser is a
-small conv/softmax network with a hand-derived VJP; LinearGaussianModel
-is a closed-form optimal predictor used to validate the sampler
-statistically.
+The contract every sampler-facing model satisfies: one forward,
+predict(x, t, cond), that predicts noise, exposes attention maps and
+returns a tape of what its backward pass needs, plus a vector-Jacobian
+product, attention_vjp(tape, t, cond, cotangents), that pulls
+attention-space gradients back to the latent from that tape without
+rerunning the forward.
+ToyAttentionDenoiser is a small conv/softmax network with a hand-derived
+VJP; LinearGaussianModel is a closed-form optimal predictor used to
+validate the sampler statistically.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "LinearGaussianModel",
     "ModelError",
     "toy_init",
-    "fd_vjp_check",
 ]
 
 LAYER_FULL = "full"
@@ -59,10 +61,10 @@ class Condition(enum.Enum):
 class DenoiserModel(Protocol):
     def predict(
         self, x: Grid, t: int, cond: Condition
-    ) -> tuple[Grid, list[AttentionLayer]]: ...
+    ) -> tuple[Grid, list[AttentionLayer], Any]: ...
 
     def attention_vjp(
-        self, x: Grid, t: int, cond: Condition, grad_layers: list[Grid]
+        self, tape: Any, t: int, cond: Condition, cotangents: list[Grid]
     ) -> Grid: ...
 
 
@@ -72,8 +74,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _uniform_layers(h: int, w: int) -> list[AttentionLayer]:
-    return [AttentionLayer(LAYER_FULL, Grid.full(h, w, 1.0 / (h * w)))]
+def _uniform_layer(layer_id: str, h: int, w: int) -> AttentionLayer:
+    return AttentionLayer(layer_id, Grid.full(h, w, 1.0 / (h * w)))
+
+
+@dataclass(frozen=True)
+class _ToyTape:
+    """The forward's intermediates that the VJP reuses; z is None for a zero query."""
+
+    z: np.ndarray | None
+    a_full: np.ndarray
+    a_half: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,9 @@ class ToyAttentionDenoiser:
     Exposes two attention layers: "full" at (h, w) and "half" built on
     2x2 average-pooled features at (h/2, w/2). The predicted noise couples
     to the full attention map through the v term, so attention corrections
-    compete with the denoising signal. A zero null query makes the
-    unconditional attention exactly uniform.
+    compete with the denoising signal. A zero query makes every logit
+    exactly 0 for a finite latent, so its attention is exactly uniform and
+    the forward skips the conv stem.
     """
 
     kernel: np.ndarray  # (channels, 3, 3)
@@ -104,56 +116,60 @@ class ToyAttentionDenoiser:
             raise ModelError(f"latent shape {x.shape} != model dims {(self.h, self.w)}")
         return x.a
 
-    def _features(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = correlate3x3(xa, self.kernel)
-        return z, softplus(z)
-
     def _attention_maps(self, f: np.ndarray, q: np.ndarray):
         scale = 1.0 / math.sqrt(self.channels)
         logits_full = np.einsum("c,cij->ij", q, f) * scale
-        fp = avg_pool2(f)
-        logits_half = np.einsum("c,cij->ij", q, fp) * scale
-        return _softmax(logits_full), _softmax(logits_half), fp
+        logits_half = np.einsum("c,cij->ij", q, avg_pool2(f)) * scale
+        return _softmax(logits_full), _softmax(logits_half)
 
     def predict(self, x: Grid, t: int, cond: Condition):
         xa = self._check_x(x)
-        _, f = self._features(xa)
-        a_full, a_half, _ = self._attention_maps(f, self._query(cond))
+        q = self._query(cond)
+        if q.any():
+            z = correlate3x3(xa, self.kernel)
+            a_full, a_half = self._attention_maps(softplus(z), q)
+            layers = [
+                AttentionLayer(LAYER_FULL, Grid(a_full, _checked=True)),
+                AttentionLayer(LAYER_HALF, Grid(a_half, _checked=True)),
+            ]
+        else:
+            z = None
+            layers = [
+                _uniform_layer(LAYER_FULL, self.h, self.w),
+                _uniform_layer(LAYER_HALF, self.h // 2, self.w // 2),
+            ]
+            a_full, a_half = layers[0].map.a, layers[1].map.a
         eps = self.u * xa + self.v * (self.h * self.w) * a_full * xa
-        layers = [
-            AttentionLayer(LAYER_FULL, Grid(a_full, _checked=True)),
-            AttentionLayer(LAYER_HALF, Grid(a_half, _checked=True)),
-        ]
-        return Grid(eps, _checked=True), layers
+        return Grid(eps, _checked=True), layers, _ToyTape(z, a_full, a_half)
 
-    def attention_vjp(self, x: Grid, t: int, cond: Condition, grad_layers: list[Grid]):
+    def attention_vjp(
+        self, tape: _ToyTape, t: int, cond: Condition, cotangents: list[Grid]
+    ) -> Grid:
         """Pull cotangents on (full, half) attention maps back to the latent.
 
         Backpropagates softmax -> query dot-product -> (pooling) ->
-        softplus -> convolution by hand.
+        softplus -> convolution by hand, from the tape that
+        predict(x, t, cond) returned.
         """
-        if len(grad_layers) != 2:
-            raise ModelError(f"expected 2 cotangents (full, half), got {len(grad_layers)}")
-        xa = self._check_x(x)
-        q = self._query(cond)
-        z, f = self._features(xa)
-        a_full, a_half, _ = self._attention_maps(f, q)
-        scale = 1.0 / math.sqrt(self.channels)
-
-        g_full = grad_layers[0].a
+        if len(cotangents) != 2:
+            raise ModelError(f"expected 2 cotangents (full, half), got {len(cotangents)}")
+        g_full, g_half = cotangents[0].a, cotangents[1].a
+        a_full, a_half, q = tape.a_full, tape.a_half, self._query(cond)
         if g_full.shape != a_full.shape:
             raise ModelError(f"full cotangent shape {g_full.shape} != {a_full.shape}")
-        dl_full = a_full * (g_full - (a_full * g_full).sum())
-        df = q[:, None, None] * (scale * dl_full)
-
-        g_half = grad_layers[1].a
         if g_half.shape != a_half.shape:
             raise ModelError(f"half cotangent shape {g_half.shape} != {a_half.shape}")
+        if tape.z is None:
+            return Grid.zeros(*a_full.shape)
+        scale = 1.0 / math.sqrt(self.channels)
+
+        dl_full = a_full * (g_full - (a_full * g_full).sum())
+        df = q[:, None, None] * (scale * dl_full)
         dl_half = a_half * (g_half - (a_half * g_half).sum())
         dfp = q[:, None, None] * (scale * dl_half)
         df = df + avg_pool2_adjoint(dfp)
 
-        dz = sigmoid(z) * df
+        dz = sigmoid(tape.z) * df
         return Grid(correlate3x3_adjoint(dz, self.kernel), _checked=True)
 
 
@@ -188,7 +204,7 @@ class LinearGaussianModel:
 
     eps(x, t) = (x - sqrt(abar_t) mu0) sqrt(1 - abar_t) / (abar_t sigma0^2
     + 1 - abar_t), which is E[eps | x_t]. Attention is a uniform
-    placeholder and the attention VJP is zero.
+    placeholder, the tape is the latent shape and the VJP is zero.
     """
 
     mu0: float
@@ -203,49 +219,9 @@ class LinearGaussianModel:
         ab = self.schedule.alpha_bar_at(t)
         denom = ab * self.sigma0**2 + 1.0 - ab
         eps = (x.a - math.sqrt(ab) * self.mu0) * (math.sqrt(1.0 - ab) / denom)
-        return Grid(eps, _checked=True), _uniform_layers(*x.shape)
+        return Grid(eps, _checked=True), [_uniform_layer(LAYER_FULL, *x.shape)], x.shape
 
-    def attention_vjp(self, x: Grid, t: int, cond: Condition, grad_layers: list[Grid]):
-        return Grid.zeros(*x.shape)
-
-
-def fd_vjp_check(
-    model,
-    x: Grid,
-    t: int,
-    cond: Condition,
-    grad_layers: list[Grid],
-    h: float,
-    n_directions: int = 32,
-    rng: RandomStream | None = None,
-) -> float:
-    """Max relative error of the analytic VJP against central differences.
-
-    Probes n_directions random unit directions d, comparing <grad_x, d>
-    with [s(x + h d) - s(x - h d)] / 2h for s(x) = sum_layers <A_layer(x),
-    cotangent_layer>. Directions where both sides are below 1e-12 count as
-    zero error; all-zero cotangents return 0 by definition.
-    """
-    if h <= 0:
-        raise ModelError("step h must be > 0")
-    if all(not g.a.any() for g in grad_layers):
-        return 0.0
-    if rng is None:
-        rng = RandomStream(0x5EED).child("fd-vjp")
-    grad_x = model.attention_vjp(x, t, cond, grad_layers).a
-
-    def score(xa: np.ndarray) -> float:
-        _, layers = model.predict(Grid(xa, _checked=True), t, cond)
-        return sum(float((layer.map.a * g.a).sum()) for layer, g in zip(layers, grad_layers))
-
-    worst = 0.0
-    n = x.height * x.width
-    for _ in range(n_directions):
-        d = rng.normals(n).reshape(x.shape)
-        d /= np.sqrt((d * d).sum())
-        analytic = float((grad_x * d).sum())
-        fd = (score(x.a + h * d) - score(x.a - h * d)) / (2.0 * h)
-        denom = max(abs(analytic), abs(fd))
-        if denom > 1e-12:
-            worst = max(worst, abs(analytic - fd) / denom)
-    return worst
+    def attention_vjp(
+        self, tape: tuple[int, int], t: int, cond: Condition, cotangents: list[Grid]
+    ) -> Grid:
+        return Grid.zeros(*tape)

@@ -3,9 +3,9 @@
 One step: predict noise under the garment and null tokens, mix them with
 classifier-free guidance, convert to a score, take the ancestral update
 m_t = (1 + beta/2) x_t + beta * score + sqrt(beta) * noise, then (when the
-correction is enabled) pull the region-energy gradient back through the
-attention maps to the latent and subtract rho times it. Every step is
-recorded so attention containment can be plotted over time.
+correction is enabled) pull the region-energy gradient back to the
+latent through the tape of the garment forward and subtract rho times it.
+Every step is recorded so attention containment can be plotted over time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoiser import LAYER_FULL, LAYER_HALF, Condition
-from .energy import EnergyConfig, _evaluate_layers, e_total
+from .energy import AttentionLayer, EnergyConfig, _evaluate_layers, e_total
 from .grids import BinaryMask, Grid, resample_mask
 from .rng import RandomStream, gaussian_field
 from .schedule import NoiseSchedule
@@ -219,16 +219,26 @@ def _stride_ts(T: int, steps: int) -> list[int]:
 
 
 class _MaskCache:
-    """Masks resampled to each attention resolution, computed once per run."""
+    """Masks resampled to each attention resolution, computed once per run.
+
+    A mask with no cell at some layer's resolution would leave the attract
+    term on its epsilon_den clamp, so it is rejected naming that layer.
+    """
 
     def __init__(self, mask: BinaryMask):
         self._base = mask
-        self._by_shape: dict[tuple[int, int], BinaryMask] = {mask.shape: mask}
+        self._by_shape: dict[tuple[int, int], BinaryMask] = {}
 
-    def at(self, shape: tuple[int, int]) -> BinaryMask:
+    def at(self, layer: AttentionLayer) -> BinaryMask:
+        shape = layer.resolution
         got = self._by_shape.get(shape)
         if got is None:
             got = resample_mask(self._base, *shape)
+            if not got.a.any():
+                raise SamplerError(
+                    f"mask is empty at attention layer {layer.layer_id!r} "
+                    f"({shape[0]}x{shape[1]})"
+                )
             self._by_shape[shape] = got
         return got
 
@@ -246,10 +256,12 @@ def sample(
 ) -> tuple[Grid, TrajectoryRecord]:
     """Run the full recorded sampling loop from Gaussian noise.
 
-    The mask defines the latent resolution. Energies are always measured
-    on the conditional (garment-token) attention maps at the pre-update
-    latent; the correction additionally needs their gradients and the
-    model's attention VJP, so those are computed only when enabled.
+    The mask defines the latent resolution; it must keep at least one
+    cell at every attention layer's resolution. Energies are always
+    measured on the conditional (garment-token) attention maps at the
+    pre-update latent; the correction additionally needs their gradients
+    and the model's VJP of that same forward, so those are computed only
+    when enabled.
     Identical seeds give bit-identical runs whether the correction is
     disabled or enabled with rho = 0.
     """
@@ -259,18 +271,18 @@ def sample(
     x = gaussian_field(rng, mask.height, mask.width)
     entries: list[StepEntry] = []
     for k, t in enumerate(_stride_ts(schedule.T, config.steps)):
-        eps_u, _ = model.predict(x, t, Condition.NULL)
-        eps_c, layers = model.predict(x, t, Condition.GARMENT)
+        eps_u, _, _ = model.predict(x, t, Condition.NULL)
+        eps_c, layers, tape = model.predict(x, t, Condition.GARMENT)
         eps = cfg_mix(eps_u, eps_c, config.guidance_scale)
         m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
 
-        layer_masks = [masks.at(layer.resolution) for layer in layers]
+        layer_masks = [masks.at(layer) for layer in layers]
         csc_active = config._csc_active(k)
         breakdown, grads = _evaluate_layers(
             layers, layer_masks, config.energy_cfg, with_grads=csc_active
         )
         if csc_active:
-            grad_x = model.attention_vjp(x, t, Condition.GARMENT, grads)
+            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
             grad_norm = float(np.sqrt((grad_x.a * grad_x.a).sum()))
             x = csc_correct(m_t, grad_x, config.rho)
         else:
@@ -289,8 +301,8 @@ def sample(
             )
         )
 
-    _, final_layers = model.predict(x, 1, Condition.GARMENT)
-    final_masks = [masks.at(layer.resolution) for layer in final_layers]
+    _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
+    final_masks = [masks.at(layer) for layer in final_layers]
     final_bd = e_total(final_layers, final_masks, config.energy_cfg)
     final = FinalState(
         e_total=final_bd.total,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tryonlab import BinaryMask, Grid, RandomStream
+from tryonlab import BinaryMask, Grid, ModelError, RandomStream
 
 # Central differences resolve a derivative to roughly eps_machine * |E| / h.
 # Below this floor both sides are numerical zero and the relative error is
@@ -83,3 +83,48 @@ def hinge_safe(values: np.ndarray, idx: int, delta: float, h: float) -> bool:
         return True
     d = np.abs(values[idx] - others)
     return bool((np.abs(d - delta) >= 10 * h).all() and (d >= 10 * h).all())
+
+
+def fd_vjp_check(
+    model,
+    x: Grid,
+    t: int,
+    cond,
+    grad_layers: list[Grid],
+    h: float,
+    n_directions: int = 32,
+    rng: RandomStream | None = None,
+) -> float:
+    """Max relative error of the model's VJP against central differences.
+
+    Runs one forward at x and pulls grad_layers back through its tape,
+    then probes n_directions random unit directions d, comparing
+    <grad_x, d> with [s(x + h d) - s(x - h d)] / 2h for s(x) =
+    sum_layers <A_layer(x), cotangent_layer>. Directions where both sides
+    are below 1e-12 count as zero error; all-zero cotangents return 0 by
+    definition.
+    """
+    if h <= 0:
+        raise ModelError("step h must be > 0")
+    if all(not g.a.any() for g in grad_layers):
+        return 0.0
+    if rng is None:
+        rng = RandomStream(0x5EED).child("fd-vjp")
+    _, _, tape = model.predict(x, t, cond)
+    grad_x = model.attention_vjp(tape, t, cond, grad_layers).a
+
+    def score(xa: np.ndarray) -> float:
+        _, layers, _ = model.predict(Grid(xa, _checked=True), t, cond)
+        return sum(float((layer.map.a * g.a).sum()) for layer, g in zip(layers, grad_layers))
+
+    worst = 0.0
+    n = x.height * x.width
+    for _ in range(n_directions):
+        d = rng.normals(n).reshape(x.shape)
+        d /= np.sqrt((d * d).sum())
+        analytic = float((grad_x * d).sum())
+        fd = (score(x.a + h * d) - score(x.a - h * d)) / (2.0 * h)
+        denom = max(abs(analytic), abs(fd))
+        if denom > 1e-12:
+            worst = max(worst, abs(analytic - fd) / denom)
+    return worst

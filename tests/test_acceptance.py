@@ -23,6 +23,7 @@ from scipy import stats
 
 from helpers import (
     fd_rel_err,
+    fd_vjp_check,
     fd_scalar,
     hinge_safe,
     inner_case,
@@ -44,7 +45,6 @@ from tryonlab import (
     e_attract,
     e_repel,
     eps_to_score,
-    fd_vjp_check,
     gaussian_field,
     gen_dataset,
     gen_scene,
@@ -212,7 +212,7 @@ def test_criterion_04_attention_vjp_matches_directional_differences(toy16):
         case = root.child(f"case-{i}")
         x = gaussian_field(case.child("x"), 16, 12)
         t = 1 + int(case.child("t").integers(1, 0, 20)[0])
-        _, layers = toy16.predict(x, t, Condition.GARMENT)
+        _, layers, _ = toy16.predict(x, t, Condition.GARMENT)
         cotangents = [
             Grid(case.child(f"cot-{k}").normals(layer.map.a.size).reshape(layer.map.shape))
             for k, layer in enumerate(layers)
@@ -256,8 +256,8 @@ def test_criterion_05_baseline_sampler_matches_closed_form_moments():
         r2 = RandomStream(seed).child(f"traj-{i}")
         x = gaussian_field(r2, 8, 8)
         for t in range(T, 0, -1):
-            eps_u, _ = model.predict(x, t, Condition.NULL)
-            eps_c, _ = model.predict(x, t, Condition.GARMENT)
+            eps_u, _, _ = model.predict(x, t, Condition.NULL)
+            eps_c, _, _ = model.predict(x, t, Condition.GARMENT)
             eps = cfg_mix(eps_u, eps_c, cfg.guidance_scale)
             x = ancestral_step(x, t, eps_to_score(eps, t, sched), sched, r2)
         assert x.a.tobytes() == x_s.a.tobytes()

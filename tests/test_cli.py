@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tryonlab import RandomStream, SceneImage, scene_read, scene_write
+from tryonlab import Grid, RandomStream, SceneImage, grid_write, scene_read, scene_write
 from tryonlab.cli import main
 from tryonlab.experiments import (
     ConfigError,
@@ -287,6 +287,20 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 2
         assert "schedule.T" in capsys.readouterr().err
+
+
+    def test_mask_vanishing_at_a_layer(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        gen = ["gen", "--seed", "3", "--n", "2", "--out", str(data)]
+        assert main(gen + ["--height", "16", "--width", "12"]) == 0
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        dot = np.zeros((16, 12))
+        dot[5, 5] = 1.0
+        for rel in manifest["mask"]:
+            grid_write(data / rel, Grid(dot))
+        cfg = write_config(tmp_path / "config.json", data)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "mask is empty at attention layer 'half' (8x6)" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -1,21 +1,23 @@
 """Toy attention denoiser, linear-Gaussian reference model, and VJP."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import fd_vjp_check
 from tryonlab import (
     Condition,
     Grid,
     LinearGaussianModel,
     ModelError,
     RandomStream,
-    fd_vjp_check,
     gaussian_field,
     make_schedule,
     toy_init,
 )
+from tryonlab.kernels import avg_pool2, correlate3x3, softplus
 
 H, W, C = 16, 12, 4
 
@@ -46,7 +48,7 @@ class TestToyInit:
         assert not np.array_equal(toy_init(3, H, W, C).kernel, toy_init(4, H, W, C).kernel)
 
     def test_layer_resolutions(self, toy):
-        _, layers = toy.predict(rand_x(0), 5, Condition.GARMENT)
+        _, layers, _ = toy.predict(rand_x(0), 5, Condition.GARMENT)
         assert [l.layer_id for l in layers] == ["full", "half"]
         assert layers[0].resolution == (16, 12)
         assert layers[1].resolution == (8, 6)
@@ -71,7 +73,7 @@ class TestToyInit:
 
 class TestToyPredict:
     def test_null_condition_uniform_attention(self, toy):
-        _, layers = toy.predict(rand_x(1), 5, Condition.NULL)
+        _, layers, _ = toy.predict(rand_x(1), 5, Condition.NULL)
         assert np.array_equal(layers[0].map.a, np.full((H, W), 1.0 / (H * W)))
         assert np.array_equal(
             layers[1].map.a, np.full((H // 2, W // 2), 4.0 / (H * W))
@@ -79,26 +81,26 @@ class TestToyPredict:
 
     def test_attention_sums_to_one(self, toy):
         for seed in range(10):
-            _, layers = toy.predict(rand_x(seed), 5, Condition.GARMENT)
+            _, layers, _ = toy.predict(rand_x(seed), 5, Condition.GARMENT)
             for layer in layers:
                 assert abs(layer.map.a.sum() - 1.0) <= 1e-12
 
     def test_zero_latent_gives_uniform_attention(self, toy):
         # constant features make every logit equal
-        _, layers = toy.predict(Grid.zeros(H, W), 5, Condition.GARMENT)
+        _, layers, _ = toy.predict(Grid.zeros(H, W), 5, Condition.GARMENT)
         assert np.allclose(layers[0].map.a, 1.0 / (H * W), rtol=1e-12)
         assert np.allclose(layers[1].map.a, 4.0 / (H * W), rtol=1e-12)
 
     def test_eps_composition(self, toy):
         x = rand_x(2)
-        eps, layers = toy.predict(x, 5, Condition.GARMENT)
+        eps, layers, _ = toy.predict(x, 5, Condition.GARMENT)
         want = toy.u * x.a + toy.v * (H * W) * layers[0].map.a * x.a
         assert np.array_equal(eps.a, want)
 
     def test_deterministic(self, toy):
         x = rand_x(3)
-        a, _ = toy.predict(x, 5, Condition.GARMENT)
-        b, _ = toy.predict(x, 5, Condition.GARMENT)
+        a, _, _ = toy.predict(x, 5, Condition.GARMENT)
+        b, _, _ = toy.predict(x, 5, Condition.GARMENT)
         assert a.a.tobytes() == b.a.tobytes()
 
     def test_rejects_wrong_shape(self, toy):
@@ -106,10 +108,53 @@ class TestToyPredict:
             toy.predict(Grid.zeros(H, W + 2), 5, Condition.GARMENT)
 
 
+def explicit_forward(toy, x: Grid, q: np.ndarray):
+    """eps and (full, half) maps through conv -> softplus -> softmax, no shortcut."""
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
+
+    f = softplus(correlate3x3(x.a, toy.kernel))
+    scale = 1.0 / math.sqrt(toy.channels)
+    a_full = softmax(np.einsum("c,cij->ij", q, f) * scale)
+    a_half = softmax(np.einsum("c,cij->ij", q, avg_pool2(f)) * scale)
+    eps = toy.u * x.a + toy.v * (toy.h * toy.w) * a_full * x.a
+    return eps, a_full, a_half
+
+
+class TestZeroQueryShortcut:
+    LATENTS = [(seed, scale) for seed in range(4) for scale in (1.0, 1e3)]
+
+    @pytest.mark.parametrize("seed,scale", LATENTS)
+    def test_bit_equal_to_explicit_path(self, toy, seed, scale):
+        x = Grid(scale * rand_x(20 + seed).a)
+        eps, layers, _ = toy.predict(x, 5, Condition.NULL)
+        want_eps, want_full, want_half = explicit_forward(toy, x, np.zeros(C))
+        assert eps.a.tobytes() == want_eps.tobytes()
+        assert layers[0].map.a.tobytes() == want_full.tobytes()
+        assert layers[1].map.a.tobytes() == want_half.tobytes()
+
+    def test_follows_query_values_not_condition(self, toy):
+        x = rand_x(30)
+        zero_garment = replace(toy, q_garment=np.zeros(C))
+        eps, layers, _ = zero_garment.predict(x, 5, Condition.GARMENT)
+        want_eps, want_full, _ = explicit_forward(toy, x, np.zeros(C))
+        assert eps.a.tobytes() == want_eps.tobytes()
+        assert layers[0].map.a.tobytes() == want_full.tobytes()
+
+        live_null = replace(toy, q_null=toy.q_garment)
+        eps, layers, _ = live_null.predict(x, 5, Condition.NULL)
+        want_eps, want_full, want_half = explicit_forward(toy, x, toy.q_garment)
+        assert eps.a.tobytes() == want_eps.tobytes()
+        assert layers[1].map.a.tobytes() == want_half.tobytes()
+
+
 class TestToyVjp:
     def test_zero_cotangents_give_zero_gradient(self, toy):
         zeros = [Grid.zeros(H, W), Grid.zeros(H // 2, W // 2)]
-        g = toy.attention_vjp(rand_x(4), 5, Condition.GARMENT, zeros)
+        _, _, tape = toy.predict(rand_x(4), 5, Condition.GARMENT)
+        g = toy.attention_vjp(tape, 5, Condition.GARMENT, zeros)
         assert np.array_equal(g.a, np.zeros((H, W)))
 
     def test_null_condition_gives_zero_gradient(self, toy):
@@ -118,8 +163,10 @@ class TestToyVjp:
             gaussian_field(rng, H, W),
             gaussian_field(rng, H // 2, W // 2),
         ]
-        g = toy.attention_vjp(rand_x(5), 5, Condition.NULL, cots)
-        assert np.array_equal(g.a, np.zeros((H, W)))
+        for scale in (1.0, 1e3):
+            _, _, tape = toy.predict(Grid(scale * rand_x(5).a), 5, Condition.NULL)
+            g = toy.attention_vjp(tape, 5, Condition.NULL, cots)
+            assert np.array_equal(g.a, np.zeros((H, W)))
 
     def test_matches_directional_finite_differences(self, toy):
         rng = RandomStream(11).child("cot")
@@ -136,13 +183,15 @@ class TestToyVjp:
         assert err < 1e-5
 
     def test_rejects_wrong_cotangent_count(self, toy):
+        _, _, tape = toy.predict(rand_x(6), 5, Condition.GARMENT)
         with pytest.raises(ModelError):
-            toy.attention_vjp(rand_x(6), 5, Condition.GARMENT, [Grid.zeros(H, W)])
+            toy.attention_vjp(tape, 5, Condition.GARMENT, [Grid.zeros(H, W)])
 
     def test_rejects_wrong_cotangent_shape(self, toy):
         cots = [Grid.zeros(H, W), Grid.zeros(H, W)]
+        _, _, tape = toy.predict(rand_x(6), 5, Condition.GARMENT)
         with pytest.raises(ModelError):
-            toy.attention_vjp(rand_x(6), 5, Condition.GARMENT, cots)
+            toy.attention_vjp(tape, 5, Condition.GARMENT, cots)
 
 
 class TestFdVjpCheck:
@@ -168,7 +217,7 @@ class TestLinearGaussianModel:
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
         x = rand_x(8, 8, 8)
         t = 10
-        eps, layers = model.predict(x, t, Condition.GARMENT)
+        eps, layers, _ = model.predict(x, t, Condition.GARMENT)
         ab = schedule.alpha_bar_at(t)
         want = (x.a - math.sqrt(ab) * 0.5) * (math.sqrt(1 - ab) / (ab + 1 - ab))
         assert np.allclose(eps.a, want, rtol=1e-15, atol=0)
@@ -177,7 +226,8 @@ class TestLinearGaussianModel:
 
     def test_vjp_is_zero(self, schedule):
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
-        g = model.attention_vjp(rand_x(9, 8, 8), 3, Condition.GARMENT, [])
+        _, _, tape = model.predict(rand_x(9, 8, 8), 3, Condition.GARMENT)
+        g = model.attention_vjp(tape, 3, Condition.GARMENT, [])
         assert np.array_equal(g.a, np.zeros((8, 8)))
 
     def test_rejects_nonpositive_sigma(self, schedule):

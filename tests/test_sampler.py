@@ -2,13 +2,16 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
+import tryonlab.denoiser as denoiser
 from helpers import rect_mask
 from tryonlab.sampler import CSV_HEADER
 from tryonlab import (
+    BinaryMask,
     Condition,
     Grid,
     GridError,
@@ -351,8 +354,8 @@ class TestSampleLoop:
         half_mask = resample_mask(mask, 8, 6)
         want_totals = []
         for t in range(20, 0, -1):
-            eps_u, _ = toy.predict(x, t, Condition.NULL)
-            eps_c, layers = toy.predict(x, t, Condition.GARMENT)
+            eps_u, _, _ = toy.predict(x, t, Condition.NULL)
+            eps_c, layers, _ = toy.predict(x, t, Condition.GARMENT)
             eps = cfg_mix(eps_u, eps_c, 2.0)
             x = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
             want_totals.append(e_total(layers, [mask, half_mask]).total)
@@ -376,6 +379,52 @@ class TestSampleLoop:
         assert x.shape == (16, 12)
         assert set(rec.entries[0].in_mask_fraction) == {"full"}
         assert all(e.grad_norm == 0.0 for e in rec.entries)  # zero VJP model
+
+
+    @pytest.mark.parametrize(
+        "empty_at, bad_mask",
+        [
+            pytest.param("'half' (8x6)", rect_mask(16, 12, 5, 5, 1, 1), id="single-pixel"),
+            pytest.param("'full' (16x12)", BinaryMask(Grid.zeros(16, 12)), id="empty"),
+        ],
+    )
+    def test_mask_vanishing_at_a_layer_raises(self, toy, schedule, empty_at, bad_mask):
+        want = re.escape(f"mask is empty at attention layer {empty_at}")
+        with pytest.raises(SamplerError, match=want):
+            sample(toy, bad_mask, SamplerConfig(steps=2), schedule, RandomStream(0))
+
+
+class TestKernelCalls:
+    """One conv forward per step plus the final one; the VJP reuses it."""
+
+    STEPS = 7
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"conv": 0, "adjoint": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(denoiser, "correlate3x3", counted("conv", denoiser.correlate3x3))
+        monkeypatch.setattr(
+            denoiser,
+            "correlate3x3_adjoint",
+            counted("adjoint", denoiser.correlate3x3_adjoint),
+        )
+        return counts
+
+    @pytest.mark.parametrize("csc_enabled, adjoint_calls", [(True, STEPS), (False, 0)])
+    def test_one_forward_per_step(
+        self, toy, mask, schedule, counts, csc_enabled, adjoint_calls
+    ):
+        cfg = SamplerConfig(steps=self.STEPS, csc_enabled=csc_enabled)
+        sample(toy, mask, cfg, schedule, RandomStream(24).child("run"))
+        assert counts == {"conv": self.STEPS + 1, "adjoint": adjoint_calls}
 
 
 class TestTrajectoryCsv:
