@@ -50,10 +50,11 @@ def main() -> int:
         "schedule": {"T": 20, "beta_1": 0.05, "beta_T": 0.3},
         "sampler": {"rho": 0.2, "guidance_scale": 2.0, "steps": 20},
         "energy": {"lam": 0.01, "delta": 0.02},
-        "dataset": "bench/manifest.json",  # relative to config.json
+        # paths relative to config.json keep the output tree free of its location
+        "dataset": "bench/manifest.json",
         "trials": args.trials,
         "seed": args.seed,
-        "out": str(out / "run"),
+        "out": "run",
     }
     cfg_path = out / "config.json"
 

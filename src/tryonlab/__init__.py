@@ -23,8 +23,6 @@ from .energy import (
     LayerEnergy,
     e_attract,
     e_repel,
-    e_repel_inner,
-    e_repel_outer,
     e_total,
     grad_e_attract,
     grad_e_repel,
@@ -44,7 +42,6 @@ from .grids import (
 )
 from .rng import RandomStream, gaussian_field
 from .sampler import (
-    FinalState,
     SamplerConfig,
     SamplerError,
     StepEntry,

@@ -22,9 +22,10 @@ from .experiments import (
     SWEEPS,
     build_model,
     build_schedule,
-    load_config,
     load_dataset,
     paired_run,
+    read_config,
+    resolve_paths,
     run_summary,
     sweep_rows,
 )
@@ -60,18 +61,22 @@ def _cell(v) -> str:
 
 
 def _load_run_config(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
+    """The config to run and the config to echo in summary.json.
+
+    The run resolves a relative dataset or out against the config file's
+    directory, and takes --out as given. The echo keeps the config's paths
+    as written, so identical configs give identical bytes in any directory.
+    """
+    written = read_config(args.config)
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
+    cfg = replace(resolve_paths(written, args.config), **overrides)
     if cfg.dataset is None:
         raise ConfigError("dataset: required — set it to a dataset manifest path")
-    return cfg
+    return cfg, replace(written, **overrides)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, echo = _load_run_config(args)
     dataset = load_dataset(cfg.dataset)
     model = build_model(cfg)
     schedule = build_schedule(cfg)
@@ -88,7 +93,7 @@ def cmd_run(args) -> int:
             for arm, results in (("baseline", base), ("csc", csc)):
                 for row in results[i].record.csv_rows():
                     writer.writerow([str(i), arm, *row])
-    summary = run_summary(csc, base, cfg)
+    summary = run_summary(csc, base, echo)
     _write_json(outdir / "summary.json", summary)
     delta = summary["delta"]["final_in_mask_fraction_full"]
     print(f"{traj_path}\n{outdir / 'summary.json'}")
@@ -97,7 +102,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, _ = _load_run_config(args)
     dataset = load_dataset(cfg.dataset)
     model = build_model(cfg)
     schedule = build_schedule(cfg)

@@ -15,6 +15,7 @@ smooth factors are differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,6 @@ __all__ = [
     "support",
     "e_attract",
     "grad_e_attract",
-    "e_repel_inner",
-    "e_repel_outer",
     "e_repel",
     "grad_e_repel",
     "e_total",
@@ -113,10 +112,10 @@ class EnergyBreakdown:
     def branch_label(self) -> str:
         return "|".join(le.branch for le in self.per_layer.values() if le.selected)
 
-
-def _check_pair(a_shape, m_shape):
-    if a_shape != m_shape:
-        raise EnergyError(f"attention shape {a_shape} != mask shape {m_shape}")
+    @property
+    def in_mask_fraction(self) -> dict[str, float]:
+        """In-mask attention mass of every layer, selected or not."""
+        return {lid: le.in_mask_mass for lid, le in self.per_layer.items()}
 
 
 def _support_raw(a: np.ndarray, tau: float) -> np.ndarray:
@@ -128,139 +127,112 @@ def support(A: Grid, tau: float) -> BinaryMask:
     return BinaryMask(Grid(_support_raw(A.a, tau).astype(np.float64), _checked=True))
 
 
-def _attract_raw(a, m, eps):
+class _LayerEval(NamedTuple):
+    e_attract: float
+    e_repel: float
+    branch: str
+    in_mask_mass: float
+    grad_attract: np.ndarray | None
+    grad_repel: np.ndarray | None
+
+
+def _evaluate(a: np.ndarray, m: np.ndarray, cfg: EnergyConfig, with_grads: bool) -> _LayerEval:
+    """Both energies of one map, its branch, its in-mask mass and, when
+    asked, both gradients; every shared quantity is computed once."""
+    if a.shape != m.shape:
+        raise EnergyError(f"attention shape {a.shape} != mask shape {m.shape}")
+    eps = cfg.epsilon_den
     s_in = float((a * m).sum())
     s_out = float(a.sum()) - s_in
-    return s_out / max(s_in, eps), s_in, s_out
+    e_att = s_out / max(s_in, eps)
+    grad_att = grad_rep = None
+    if with_grads:
+        if s_in < eps:
+            # clamped denominator is a constant: only the numerator varies
+            grad_att = (1.0 - m) / eps
+        else:
+            grad_att = (1.0 - m) / s_in - (s_out / (s_in * s_in)) * m
+
+    sup = _support_raw(a, cfg.support_tau)
+    inside = m > 0.0
+    sel = sup & inside
+    if (sup & ~inside).any() or not sel.any():
+        if with_grads:
+            grad_rep = -m
+        return _LayerEval(e_att, -s_in, BRANCH_OUTER, s_in, grad_att, grad_rep)
+
+    # inner: mean hinge over ordered distinct pairs of in-support values
+    pts = a[sel]
+    n = pts.size
+    e_rep = 0.0
+    if with_grads:
+        grad_rep = np.zeros_like(a)
+    if n > 1:
+        # At most two n x n float arrays are alive at once: they are built in
+        # place, and d is freed before the hinge is compacted. A larger peak
+        # passes the allocator's trim threshold, so it is returned to the
+        # system after every call and page-faulted in again on the next.
+        d = pts[:, None] - pts[None, :]
+        h = np.abs(d)
+        np.subtract(cfg.delta, h, out=h)
+        np.fill_diagonal(h, 0.0)
+        active = h > 0.0  # exactly |d| < delta off the diagonal
+        if with_grads:
+            # pair (p, q) adds -sign/N at p and +sign/N at q; summing both
+            # orderings doubles the one-sided row sum
+            np.sign(d, out=d)
+            d *= active
+            grad_rep[sel] = -2.0 * d.sum(axis=1) / n
+        del d
+        e_rep = float(h[active].sum()) / n
+    return _LayerEval(e_att, e_rep, BRANCH_INNER, s_in, grad_att, grad_rep)
 
 
 def e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> float:
     """Attention mass outside the mask over (clamped) mass inside it."""
-    _check_pair(A.shape, M.shape)
-    value, _, _ = _attract_raw(A.a, M.a, cfg.epsilon_den)
-    return value
-
-
-def _grad_attract_raw(a, m, eps):
-    s_in = float((a * m).sum())
-    s_out = float(a.sum()) - s_in
-    if s_in < eps:
-        # clamped denominator is a constant: only the numerator varies
-        return (1.0 - m) / eps
-    return (1.0 - m) / s_in - (s_out / (s_in * s_in)) * m
+    return _evaluate(A.a, M.a, cfg, False).e_attract
 
 
 def grad_e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    _check_pair(A.shape, M.shape)
-    return Grid(_grad_attract_raw(A.a, M.a, cfg.epsilon_den), _checked=True)
-
-
-def _inner_points(a, m, tau):
-    sel = _support_raw(a, tau) & (m > 0.0)
-    return a[sel], sel
-
-
-def e_repel_inner(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> float:
-    """Mean hinge over ordered distinct pairs of in-support in-mask values."""
-    _check_pair(A.shape, M.shape)
-    pts, _ = _inner_points(A.a, M.a, cfg.support_tau)
-    if pts.size == 0:
-        raise EnergyError("inner repel undefined: no in-support points inside the mask")
-    return _repel_inner_raw(pts, cfg.delta)
-
-
-def _repel_inner_raw(pts: np.ndarray, delta: float) -> float:
-    n = pts.size
-    if n == 1:
-        return 0.0
-    h = delta - np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(h, 0.0)
-    return float(h[h > 0.0].sum()) / n
-
-
-def e_repel_outer(A: Grid, M: BinaryMask) -> float:
-    """Negative total attention mass inside the mask."""
-    _check_pair(A.shape, M.shape)
-    return -float((A.a * M.a).sum())
-
-
-def _branch_raw(a, m, tau) -> str:
-    sup = _support_raw(a, tau)
-    if not (sup & (m == 0.0)).any() and (sup & (m > 0.0)).any():
-        return BRANCH_INNER
-    return BRANCH_OUTER
+    return Grid(_evaluate(A.a, M.a, cfg, True).grad_attract, _checked=True)
 
 
 def e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> tuple[float, str]:
     """Branch-selected repel energy: inner iff the support is nonempty and
-    entirely inside the mask, else outer."""
-    _check_pair(A.shape, M.shape)
-    value, branch, _ = _repel_raw(A.a, M.a, cfg)
-    return value, branch
-
-
-def _repel_raw(a, m, cfg):
-    branch = _branch_raw(a, m, cfg.support_tau)
-    if branch == BRANCH_INNER:
-        pts, sel = _inner_points(a, m, cfg.support_tau)
-        return _repel_inner_raw(pts, cfg.delta), branch, sel
-    return -float((a * m).sum()), branch, None
+    entirely inside the mask, else outer (negative in-mask mass)."""
+    layer = _evaluate(A.a, M.a, cfg, False)
+    return layer.e_repel, layer.branch
 
 
 def grad_e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    _check_pair(A.shape, M.shape)
-    return Grid(_grad_repel_raw(A.a, M.a, cfg), _checked=True)
-
-
-def _grad_repel_raw(a, m, cfg) -> np.ndarray:
-    branch = _branch_raw(a, m, cfg.support_tau)
-    if branch == BRANCH_OUTER:
-        return -m
-    pts, sel = _inner_points(a, m, cfg.support_tau)
-    n = pts.size
-    grad = np.zeros_like(a)
-    if n > 1:
-        d = pts[:, None] - pts[None, :]
-        active = np.abs(d) < cfg.delta
-        np.fill_diagonal(active, False)
-        # pair (p, q) adds -sign/N at p and +sign/N at q; summing both
-        # orderings doubles the one-sided row sum
-        grad[sel] = -2.0 * (active * np.sign(d)).sum(axis=1) / n
-    return grad
-
-
-def _resolve_selection(layers, cfg) -> list[bool]:
-    flags = [cfg.selects(layer.layer_id) for layer in layers]
-    if not any(flags):
-        raise EnergyError("layer selection is empty")
-    return flags
+    return Grid(_evaluate(A.a, M.a, cfg, True).grad_repel, _checked=True)
 
 
 def _evaluate_layers(layers, masks, cfg, with_grads: bool):
     """Shared per-layer evaluation; returns (breakdown, grads or None)."""
     if len(layers) != len(masks):
         raise EnergyError(f"{len(layers)} layers but {len(masks)} masks")
-    flags = _resolve_selection(layers, cfg)
+    flags = [cfg.selects(layer.layer_id) for layer in layers]
     n_sel = sum(flags)
+    if n_sel == 0:
+        raise EnergyError("layer selection is empty")
     per_layer: dict[str, LayerEnergy] = {}
     grads: list[Grid] | None = [] if with_grads else None
     att_sum = rep_sum = 0.0
     for layer, mask, selected in zip(layers, masks, flags):
-        a, m = layer.map.a, mask.a
-        _check_pair(a.shape, m.shape)
-        e_att, s_in, _ = _attract_raw(a, m, cfg.epsilon_den)
-        e_rep, branch, _ = _repel_raw(a, m, cfg)
-        per_layer[layer.layer_id] = LayerEnergy(e_att, e_rep, branch, s_in, selected)
+        ev = _evaluate(layer.map.a, mask.a, cfg, with_grads and selected)
+        per_layer[layer.layer_id] = LayerEnergy(
+            ev.e_attract, ev.e_repel, ev.branch, ev.in_mask_mass, selected
+        )
         if selected:
-            att_sum += e_att
-            rep_sum += e_rep
+            att_sum += ev.e_attract
+            rep_sum += ev.e_repel
         if with_grads:
             if selected:
-                g = _grad_attract_raw(a, m, cfg.epsilon_den)
-                g = g + cfg.lam * _grad_repel_raw(a, m, cfg)
+                g = ev.grad_attract + cfg.lam * ev.grad_repel
                 grads.append(Grid(g / n_sel, _checked=True))
             else:
-                grads.append(Grid.zeros(*a.shape))
+                grads.append(Grid.zeros(*layer.resolution))
     breakdown = EnergyBreakdown(
         per_layer=per_layer,
         total=(att_sum + cfg.lam * rep_sum) / n_sel,

@@ -33,7 +33,8 @@ __all__ = [
     "ScheduleConfig",
     "ExperimentConfig",
     "parse_config",
-    "load_config",
+    "read_config",
+    "resolve_paths",
     "config_to_dict",
     "DatasetSample",
     "load_dataset",
@@ -223,7 +224,8 @@ def parse_config(doc) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> ExperimentConfig:
+    """Parse a config file; its dataset and out paths stay as written."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -231,11 +233,14 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path}: invalid JSON ({e})") from e
-    cfg = parse_config(doc)
-    if cfg.dataset is not None and not Path(cfg.dataset).is_absolute():
-        # dataset paths resolve relative to the config file, not the CWD
-        cfg = replace(cfg, dataset=str((path.parent / cfg.dataset)))
-    return cfg
+    return parse_config(doc)
+
+
+def resolve_paths(cfg: ExperimentConfig, config_path) -> ExperimentConfig:
+    """cfg with a relative dataset or out resolved against the directory of
+    the config file it was read from, not the CWD; absolute ones stay."""
+    base = Path(config_path).parent
+    return replace(cfg, dataset=cfg.dataset and str(base / cfg.dataset), out=str(base / cfg.out))
 
 
 def _echo(obj) -> dict:
@@ -386,10 +391,10 @@ def run_trials(
         return list(pool.map(one, range(trials)))
 
 
-# Readers of each final metric off a trial's final state; a layer the
-# model does not expose reads NaN.
+# Readers of each final metric off the energy breakdown at a trial's final
+# latent; a layer the model does not expose reads NaN.
 FINAL_METRICS = {
-    "final_e_total": lambda final: final.e_total,
+    "final_e_total": lambda final: final.total,
     "final_e_attract": lambda final: final.e_attract,
     "final_e_repel": lambda final: final.e_repel,
     "final_in_mask_fraction_full": lambda final: final.in_mask_fraction.get(LAYER_FULL, nan),

@@ -10,14 +10,13 @@ Every step is recorded so attention containment can be plotted over time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoiser import LAYER_FULL, LAYER_HALF, Condition
-from .energy import AttentionLayer, EnergyConfig, _evaluate_layers, e_total
+from .energy import AttentionLayer, EnergyBreakdown, EnergyConfig, _evaluate_layers, e_total
 from .grids import BinaryMask, Grid, resample_mask
 from .rng import RandomStream, gaussian_field
 from .schedule import NoiseSchedule
@@ -26,7 +25,6 @@ __all__ = [
     "SamplerConfig",
     "SamplerError",
     "StepEntry",
-    "FinalState",
     "TrajectoryRecord",
     "CSV_HEADER",
     "cfg_mix",
@@ -104,31 +102,16 @@ class StepEntry:
 
     step: int
     t: int
-    e_total: float
-    e_attract: float
-    e_repel: float
-    branch: str
-    in_mask_fraction: dict[str, float]
+    energy: EnergyBreakdown
     grad_norm: float
 
 
 @dataclass(frozen=True)
-class FinalState:
-    """Energy breakdown evaluated once more at the returned latent."""
-
-    e_total: float
-    e_attract: float
-    e_repel: float
-    branch: str
-    in_mask_fraction: dict[str, float]
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
-    """One entry per executed step plus the final-latent evaluation."""
+    """One entry per executed step plus the energy at the returned latent."""
 
     entries: list[StepEntry]
-    final: FinalState
+    final: EnergyBreakdown
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -136,27 +119,22 @@ class TrajectoryRecord:
     def csv_rows(self) -> list[list[str]]:
         return [_entry_row(e) for e in self.entries]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(self.csv_rows())
-
 
 def _fraction_cell(fractions: dict[str, float], layer_id: str) -> str:
     return repr(fractions[layer_id]) if layer_id in fractions else ""
 
 
 def _entry_row(e: StepEntry) -> list[str]:
+    fractions = e.energy.in_mask_fraction
     return [
         str(e.step),
         str(e.t),
-        repr(e.e_total),
-        repr(e.e_attract),
-        repr(e.e_repel),
-        e.branch,
-        _fraction_cell(e.in_mask_fraction, LAYER_FULL),
-        _fraction_cell(e.in_mask_fraction, LAYER_HALF),
+        repr(e.energy.total),
+        repr(e.energy.e_attract),
+        repr(e.energy.e_repel),
+        e.energy.branch_label,
+        _fraction_cell(fractions, LAYER_FULL),
+        _fraction_cell(fractions, LAYER_HALF),
         repr(e.grad_norm),
     ]
 
@@ -243,10 +221,6 @@ class _MaskCache:
         return got
 
 
-def _fractions(breakdown) -> dict[str, float]:
-    return {lid: le.in_mask_mass for lid, le in breakdown.per_layer.items()}
-
-
 def sample(
     model,
     mask: BinaryMask,
@@ -261,7 +235,8 @@ def sample(
     measured on the conditional (garment-token) attention maps at the
     pre-update latent; the correction additionally needs their gradients
     and the model's VJP of that same forward, so those are computed only
-    when enabled.
+    when enabled. A step that leaves the latent non-finite (overflow
+    under extreme guidance, say) raises SamplerError naming the step.
     Identical seeds give bit-identical runs whether the correction is
     disabled or enabled with rho = 0.
     """
@@ -288,27 +263,11 @@ def sample(
         else:
             grad_norm = 0.0
             x = m_t
-        entries.append(
-            StepEntry(
-                step=k,
-                t=t,
-                e_total=breakdown.total,
-                e_attract=breakdown.e_attract,
-                e_repel=breakdown.e_repel,
-                branch=breakdown.branch_label,
-                in_mask_fraction=_fractions(breakdown),
-                grad_norm=grad_norm,
-            )
-        )
+        if not np.isfinite(x.a).all():
+            raise SamplerError(f"step {k} (t={t}): the latent is no longer finite")
+        entries.append(StepEntry(k, t, breakdown, grad_norm))
 
     _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
     final_masks = [masks.at(layer) for layer in final_layers]
-    final_bd = e_total(final_layers, final_masks, config.energy_cfg)
-    final = FinalState(
-        e_total=final_bd.total,
-        e_attract=final_bd.e_attract,
-        e_repel=final_bd.e_repel,
-        branch=final_bd.branch_label,
-        in_mask_fraction=_fractions(final_bd),
-    )
+    final = e_total(final_layers, final_masks, config.energy_cfg)
     return x, TrajectoryRecord(entries=entries, final=final)

@@ -322,8 +322,10 @@ def test_criterion_06_zero_strength_correction_is_bit_identical(toy16, schedule2
         assert x_on.a.tobytes() == x_off.a.tobytes()
         for a, b in zip(rec_on.entries, rec_off.entries):
             assert (a.step, a.t) == (b.step, b.t)
-            assert (a.e_total, a.e_attract, a.e_repel) == (b.e_total, b.e_attract, b.e_repel)
-            assert a.in_mask_fraction == b.in_mask_fraction
+            assert (a.energy.total, a.energy.e_attract, a.energy.e_repel) == (
+                b.energy.total, b.energy.e_attract, b.energy.e_repel
+            )
+            assert a.energy.in_mask_fraction == b.energy.in_mask_fraction
         assert rec_on.final == rec_off.final
     print(
         "criterion 06 PASS: rho=0 correction bit-identical to the disabled sampler "

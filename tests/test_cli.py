@@ -3,6 +3,8 @@
 import csv
 import importlib.util
 import json
+import re
+import shutil
 import sys
 import xml.dom.minidom
 from pathlib import Path
@@ -16,9 +18,10 @@ from tryonlab.experiments import (
     ConfigError,
     ExperimentConfig,
     config_to_dict,
-    load_config,
     load_dataset,
     parse_config,
+    read_config,
+    resolve_paths,
 )
 from tryonlab.plotting import METRIC_COLUMNS
 from tryonlab.sampler import CSV_HEADER
@@ -126,26 +129,34 @@ class TestParseConfig:
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.json")
+            read_config(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(p)
+            read_config(p)
 
     def test_dataset_resolves_relative_to_config(self, tmp_path):
         sub = tmp_path / "cfg"
         sub.mkdir()
         p = sub / "config.json"
         p.write_text(json.dumps({"dataset": "data/manifest.json"}), encoding="utf-8")
-        cfg = load_config(p)
+        cfg = resolve_paths(read_config(p), p)
         assert cfg.dataset == str(sub / "data" / "manifest.json")
 
     def test_absolute_dataset_untouched(self, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"dataset": "/abs/manifest.json"}), encoding="utf-8")
-        assert load_config(p).dataset == "/abs/manifest.json"
+        assert resolve_paths(read_config(p), p).dataset == "/abs/manifest.json"
+
+    def test_out_resolves_relative_to_config(self, tmp_path):
+        sub = tmp_path / "cfg"
+        sub.mkdir()
+        p = sub / "config.json"
+        p.write_text(json.dumps({"out": "run"}), encoding="utf-8")
+        assert read_config(p).out == "run"
+        assert resolve_paths(read_config(p), p).out == str(sub / "run")
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +312,30 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "config.json", data)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "mask is empty at attention layer 'half' (8x6)" in capsys.readouterr().err
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("verb", [["run"], ["sweep", "--kind", "layers"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("csc_enabled", [True, False])
+    def test_non_finite_latent(self, dataset_dir, tmp_path, capsys, verb, csc_enabled):
+        sampler = {"steps": 6, "guidance_scale": 1e300, "csc_enabled": csc_enabled}
+        cfg = write_config(tmp_path / "config.json", dataset_dir, sampler=sampler)
+        assert main(verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: step \d+ \(t=\d+\): the latent is no longer finite", err)
+
+    def test_summary_bytes_do_not_depend_on_the_directory(self, dataset_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        summaries = []
+        for sub in ("a1", "a2"):
+            d = tmp_path / sub
+            shutil.copytree(dataset_dir, d / "data")
+            cfg = write_config(d / "config.json", dataset_dir, dataset="data/manifest.json", out="run")
+            assert main(["run", "--config", str(cfg)]) == 0
+            summaries.append((d / "run" / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        echo = json.loads(summaries[0])["config"]
+        assert (echo["dataset"], echo["out"]) == ("data/manifest.json", "run")
 
 
 class TestSweepCommand:

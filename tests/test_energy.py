@@ -18,8 +18,6 @@ from tryonlab import (
     RandomStream,
     e_attract,
     e_repel,
-    e_repel_inner,
-    e_repel_outer,
     e_total,
     grad_e_attract,
     grad_e_repel,
@@ -182,68 +180,73 @@ class TestGradEAttract:
 # ---------------------------------------------------------------- e_repel
 
 
+def repel_on(branch: str, A: Grid, M: BinaryMask) -> float:
+    """e_repel's value, after checking that (A, M) takes the expected branch."""
+    value, got = e_repel(A, M, CFG)
+    assert got == branch
+    return value
+
+
+def in_support_in_mask(A: Grid, M: BinaryMask) -> list[float]:
+    h, w = A.shape
+    return [
+        A.a[i, j]
+        for i in range(h)
+        for j in range(w)
+        if M.a[i, j] == 1.0 and A.a[i, j] > CFG.support_tau * A.a.max()
+    ]
+
+
 class TestERepelInner:
     def test_three_equal_values(self):
         A = Grid([[0.5, 0.5, 0.5]])
         M = BinaryMask.ones(1, 3)
         # 6 ordered pairs, each contributing delta, divided by N=3
-        assert e_repel_inner(A, M, CFG) == pytest.approx(0.04, rel=1e-12)
+        assert repel_on("inner", A, M) == pytest.approx(0.04, rel=1e-12)
 
     def test_wide_gap_is_inactive(self):
         A = Grid([[0.1, 0.5]])
         M = BinaryMask.ones(1, 2)
-        assert e_repel_inner(A, M, CFG) == 0.0
+        assert repel_on("inner", A, M) == 0.0
 
     def test_single_point_has_no_pairs(self):
         A = Grid([[0.5, 0.0]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
-        assert e_repel_inner(A, M, CFG) == 0.0
-
-    def test_no_support_in_mask_is_an_error(self):
-        A = Grid([[1.0, 0.0]])
-        M = BinaryMask(Grid([[0.0, 1.0]]))
-        with pytest.raises(EnergyError):
-            e_repel_inner(A, M, CFG)
+        assert repel_on("inner", A, M) == 0.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_matches_double_loop_oracle(self, seed):
         rng = RandomStream(seed)
         A, M = inner_case(rng, 6, 6)
-        pts = [
-            A.a[i, j]
-            for i in range(6)
-            for j in range(6)
-            if M.a[i, j] == 1.0 and A.a[i, j] > CFG.support_tau * A.a.max()
-        ]
-        want = repel_inner_oracle(pts, CFG.delta)
-        assert e_repel_inner(A, M, CFG) == pytest.approx(want, rel=1e-12, abs=1e-18)
+        want = repel_inner_oracle(in_support_in_mask(A, M), CFG.delta)
+        assert repel_on("inner", A, M) == pytest.approx(want, rel=1e-12, abs=1e-18)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30)
     def test_permutation_invariant_in_mask(self, seed):
         rng = RandomStream(seed)
         A, M = inner_case(rng, 6, 6)
-        base = e_repel_inner(A, M, CFG)
+        base = repel_on("inner", A, M)
         sel = M.a == 1.0
         vals = A.a[sel]
         perm = vals[np.argsort(rng.uniforms(vals.size))]
         shuffled = A.a.copy()
         shuffled[sel] = perm
-        assert e_repel_inner(Grid(shuffled), M, CFG) == pytest.approx(base, rel=1e-12)
+        assert repel_on("inner", Grid(shuffled), M) == pytest.approx(base, rel=1e-12)
 
 
 class TestERepelOuter:
     def test_hand_summed_mass(self):
         A = Grid([[0.2, 0.4], [0.1, 0.3]])
         M = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
-        assert e_repel_outer(A, M) == pytest.approx(-0.5, rel=1e-15)
+        assert repel_on("outer", A, M) == pytest.approx(-0.5, rel=1e-15)
 
     def test_empty_mask_is_zero(self):
-        assert e_repel_outer(Grid.full(2, 2, 0.25), BinaryMask.zeros(2, 2)) == 0.0
+        assert repel_on("outer", Grid.full(2, 2, 0.25), BinaryMask.zeros(2, 2)) == 0.0
 
     def test_zero_attention_is_zero(self):
-        assert e_repel_outer(Grid.zeros(2, 2), BinaryMask.ones(2, 2)) == 0.0
+        assert repel_on("outer", Grid.zeros(2, 2), BinaryMask.ones(2, 2)) == 0.0
 
 
 class TestBranchSelection:
@@ -251,14 +254,15 @@ class TestBranchSelection:
         A, M = inner_case(RandomStream(5), 6, 6)
         value, branch = e_repel(A, M, CFG)
         assert branch == "inner"
-        assert value == e_repel_inner(A, M, CFG)
+        want = repel_inner_oracle(in_support_in_mask(A, M), CFG.delta)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-18)
 
     def test_supported_point_outside_mask_selects_outer(self):
         A = Grid([[0.5, 0.5]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
         value, branch = e_repel(A, M, CFG)
         assert branch == "outer"
-        assert value == e_repel_outer(A, M)
+        assert value == -0.5
 
     def test_all_zero_attention_is_outer_zero(self):
         value, branch = e_repel(Grid.zeros(2, 2), BinaryMask.ones(2, 2), CFG)

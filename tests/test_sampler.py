@@ -1,6 +1,5 @@
 """Schedules, forward noising, guidance mixing, reverse steps, full loop."""
 
-import csv
 import math
 import re
 
@@ -268,16 +267,23 @@ def base_cfg(**kw):
 
 
 class TestSampleLoop:
-    def test_disabled_equals_zero_rho(self, toy, mask, schedule):
-        run = lambda cfg: sample(toy, mask, cfg, schedule, RandomStream(42).child("run"))
+    @pytest.mark.parametrize(
+        "region, branch",
+        [
+            pytest.param(rect_mask(16, 12, 4, 4, 8, 4), "outer|outer", id="rect"),
+            pytest.param(BinaryMask.ones(16, 12), "inner|inner", id="full"),
+        ],
+    )
+    def test_disabled_equals_zero_rho(self, toy, schedule, region, branch):
+        """Energies are bit-equal whether or not their gradients are computed."""
+        run = lambda cfg: sample(toy, region, cfg, schedule, RandomStream(42).child("run"))
         x_off, rec_off = run(base_cfg())
         x_rho0, rec_rho0 = run(SamplerConfig(rho=0.0))
         assert x_off.a.tobytes() == x_rho0.a.tobytes()
         for a, b in zip(rec_off.entries, rec_rho0.entries):
             assert (a.step, a.t) == (b.step, b.t)
-            assert (a.e_total, a.e_attract, a.e_repel) == (b.e_total, b.e_attract, b.e_repel)
-            assert a.branch == b.branch
-            assert a.in_mask_fraction == b.in_mask_fraction
+            assert a.energy == b.energy
+            assert a.energy.branch_label == branch
         assert rec_off.final == rec_rho0.final
 
     def test_same_seed_bit_identical(self, toy, mask, schedule):
@@ -339,10 +345,10 @@ class TestSampleLoop:
                 toy, mask, SamplerConfig(), schedule, RandomStream(seed).child("run")
             )
             for e in rec.entries:
-                assert math.isfinite(e.e_total)
-                assert math.isfinite(e.e_attract)
-                assert math.isfinite(e.e_repel)
-            assert math.isfinite(rec.final.e_total)
+                assert math.isfinite(e.energy.total)
+                assert math.isfinite(e.energy.e_attract)
+                assert math.isfinite(e.energy.e_repel)
+            assert math.isfinite(rec.final.total)
 
     def test_matches_manual_composition_of_public_pieces(self, toy, mask, schedule):
         """The loop is exactly init-field, predict x2, mix, step, measure."""
@@ -360,7 +366,7 @@ class TestSampleLoop:
             x = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
             want_totals.append(e_total(layers, [mask, half_mask]).total)
         assert got_x.a.tobytes() == x.a.tobytes()
-        assert [e.e_total for e in got_rec.entries] == want_totals
+        assert [e.energy.total for e in got_rec.entries] == want_totals
 
     def test_correction_pulls_attention_into_mask(self, toy, mask, schedule):
         deltas = []
@@ -377,7 +383,7 @@ class TestSampleLoop:
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
         x, rec = sample(model, mask, SamplerConfig(), schedule, RandomStream(21).child("run"))
         assert x.shape == (16, 12)
-        assert set(rec.entries[0].in_mask_fraction) == {"full"}
+        assert set(rec.entries[0].energy.in_mask_fraction) == {"full"}
         assert all(e.grad_norm == 0.0 for e in rec.entries)  # zero VJP model
 
 
@@ -392,6 +398,14 @@ class TestSampleLoop:
         want = re.escape(f"mask is empty at attention layer {empty_at}")
         with pytest.raises(SamplerError, match=want):
             sample(toy, bad_mask, SamplerConfig(steps=2), schedule, RandomStream(0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("csc_enabled", [True, False])
+    def test_non_finite_latent_names_the_step(self, toy, mask, schedule, csc_enabled):
+        cfg = SamplerConfig(guidance_scale=1e20, csc_enabled=csc_enabled)
+        want = re.escape("step 16 (t=4): the latent is no longer finite")
+        with pytest.raises(SamplerError, match=want):
+            sample(toy, mask, cfg, schedule, RandomStream(0).child("run"))
 
 
 class TestKernelCalls:
@@ -428,25 +442,22 @@ class TestKernelCalls:
 
 
 class TestTrajectoryCsv:
-    def test_header_and_roundtrip(self, toy, mask, schedule, tmp_path):
+    def test_header_and_roundtrip(self, toy, mask, schedule):
         _, rec = sample(
             toy, mask, SamplerConfig(steps=4), schedule, RandomStream(22).child("run")
         )
-        path = tmp_path / "traj.csv"
-        rec.write_csv(path)
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == list(CSV_HEADER)
-        assert len(rows) == 1 + 4
-        for row, entry in zip(rows[1:], rec.entries):
+        rows = rec.csv_rows()
+        assert len(rows) == 4
+        for row, entry in zip(rows, rec.entries):
+            assert len(row) == len(CSV_HEADER)
             assert int(row[0]) == entry.step
             assert int(row[1]) == entry.t
-            assert float(row[2]) == entry.e_total  # repr round-trips exactly
-            assert float(row[3]) == entry.e_attract
-            assert float(row[4]) == entry.e_repel
-            assert row[5] == entry.branch
-            assert float(row[6]) == entry.in_mask_fraction["full"]
-            assert float(row[7]) == entry.in_mask_fraction["half"]
+            assert float(row[2]) == entry.energy.total  # repr round-trips exactly
+            assert float(row[3]) == entry.energy.e_attract
+            assert float(row[4]) == entry.energy.e_repel
+            assert row[5] == entry.energy.branch_label
+            assert float(row[6]) == entry.energy.per_layer["full"].in_mask_mass
+            assert float(row[7]) == entry.energy.per_layer["half"].in_mask_mass
             assert float(row[8]) == entry.grad_norm
 
     def test_missing_layer_leaves_cell_empty(self, mask, schedule, tmp_path):
