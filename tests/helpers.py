@@ -85,6 +85,21 @@ def hinge_safe(values: np.ndarray, idx: int, delta: float, h: float) -> bool:
     return bool((np.abs(d - delta) >= 10 * h).all() and (d >= 10 * h).all())
 
 
+def dense_inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
+    """Inner repel by the dense n x n pairwise pass: the mean hinge over
+    ordered distinct pairs of pts, and its gradient w.r.t. each point."""
+    n = pts.size
+    d = pts[:, None] - pts[None, :]
+    h = np.abs(d)
+    np.subtract(delta, h, out=h)
+    np.fill_diagonal(h, 0.0)
+    active = h > 0.0  # exactly |d| < delta off the diagonal
+    # pair (p, q) adds -sign/N at p and +sign/N at q; summing both
+    # orderings doubles the one-sided row sum
+    grad = -2.0 * (np.sign(d) * active).sum(axis=1) / n
+    return float(h[active].sum()) / n, grad
+
+
 def fd_vjp_check(
     model,
     x: Grid,

@@ -4,6 +4,8 @@ Every expected value below is either hand arithmetic on a tiny grid or an
 independent oracle (double loops over pairs, central finite differences).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from tryonlab import (
     grad_e_total,
     support,
 )
+from tryonlab.energy import _evaluate
 from helpers import (
+    dense_inner_repel,
     fd_rel_err,
     fd_scalar,
     hinge_safe,
@@ -234,6 +238,101 @@ class TestERepelInner:
         shuffled = A.a.copy()
         shuffled[sel] = perm
         assert repel_on("inner", Grid(shuffled), M) == pytest.approx(base, rel=1e-12)
+
+
+@st.composite
+def inner_values(draw):
+    """(points, delta) with ties and with partners at fl(a + delta) and one
+    ulp to either side of it, at magnitudes near 1e-3 and near 0.7. On an
+    aligned grid a + delta is exact; off it the sum rounds."""
+    scale = draw(st.sampled_from([1e-3, 0.7]))
+    delta = draw(st.sampled_from([0.0, 0.02]) | st.floats(1e-6, 0.05))
+    values = [scale * f for f in draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        # fine enough for every value and coarse enough that a + delta is
+        # exact for every a on it
+        grid = float(np.spacing(scale * 2.0 + delta))
+        delta = round(delta / grid) * grid
+        values = [round(a / grid) * grid for a in values]
+    pts = list(values)
+    for a in values:
+        for shift in draw(st.lists(st.sampled_from([0, 1, -1, "tie"]), max_size=3)):
+            if shift == "tie":
+                pts.append(a)
+            else:
+                pts.append(float(np.nextafter(a + delta, np.inf * shift)) if shift else a + delta)
+    size = draw(st.sampled_from([1, 2, len(pts)]))
+    order = draw(st.permutations(range(len(pts))))
+    return np.array([pts[k] for k in order[:size]]), delta
+
+
+class TestInnerRepelAgainstDense:
+    """_evaluate's sorted inner repel against the dense pairwise pass."""
+
+    @staticmethod
+    def check(pts: np.ndarray, delta: float):
+        cfg = EnergyConfig(delta=delta, support_tau=1e-12)
+        ev = _evaluate(pts[None, :], np.ones((1, pts.size)), cfg, True)
+        assert ev.branch == "inner"
+        want_e, want_g = dense_inner_repel(pts, delta)
+        got_g = ev.grad_repel[0]
+        assert np.array_equal(got_g, want_g)
+        if pts.size > 1:  # a single point keeps the zero-initialised +0.0
+            assert got_g.tobytes() == want_g.tobytes()
+        # Error bound. _evaluate rounds, for each point i, c_i delta (c_i
+        # active partners above i), the window sum w_i and their difference
+        # hinge_i once each: at most eps/2 (c_i delta + w_i + hinge_i) =
+        # eps c_i delta. The dense pass rounds |d| and delta - |d| once per
+        # ordered pair: eps/2 delta. Summed and divided by n, that is
+        # (n - 1) eps delta and (n - 1) eps delta / 2 from the exact mean;
+        # 2 n eps delta bounds both, and rel covers the final summations.
+        tol = 1e-12 * abs(want_e) + 2.0 * pts.size * np.finfo(float).eps * delta
+        assert abs(ev.e_repel - want_e) <= tol
+        return want_e
+
+    @given(case=inner_values())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_pass(self, case):
+        pts, delta = case
+        want_e = self.check(pts, delta)
+        assert want_e == pytest.approx(repel_inner_oracle(list(pts), delta), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, delta, cut_moves",
+        [
+            (0.7, 0.0202, "up"),
+            (0.0010022, 0.02, "up"),
+            (0.0008677167253176843, 0.002042339242041758, "down"),
+        ],
+    )
+    def test_cut_fix_ups(self, a, delta, cut_moves):
+        x = a + delta
+        below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+        if cut_moves == "up":
+            # x is not below fl(a + delta) = x, yet the dense test finds it active
+            assert x - a < delta
+        else:
+            # pred(x) is below fl(a + delta), yet the dense test finds it inactive
+            assert below - a >= delta
+        self.check(np.array([a, below, x, above, x, below, a]), delta)
+
+    def test_full_mask_at_24x18(self):
+        self.check(softmax_map(RandomStream(24), 24, 18).a.ravel(), CFG.delta)
+
+    def test_grad_e_total_memory_is_linear(self):
+        a = 1.0 + RandomStream(96).uniforms(96 * 72).reshape(96, 72)
+        layers = [AttentionLayer("full", Grid(a / a.sum()))]
+        masks = [BinaryMask.ones(96, 72)]
+        assert e_total(layers, masks, CFG).branch_label == "inner"
+        assert support(layers[0].map, CFG.support_tau).a.sum() == 96 * 72
+        tracemalloc.start()
+        try:
+            grad_e_total(layers, masks, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense pass needs two 6912 x 6912 float arrays at once (~760 MB)
+        assert peak < 4e6
 
 
 class TestERepelOuter:
@@ -487,6 +586,13 @@ class TestConfigValidation:
             EnergyConfig(lam=-0.1)
         with pytest.raises(EnergyError):
             EnergyConfig(delta=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(EnergyError, match="finite"):
+                EnergyConfig(delta=bad)
+            with pytest.raises(EnergyError, match="finite"):
+                EnergyConfig(lam=bad)
+            with pytest.raises(EnergyError, match="finite"):
+                EnergyConfig(epsilon_den=bad)
         with pytest.raises(EnergyError):
             EnergyConfig(support_tau=0.0)
         with pytest.raises(EnergyError):
