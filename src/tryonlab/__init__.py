@@ -52,7 +52,7 @@ from .sampler import (
     eps_to_score,
     sample,
 )
-from .schedule import NoiseSchedule, ScheduleError, make_schedule, q_sample
+from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .scenes import (
     BenchSample,
     Rect,

@@ -1,11 +1,13 @@
 """Denoiser contract and two reference implementations.
 
 The contract every sampler-facing model satisfies: one forward,
-predict(x, t, cond), that predicts noise, exposes attention maps and
-returns a tape of what its backward pass needs, plus a vector-Jacobian
-product, attention_vjp(tape, t, cond, cotangents), that pulls
-attention-space gradients back to the latent from that tape without
-rerunning the forward.
+predict(x, t, cond), that takes the latent as an (h, w) float64 ndarray
+and returns its predicted noise as an ndarray of the same shape, the
+attention maps as AttentionLayers (each map a Grid) and a tape of what
+its backward pass needs; plus a vector-Jacobian product,
+attention_vjp(tape, t, cond, cotangents), that pulls one ndarray
+cotangent per attention layer back to an (h, w) ndarray gradient on the
+latent from that tape without rerunning the forward.
 ToyAttentionDenoiser is a small conv/softmax network with a hand-derived
 VJP; LinearGaussianModel is a closed-form optimal predictor used to
 validate the sampler statistically.
@@ -60,12 +62,12 @@ class Condition(enum.Enum):
 
 class DenoiserModel(Protocol):
     def predict(
-        self, x: Grid, t: int, cond: Condition
-    ) -> tuple[Grid, list[AttentionLayer], Any]: ...
+        self, x: np.ndarray, t: int, cond: Condition
+    ) -> tuple[np.ndarray, list[AttentionLayer], Any]: ...
 
     def attention_vjp(
-        self, tape: Any, t: int, cond: Condition, cotangents: list[Grid]
-    ) -> Grid: ...
+        self, tape: Any, t: int, cond: Condition, cotangents: list[np.ndarray]
+    ) -> np.ndarray: ...
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,26 +113,22 @@ class ToyAttentionDenoiser:
     def _query(self, cond: Condition) -> np.ndarray:
         return self.q_garment if cond is Condition.GARMENT else self.q_null
 
-    def _check_x(self, x: Grid) -> np.ndarray:
-        if x.shape != (self.h, self.w):
-            raise ModelError(f"latent shape {x.shape} != model dims {(self.h, self.w)}")
-        return x.a
-
     def _attention_maps(self, f: np.ndarray, q: np.ndarray):
         scale = 1.0 / math.sqrt(self.channels)
         logits_full = np.einsum("c,cij->ij", q, f) * scale
         logits_half = np.einsum("c,cij->ij", q, avg_pool2(f)) * scale
         return _softmax(logits_full), _softmax(logits_half)
 
-    def predict(self, x: Grid, t: int, cond: Condition):
-        xa = self._check_x(x)
+    def predict(self, x: np.ndarray, t: int, cond: Condition):
+        if x.shape != (self.h, self.w):
+            raise ModelError(f"latent shape {x.shape} != model dims {(self.h, self.w)}")
         q = self._query(cond)
         if q.any():
-            z = correlate3x3(xa, self.kernel)
+            z = correlate3x3(x, self.kernel)
             a_full, a_half = self._attention_maps(softplus(z), q)
             layers = [
-                AttentionLayer(LAYER_FULL, Grid(a_full, _checked=True)),
-                AttentionLayer(LAYER_HALF, Grid(a_half, _checked=True)),
+                AttentionLayer(LAYER_FULL, Grid(a_full)),
+                AttentionLayer(LAYER_HALF, Grid(a_half)),
             ]
         else:
             z = None
@@ -139,12 +137,12 @@ class ToyAttentionDenoiser:
                 _uniform_layer(LAYER_HALF, self.h // 2, self.w // 2),
             ]
             a_full, a_half = layers[0].map.a, layers[1].map.a
-        eps = self.u * xa + self.v * (self.h * self.w) * a_full * xa
-        return Grid(eps, _checked=True), layers, _ToyTape(z, a_full, a_half)
+        eps = self.u * x + self.v * (self.h * self.w) * a_full * x
+        return eps, layers, _ToyTape(z, a_full, a_half)
 
     def attention_vjp(
-        self, tape: _ToyTape, t: int, cond: Condition, cotangents: list[Grid]
-    ) -> Grid:
+        self, tape: _ToyTape, t: int, cond: Condition, cotangents: list[np.ndarray]
+    ) -> np.ndarray:
         """Pull cotangents on (full, half) attention maps back to the latent.
 
         Backpropagates softmax -> query dot-product -> (pooling) ->
@@ -153,14 +151,14 @@ class ToyAttentionDenoiser:
         """
         if len(cotangents) != 2:
             raise ModelError(f"expected 2 cotangents (full, half), got {len(cotangents)}")
-        g_full, g_half = cotangents[0].a, cotangents[1].a
+        g_full, g_half = cotangents
         a_full, a_half, q = tape.a_full, tape.a_half, self._query(cond)
         if g_full.shape != a_full.shape:
             raise ModelError(f"full cotangent shape {g_full.shape} != {a_full.shape}")
         if g_half.shape != a_half.shape:
             raise ModelError(f"half cotangent shape {g_half.shape} != {a_half.shape}")
         if tape.z is None:
-            return Grid.zeros(*a_full.shape)
+            return np.zeros(a_full.shape)
         scale = 1.0 / math.sqrt(self.channels)
 
         dl_full = a_full * (g_full - (a_full * g_full).sum())
@@ -170,7 +168,7 @@ class ToyAttentionDenoiser:
         df = df + avg_pool2_adjoint(dfp)
 
         dz = sigmoid(tape.z) * df
-        return Grid(correlate3x3_adjoint(dz, self.kernel), _checked=True)
+        return correlate3x3_adjoint(dz, self.kernel)
 
 
 def toy_init(seed: int, h: int, w: int, channels: int) -> ToyAttentionDenoiser:
@@ -215,13 +213,13 @@ class LinearGaussianModel:
         if self.sigma0 <= 0:
             raise ModelError("sigma0 must be > 0")
 
-    def predict(self, x: Grid, t: int, cond: Condition):
+    def predict(self, x: np.ndarray, t: int, cond: Condition):
         ab = self.schedule.alpha_bar_at(t)
         denom = ab * self.sigma0**2 + 1.0 - ab
-        eps = (x.a - math.sqrt(ab) * self.mu0) * (math.sqrt(1.0 - ab) / denom)
-        return Grid(eps, _checked=True), [_uniform_layer(LAYER_FULL, *x.shape)], x.shape
+        eps = (x - math.sqrt(ab) * self.mu0) * (math.sqrt(1.0 - ab) / denom)
+        return eps, [_uniform_layer(LAYER_FULL, *x.shape)], x.shape
 
     def attention_vjp(
-        self, tape: tuple[int, int], t: int, cond: Condition, cotangents: list[Grid]
-    ) -> Grid:
-        return Grid.zeros(*tape)
+        self, tape: tuple[int, int], t: int, cond: Condition, cotangents: list[np.ndarray]
+    ) -> np.ndarray:
+        return np.zeros(tape)

@@ -133,7 +133,7 @@ def _support_raw(a: np.ndarray, tau: float) -> np.ndarray:
 
 def support(A: Grid, tau: float) -> BinaryMask:
     """Positions where A exceeds tau * max(A); empty for an all-zero map."""
-    return BinaryMask(Grid(_support_raw(A.a, tau).astype(np.float64), _checked=True))
+    return BinaryMask(Grid(_support_raw(A.a, tau).astype(np.float64)))
 
 
 class _LayerEval(NamedTuple):
@@ -246,7 +246,7 @@ def e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> flo
 
 
 def grad_e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    return Grid(_evaluate(A.a, M.a, cfg, True).grad_attract, _checked=True)
+    return Grid(_evaluate(A.a, M.a, cfg, True).grad_attract)
 
 
 def e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> tuple[float, str]:
@@ -257,11 +257,15 @@ def e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> tuple
 
 
 def grad_e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    return Grid(_evaluate(A.a, M.a, cfg, True).grad_repel, _checked=True)
+    return Grid(_evaluate(A.a, M.a, cfg, True).grad_repel)
 
 
 def _evaluate_layers(layers, masks, cfg, with_grads: bool):
-    """Shared per-layer evaluation; returns (breakdown, grads or None)."""
+    """Shared per-layer evaluation; returns (breakdown, grads or None).
+
+    grads holds one ndarray per layer, the gradient of the aggregate with
+    respect to that layer's map (zeros for an unselected layer).
+    """
     if len(layers) != len(masks):
         raise EnergyError(f"{len(layers)} layers but {len(masks)} masks")
     flags = [cfg.selects(layer.layer_id) for layer in layers]
@@ -269,7 +273,7 @@ def _evaluate_layers(layers, masks, cfg, with_grads: bool):
     if n_sel == 0:
         raise EnergyError("layer selection is empty")
     per_layer: dict[str, LayerEnergy] = {}
-    grads: list[Grid] | None = [] if with_grads else None
+    grads: list[np.ndarray] | None = [] if with_grads else None
     att_sum = rep_sum = 0.0
     for layer, mask, selected in zip(layers, masks, flags):
         ev = _evaluate(layer.map.a, mask.a, cfg, with_grads and selected)
@@ -282,9 +286,9 @@ def _evaluate_layers(layers, masks, cfg, with_grads: bool):
         if with_grads:
             if selected:
                 g = ev.grad_attract + cfg.lam * ev.grad_repel
-                grads.append(Grid(g / n_sel, _checked=True))
+                grads.append(g / n_sel)
             else:
-                grads.append(Grid.zeros(*layer.resolution))
+                grads.append(np.zeros(layer.resolution))
     breakdown = EnergyBreakdown(
         per_layer=per_layer,
         total=(att_sum + cfg.lam * rep_sum) / n_sel,
@@ -319,4 +323,4 @@ def grad_e_total(
     grids.
     """
     _, grads = _evaluate_layers(layers, masks, cfg, with_grads=True)
-    return grads
+    return [Grid(g) for g in grads]

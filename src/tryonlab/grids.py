@@ -1,7 +1,11 @@
 """Dense 2-D float grids, binary masks, resampling, warping, and file IO.
 
-A Grid is the universal carrier in this package: latents, attention maps,
-masks, and image channels are all grids of float64.
+Grid and BinaryMask live at the boundary of the package: file IO, the
+public API (sample's mask and final latent, attention maps, energy
+readers, dataset flows and masks). Inside, the sampler loop, the model
+contract and the scene images carry plain float64 ndarrays, so a Grid is
+built only where a value crosses that boundary, and every Grid is
+validated on construction.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ class Grid:
 
     __slots__ = ("a",)
 
-    def __init__(self, values, *, _checked: bool = False):
+    def __init__(self, values):
         a = np.asarray(values, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise GridError(f"grid must be 2-D and non-empty, got shape {a.shape}")
-        if not _checked and not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise GridError("grid contains non-finite values")
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
@@ -69,7 +73,7 @@ class Grid:
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid":
-        return cls(np.zeros((height, width)), _checked=True)
+        return cls(np.zeros((height, width)))
 
     @classmethod
     def full(cls, height: int, width: int, value: float) -> "Grid":
@@ -162,7 +166,31 @@ def resample_mask(mask: BinaryMask, target_h: int, target_w: int) -> BinaryMask:
     wr = _overlap_weights(mask.height, target_h)
     wc = _overlap_weights(mask.width, target_w)
     avg = wr @ mask.a @ wc.T
-    return BinaryMask(Grid(np.where(avg >= 0.5, 1.0, 0.0), _checked=True))
+    return BinaryMask(Grid(np.where(avg >= 0.5, 1.0, 0.0)))
+
+
+def warp_array(a: np.ndarray, flow_x: np.ndarray, flow_y: np.ndarray) -> np.ndarray:
+    """Bilinear warp of the last two axes of a, (..., h, w), by an (h, w) flow.
+
+    Every leading slice is sampled at the same source coordinates, with
+    the same arithmetic as a lone (h, w) image, so warping a stack equals
+    warping each slice bit for bit.
+    """
+    h, w = a.shape[-2:]
+    if flow_x.shape != (h, w) or flow_y.shape != (h, w):
+        raise GridError(f"flow shape {flow_x.shape}/{flow_y.shape} != image shape {(h, w)}")
+    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    sy = np.clip(ii + flow_y, 0.0, h - 1.0)
+    sx = np.clip(jj + flow_x, 0.0, w - 1.0)
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = sy - y0
+    fx = sx - x0
+    top = a[..., y0, x0] * (1.0 - fx) + a[..., y0, x1] * fx
+    bot = a[..., y1, x0] * (1.0 - fx) + a[..., y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
 
 
 def bilinear_warp(image: Grid, flow_x: Grid, flow_y: Grid) -> Grid:
@@ -171,24 +199,7 @@ def bilinear_warp(image: Grid, flow_x: Grid, flow_y: Grid) -> Grid:
     Flow is in pixel units; source coordinates are clamped to the image
     rectangle, so zero flow is the bit-exact identity.
     """
-    if flow_x.shape != image.shape or flow_y.shape != image.shape:
-        raise GridError(
-            f"flow shape {flow_x.shape}/{flow_y.shape} != image shape {image.shape}"
-        )
-    h, w = image.shape
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    sy = np.clip(ii + flow_y.a, 0.0, h - 1.0)
-    sx = np.clip(jj + flow_x.a, 0.0, w - 1.0)
-    y0 = np.floor(sy).astype(np.intp)
-    x0 = np.floor(sx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = sy - y0
-    fx = sx - x0
-    a = image.a
-    top = a[y0, x0] * (1.0 - fx) + a[y0, x1] * fx
-    bot = a[y1, x0] * (1.0 - fx) + a[y1, x1] * fx
-    return Grid(top * (1.0 - fy) + bot * fy, _checked=True)
+    return Grid(warp_array(image.a, flow_x.a, flow_y.a))
 
 
 def grid_write(path, grid: Grid) -> None:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid
-
 __all__ = ["RandomStream", "gaussian_field"]
 
 _MASK = (1 << 64) - 1
@@ -50,9 +48,6 @@ class RandomStream:
     def __init__(self, seed: int, counter: int = 0):
         self.seed = int(seed) & _MASK
         self.counter = int(counter) & _MASK
-
-    def clone(self) -> "RandomStream":
-        return RandomStream(self.seed, self.counter)
 
     def child(self, label) -> "RandomStream":
         """Independent stream derived by hashing (seed, label); counter 0.
@@ -101,6 +96,6 @@ class RandomStream:
         return f"RandomStream(seed={self.seed:#018x}, counter={self.counter})"
 
 
-def gaussian_field(rng: RandomStream, h: int, w: int) -> Grid:
-    """h x w grid of i.i.d. standard normals; consumes 2*h*w stream steps."""
-    return Grid(rng.normals(h * w).reshape(h, w), _checked=True)
+def gaussian_field(rng: RandomStream, h: int, w: int) -> np.ndarray:
+    """(h, w) array of i.i.d. standard normals; consumes 2*h*w stream steps."""
+    return rng.normals(h * w).reshape(h, w)

@@ -70,8 +70,10 @@ class SamplerConfig:
     csc_step_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise SamplerError("rho must be >= 0")
+        if not 0.0 <= self.rho < math.inf:
+            raise SamplerError("rho must be finite and >= 0")
+        if not math.isfinite(self.guidance_scale):
+            raise SamplerError("guidance_scale must be finite")
         if self.steps < 1:
             raise SamplerError("steps must be >= 1")
         if self.csc_step_range is not None:
@@ -139,7 +141,7 @@ def _entry_row(e: StepEntry) -> list[str]:
     ]
 
 
-def cfg_mix(eps_uncond: Grid, eps_cond: Grid, s: float) -> Grid:
+def cfg_mix(eps_uncond: np.ndarray, eps_cond: np.ndarray, s: float) -> np.ndarray:
     """Classifier-free guidance: eps_u + s * (eps_c - eps_u).
 
     s = 1 returns the conditional prediction bit-exactly.
@@ -150,18 +152,18 @@ def cfg_mix(eps_uncond: Grid, eps_cond: Grid, s: float) -> Grid:
         )
     if s == 1.0:
         return eps_cond
-    return Grid(eps_uncond.a + s * (eps_cond.a - eps_uncond.a), _checked=True)
+    return eps_uncond + s * (eps_cond - eps_uncond)
 
 
-def eps_to_score(eps: Grid, t: int, schedule: NoiseSchedule) -> Grid:
+def eps_to_score(eps: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
     """Score of the marginal at step t from predicted noise: -eps / sqrt(1 - abar_t)."""
     ab = schedule.alpha_bar_at(t)
-    return Grid(eps.a * (-1.0 / math.sqrt(1.0 - ab)), _checked=True)
+    return eps * (-1.0 / math.sqrt(1.0 - ab))
 
 
 def ancestral_step(
-    x_t: Grid, t: int, score: Grid, schedule: NoiseSchedule, rng: RandomStream
-) -> Grid:
+    x_t: np.ndarray, t: int, score: np.ndarray, schedule: NoiseSchedule, rng: RandomStream
+) -> np.ndarray:
     """One reverse update: (1 + beta/2) x_t + beta * score + sqrt(beta) * eps.
 
     At t = 1 the noise term is omitted, so the final step is deterministic
@@ -170,23 +172,23 @@ def ancestral_step(
     if score.shape != x_t.shape:
         raise SamplerError(f"score shape {score.shape} != latent shape {x_t.shape}")
     beta = schedule.beta_at(t)
-    out = (1.0 + 0.5 * beta) * x_t.a + beta * score.a
+    out = (1.0 + 0.5 * beta) * x_t + beta * score
     if t > 1:
-        out = out + math.sqrt(beta) * gaussian_field(rng, *x_t.shape).a
-    return Grid(out, _checked=True)
+        out = out + math.sqrt(beta) * gaussian_field(rng, *x_t.shape)
+    return out
 
 
-def csc_correct(m_t: Grid, grad_x: Grid, rho: float) -> Grid:
+def csc_correct(m_t: np.ndarray, grad_x: np.ndarray, rho: float) -> np.ndarray:
     """Subtract rho times the latent energy gradient from the predicted step."""
     if rho < 0:
         raise SamplerError("rho must be >= 0")
     if m_t.shape != grad_x.shape:
         raise SamplerError(f"gradient shape {grad_x.shape} != latent shape {m_t.shape}")
-    if not np.isfinite(grad_x.a).all():
+    if not np.isfinite(grad_x).all():
         raise SamplerError("non-finite energy gradient")
     if rho == 0.0:
         return m_t
-    return Grid(m_t.a - rho * grad_x.a, _checked=True)
+    return m_t - rho * grad_x
 
 
 def _stride_ts(T: int, steps: int) -> list[int]:
@@ -238,7 +240,8 @@ def sample(
     when enabled. A step that leaves the latent non-finite (overflow
     under extreme guidance, say) raises SamplerError naming the step.
     Identical seeds give bit-identical runs whether the correction is
-    disabled or enabled with rho = 0.
+    disabled or enabled with rho = 0. The latent is a plain ndarray inside
+    the loop and becomes a Grid only when it is returned.
     """
     if schedule.T < config.steps:
         raise SamplerError(f"schedule T={schedule.T} shorter than steps={config.steps}")
@@ -258,16 +261,16 @@ def sample(
         )
         if csc_active:
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
-            grad_norm = float(np.sqrt((grad_x.a * grad_x.a).sum()))
+            grad_norm = float(np.sqrt((grad_x * grad_x).sum()))
             x = csc_correct(m_t, grad_x, config.rho)
         else:
             grad_norm = 0.0
             x = m_t
-        if not np.isfinite(x.a).all():
+        if not np.isfinite(x).all():
             raise SamplerError(f"step {k} (t={t}): the latent is no longer finite")
         entries.append(StepEntry(k, t, breakdown, grad_norm))
 
     _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
     final_masks = [masks.at(layer) for layer in final_layers]
     final = e_total(final_layers, final_masks, config.energy_cfg)
-    return x, TrajectoryRecord(entries=entries, final=final)
+    return Grid(x), TrajectoryRecord(entries=entries, final=final)

@@ -160,13 +160,13 @@ def render_garment(spec: SceneSpec) -> SceneImage:
     r = spec.garment_rect
     yy, xx = np.meshgrid(np.arange(r.height), np.arange(r.width), indexing="ij")
     stack[:, r.top : r.bottom, r.left : r.right] = _pattern_field(spec, yy, xx)
-    return SceneImage.from_stack(stack)
+    return SceneImage(stack)
 
 
 def region_mask(spec: SceneSpec) -> BinaryMask:
     m = np.zeros((spec.canvas_h, spec.canvas_w))
     m[spec.croi.top : spec.croi.bottom, spec.croi.left : spec.croi.right] = 1.0
-    return BinaryMask(Grid(m, _checked=True))
+    return BinaryMask(Grid(m))
 
 
 def affine_flow(croi: Rect, garment_rect: Rect, h: int, w: int) -> tuple[Grid, Grid]:
@@ -184,8 +184,8 @@ def affine_flow(croi: Rect, garment_rect: Rect, h: int, w: int) -> tuple[Grid, G
     inside = np.zeros((h, w), dtype=bool)
     inside[croi.top : croi.bottom, croi.left : croi.right] = True
     return (
-        Grid(np.where(inside, sx - jj, 0.0), _checked=True),
-        Grid(np.where(inside, sy - ii, 0.0), _checked=True),
+        Grid(np.where(inside, sx - jj, 0.0)),
+        Grid(np.where(inside, sy - ii, 0.0)),
     )
 
 
@@ -202,13 +202,7 @@ def composite_reference(
     if mask.shape != person.shape or flow_x.shape != person.shape or flow_y.shape != person.shape:
         raise SceneError("mask/flow shape does not match the images")
     warped = warp_scene(garment, flow_x, flow_y)
-    keep = 1.0 - mask.a
-    return SceneImage.from_stack(
-        np.stack([
-            p.a * keep + q.a * mask.a
-            for p, q in zip(person.channels(), warped.channels())
-        ])
-    )
+    return SceneImage(person.stack() * (1.0 - mask.a) + warped.stack() * mask.a)
 
 
 def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
@@ -228,7 +222,7 @@ def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
     body = ((ii - cy) / ry) ** 2 + ((jj - cx) / rx) ** 2 <= 1.0
     for c in range(3):
         base[c] = np.where(body, spec.body_color[c], base[c])
-    person_base = SceneImage.from_stack(base)
+    person_base = SceneImage(base)
 
     garment = render_garment(spec)
     mask = region_mask(spec)

@@ -1,4 +1,4 @@
-"""Noise schedules and forward noising."""
+"""Noise schedules."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridError
-
-__all__ = ["NoiseSchedule", "ScheduleError", "make_schedule", "q_sample"]
+__all__ = ["NoiseSchedule", "ScheduleError", "make_schedule"]
 
 
 class ScheduleError(ValueError):
@@ -46,10 +44,3 @@ def make_schedule(T: int, beta_1: float, beta_T: float) -> NoiseSchedule:
     alpha = 1.0 - beta
     return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
 
-
-def q_sample(x0: Grid, t: int, eps: Grid, schedule: NoiseSchedule) -> Grid:
-    """Forward-noise x0 to step t: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    if eps.shape != x0.shape:
-        raise GridError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    ab = schedule.alpha_bar_at(t)
-    return Grid(np.sqrt(ab) * x0.a + np.sqrt(1.0 - ab) * eps.a, _checked=True)

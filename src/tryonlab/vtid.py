@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .grids import BinaryMask, Grid, GridError, bilinear_warp, grid_read, grid_write
+from .grids import BinaryMask, Grid, GridError, grid_read, grid_write, warp_array
 from .kernels import avg_pool2, correlate3x3_multi, softplus
 from .rng import RandomStream
 
@@ -42,72 +42,60 @@ class VtidError(ValueError):
 
 
 class SceneImage:
-    """Three equally shaped channel grids (R, G, B), values in [0, 1].
+    """One read-only (3, h, w) float64 array of channels (R, G, B) in [0, 1].
 
     Out-of-range inputs are clamped on construction, so arbitrary latents
-    can be viewed as images.
+    can be viewed as images; non-finite inputs are rejected.
     """
 
-    __slots__ = ("r", "g", "b")
+    __slots__ = ("_a",)
 
-    def __init__(self, r: Grid, g: Grid, b: Grid):
-        if r.shape != g.shape or r.shape != b.shape:
-            raise VtidError(
-                f"channel shapes differ: {r.shape}, {g.shape}, {b.shape}"
-            )
-        for name, ch in (("r", r), ("g", g), ("b", b)):
-            a = ch.a
-            if a.min() < 0.0 or a.max() > 1.0:
-                ch = Grid(np.clip(a, 0.0, 1.0), _checked=True)
-            object.__setattr__(self, name, ch)
+    def __init__(self, stack: np.ndarray):
+        a = np.asarray(stack, dtype=np.float64)
+        if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
+            raise VtidError(f"expected a non-empty (3, h, w) stack, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise GridError("scene contains non-finite values")
+        # clip leaves in-range values, -0.0 included, bit for bit, so
+        # clamping the whole stack equals clamping each channel that needs
+        # it; C order keeps the feature convolutions' summation order
+        if a.min() < 0.0 or a.max() > 1.0:
+            a = np.clip(a, 0.0, 1.0)
+        a = np.ascontiguousarray(a)
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
         raise AttributeError("SceneImage is immutable")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.r.shape
-
-    @property
-    def height(self) -> int:
-        return self.r.height
-
-    @property
-    def width(self) -> int:
-        return self.r.width
-
-    def channels(self) -> tuple[Grid, Grid, Grid]:
-        return (self.r, self.g, self.b)
+        return self._a.shape[1:]
 
     def stack(self) -> np.ndarray:
-        """(3, h, w) view of the channels."""
-        return np.stack([self.r.a, self.g.a, self.b.a])
+        """The read-only (3, h, w) channel array."""
+        return self._a
 
     @classmethod
     def from_stack(cls, a: np.ndarray) -> "SceneImage":
-        if a.ndim != 3 or a.shape[0] != 3:
-            raise VtidError(f"expected (3, h, w) stack, got {a.shape}")
-        return cls(Grid(a[0]), Grid(a[1]), Grid(a[2]))
+        """SceneImage(a), under the name the rest of the API uses."""
+        return cls(a)
 
     @classmethod
     def gray(cls, grid: Grid) -> "SceneImage":
         """Replicate one grid over all channels (clamped to [0, 1])."""
-        return cls(grid, grid, grid)
+        return cls(np.broadcast_to(grid.a, (3,) + grid.shape))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SceneImage)
-            and self.r == other.r
-            and self.g == other.g
-            and self.b == other.b
-        )
+        return isinstance(other, SceneImage) and bool(np.array_equal(self._a, other._a))
 
     def __repr__(self) -> str:
-        return f"SceneImage({self.height}x{self.width})"
+        h, w = self.shape
+        return f"SceneImage({h}x{w})"
 
 
 class FeatureExtractor(Protocol):
-    def features(self, image: SceneImage) -> list[Grid]: ...
+    def features(self, image: SceneImage) -> list[np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -123,35 +111,24 @@ class VtidReport:
         return self.human_dist + self.clothing_dist
 
 
-def _mask_scene(image: SceneImage, weights: np.ndarray) -> SceneImage:
-    return SceneImage(
-        Grid(image.r.a * weights, _checked=True),
-        Grid(image.g.a * weights, _checked=True),
-        Grid(image.b.a * weights, _checked=True),
-    )
-
-
 def extract_agnostic(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
     """Person with the clothing region blacked out: channels times (1 - M)."""
     if clothing_mask.shape != image.shape:
         raise VtidError(f"mask shape {clothing_mask.shape} != image shape {image.shape}")
-    return _mask_scene(image, 1.0 - clothing_mask.a)
+    return SceneImage(image.stack() * (1.0 - clothing_mask.a))
 
 
 def extract_clothing(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
     """Clothing region only: channels times M (complement of extract_agnostic)."""
     if clothing_mask.shape != image.shape:
         raise VtidError(f"mask shape {clothing_mask.shape} != image shape {image.shape}")
-    return _mask_scene(image, clothing_mask.a)
+    return SceneImage(image.stack() * clothing_mask.a)
 
 
 def warp_scene(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
-    """Channelwise bilinear warp by the (flow_x, flow_y) field."""
-    return SceneImage(
-        bilinear_warp(image.r, flow_x, flow_y),
-        bilinear_warp(image.g, flow_x, flow_y),
-        bilinear_warp(image.b, flow_x, flow_y),
-    )
+    """Bilinear warp of all three channels by the (flow_x, flow_y) field,
+    in one pass; each channel equals bilinear_warp of it bit for bit."""
+    return SceneImage(warp_array(image.stack(), flow_x.a, flow_y.a))
 
 
 def perceptual_l2(a: SceneImage, b: SceneImage, fx: FeatureExtractor) -> float:
@@ -169,7 +146,7 @@ def perceptual_l2(a: SceneImage, b: SceneImage, fx: FeatureExtractor) -> float:
     for ma, mb in zip(fa, fb):
         if ma.shape != mb.shape:
             raise VtidError("extractor returned differing feature shapes")
-        d = ma.a - mb.a
+        d = ma - mb
         total += float((d * d).mean())
     return math.sqrt(total / len(fa))
 
@@ -211,10 +188,10 @@ def vtid_score(
 
 
 class _PixelExtractor:
-    """Identity features: the three channel grids themselves, one scale."""
+    """Identity features: the three channel arrays themselves, one scale."""
 
-    def features(self, image: SceneImage) -> list[Grid]:
-        return list(image.channels())
+    def features(self, image: SceneImage) -> list[np.ndarray]:
+        return list(image.stack())
 
 
 class _RandomFeatureExtractor:
@@ -246,9 +223,9 @@ class _RandomFeatureExtractor:
         w = stack.shape[2] - stack.shape[2] % 2
         return avg_pool2(stack[:, :h, :w])
 
-    def features(self, image: SceneImage) -> list[Grid]:
+    def features(self, image: SceneImage) -> list[np.ndarray]:
         stack = image.stack()
-        out: list[Grid] = []
+        out: list[np.ndarray] = []
         for s, bank in enumerate(self._banks):
             if s > 0:
                 if stack.shape[1] < 2 or stack.shape[2] < 2:
@@ -257,7 +234,7 @@ class _RandomFeatureExtractor:
                     )
                 stack = self._pool(stack)
             maps = softplus(correlate3x3_multi(stack, bank))
-            out.extend(Grid(m, _checked=True) for m in maps)
+            out.extend(maps)
         return out
 
 
@@ -272,17 +249,12 @@ def random_feature_extractor(seed: int, n_scales: int, channels: int) -> Feature
 
 def scene_write(path, scene: SceneImage) -> None:
     """Store a scene as one grid file with the channels stacked vertically."""
-    grid_write(path, Grid(np.concatenate(scene.stack(), axis=0), _checked=True))
+    h, w = scene.shape
+    grid_write(path, Grid(scene.stack().reshape(3 * h, w)))
 
 
 def scene_read(path) -> SceneImage:
     grid = grid_read(path)
     if grid.height % 3:
         raise GridError(f"{path}: stacked scene height {grid.height} not divisible by 3")
-    h = grid.height // 3
-    a = grid.a
-    return SceneImage(
-        Grid(a[:h], _checked=True),
-        Grid(a[h : 2 * h], _checked=True),
-        Grid(a[2 * h :], _checked=True),
-    )
+    return SceneImage(grid.a.reshape(3, grid.height // 3, grid.width))

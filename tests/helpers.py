@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tryonlab import BinaryMask, Grid, ModelError, RandomStream
+from tryonlab import BinaryMask, Grid, ModelError, RandomStream, SceneImage, bilinear_warp
 
 # Central differences resolve a derivative to roughly eps_machine * |E| / h.
 # Below this floor both sides are numerical zero and the relative error is
@@ -100,12 +100,27 @@ def dense_inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]
     return float(h[active].sum()) / n, grad
 
 
+def warp_scene_per_channel(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
+    """warp_scene as three separate bilinear_warp calls, one per channel."""
+    return SceneImage.from_stack(
+        np.stack([bilinear_warp(Grid(ch), flow_x, flow_y).a for ch in image.stack()])
+    )
+
+
+def clamp_per_channel(stack: np.ndarray) -> np.ndarray:
+    """Clamp each channel of a (3, h, w) stack to [0, 1] only when it holds
+    a value outside that range, leaving in-range channels untouched."""
+    return np.stack([
+        np.clip(ch, 0.0, 1.0) if ch.min() < 0.0 or ch.max() > 1.0 else ch for ch in stack
+    ])
+
+
 def fd_vjp_check(
     model,
-    x: Grid,
+    x: np.ndarray,
     t: int,
     cond,
-    grad_layers: list[Grid],
+    grad_layers: list[np.ndarray],
     h: float,
     n_directions: int = 32,
     rng: RandomStream | None = None,
@@ -121,24 +136,24 @@ def fd_vjp_check(
     """
     if h <= 0:
         raise ModelError("step h must be > 0")
-    if all(not g.a.any() for g in grad_layers):
+    if all(not g.any() for g in grad_layers):
         return 0.0
     if rng is None:
         rng = RandomStream(0x5EED).child("fd-vjp")
     _, _, tape = model.predict(x, t, cond)
-    grad_x = model.attention_vjp(tape, t, cond, grad_layers).a
+    grad_x = model.attention_vjp(tape, t, cond, grad_layers)
 
     def score(xa: np.ndarray) -> float:
-        _, layers, _ = model.predict(Grid(xa, _checked=True), t, cond)
-        return sum(float((layer.map.a * g.a).sum()) for layer, g in zip(layers, grad_layers))
+        _, layers, _ = model.predict(xa, t, cond)
+        return sum(float((layer.map.a * g).sum()) for layer, g in zip(layers, grad_layers))
 
     worst = 0.0
-    n = x.height * x.width
+    n = x.size
     for _ in range(n_directions):
         d = rng.normals(n).reshape(x.shape)
         d /= np.sqrt((d * d).sum())
         analytic = float((grad_x * d).sum())
-        fd = (score(x.a + h * d) - score(x.a - h * d)) / (2.0 * h)
+        fd = (score(x + h * d) - score(x - h * d)) / (2.0 * h)
         denom = max(abs(analytic), abs(fd))
         if denom > 1e-12:
             worst = max(worst, abs(analytic - fd) / denom)

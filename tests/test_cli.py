@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import math
 import re
 import shutil
 import sys
@@ -323,6 +324,20 @@ class TestRunCommand:
         assert main(verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert re.search(r"error: step \d+ \(t=\d+\): the latent is no longer finite", err)
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"rho": math.nan}, "rho"),
+            ({"rho": math.inf}, "rho"),
+            ({"guidance_scale": math.nan}, "guidance_scale"),
+            ({"guidance_scale": -math.inf}, "guidance_scale"),
+        ],
+    )
+    def test_non_finite_sampler_field(self, dataset_dir, tmp_path, capsys, bad, field):
+        cfg = write_config(tmp_path / "config.json", dataset_dir, sampler={"steps": 6, **bad})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sampler: {field} must be finite")
 
     def test_summary_bytes_do_not_depend_on_the_directory(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,7 +9,6 @@ import pytest
 from helpers import fd_vjp_check
 from tryonlab import (
     Condition,
-    Grid,
     LinearGaussianModel,
     ModelError,
     RandomStream,
@@ -32,7 +31,7 @@ def schedule():
     return make_schedule(20, 0.05, 0.3)
 
 
-def rand_x(seed: int, h: int = H, w: int = W) -> Grid:
+def rand_x(seed: int, h: int = H, w: int = W) -> np.ndarray:
     return gaussian_field(RandomStream(seed).child("x"), h, w)
 
 
@@ -87,39 +86,39 @@ class TestToyPredict:
 
     def test_zero_latent_gives_uniform_attention(self, toy):
         # constant features make every logit equal
-        _, layers, _ = toy.predict(Grid.zeros(H, W), 5, Condition.GARMENT)
+        _, layers, _ = toy.predict(np.zeros((H, W)), 5, Condition.GARMENT)
         assert np.allclose(layers[0].map.a, 1.0 / (H * W), rtol=1e-12)
         assert np.allclose(layers[1].map.a, 4.0 / (H * W), rtol=1e-12)
 
     def test_eps_composition(self, toy):
         x = rand_x(2)
         eps, layers, _ = toy.predict(x, 5, Condition.GARMENT)
-        want = toy.u * x.a + toy.v * (H * W) * layers[0].map.a * x.a
-        assert np.array_equal(eps.a, want)
+        want = toy.u * x + toy.v * (H * W) * layers[0].map.a * x
+        assert np.array_equal(eps, want)
 
     def test_deterministic(self, toy):
         x = rand_x(3)
         a, _, _ = toy.predict(x, 5, Condition.GARMENT)
         b, _, _ = toy.predict(x, 5, Condition.GARMENT)
-        assert a.a.tobytes() == b.a.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_rejects_wrong_shape(self, toy):
         with pytest.raises(ModelError):
-            toy.predict(Grid.zeros(H, W + 2), 5, Condition.GARMENT)
+            toy.predict(np.zeros((H, W + 2)), 5, Condition.GARMENT)
 
 
-def explicit_forward(toy, x: Grid, q: np.ndarray):
+def explicit_forward(toy, x: np.ndarray, q: np.ndarray):
     """eps and (full, half) maps through conv -> softplus -> softmax, no shortcut."""
 
     def softmax(logits):
         e = np.exp(logits - logits.max())
         return e / e.sum()
 
-    f = softplus(correlate3x3(x.a, toy.kernel))
+    f = softplus(correlate3x3(x, toy.kernel))
     scale = 1.0 / math.sqrt(toy.channels)
     a_full = softmax(np.einsum("c,cij->ij", q, f) * scale)
     a_half = softmax(np.einsum("c,cij->ij", q, avg_pool2(f)) * scale)
-    eps = toy.u * x.a + toy.v * (toy.h * toy.w) * a_full * x.a
+    eps = toy.u * x + toy.v * (toy.h * toy.w) * a_full * x
     return eps, a_full, a_half
 
 
@@ -128,10 +127,10 @@ class TestZeroQueryShortcut:
 
     @pytest.mark.parametrize("seed,scale", LATENTS)
     def test_bit_equal_to_explicit_path(self, toy, seed, scale):
-        x = Grid(scale * rand_x(20 + seed).a)
+        x = scale * rand_x(20 + seed)
         eps, layers, _ = toy.predict(x, 5, Condition.NULL)
         want_eps, want_full, want_half = explicit_forward(toy, x, np.zeros(C))
-        assert eps.a.tobytes() == want_eps.tobytes()
+        assert eps.tobytes() == want_eps.tobytes()
         assert layers[0].map.a.tobytes() == want_full.tobytes()
         assert layers[1].map.a.tobytes() == want_half.tobytes()
 
@@ -140,22 +139,22 @@ class TestZeroQueryShortcut:
         zero_garment = replace(toy, q_garment=np.zeros(C))
         eps, layers, _ = zero_garment.predict(x, 5, Condition.GARMENT)
         want_eps, want_full, _ = explicit_forward(toy, x, np.zeros(C))
-        assert eps.a.tobytes() == want_eps.tobytes()
+        assert eps.tobytes() == want_eps.tobytes()
         assert layers[0].map.a.tobytes() == want_full.tobytes()
 
         live_null = replace(toy, q_null=toy.q_garment)
         eps, layers, _ = live_null.predict(x, 5, Condition.NULL)
         want_eps, want_full, want_half = explicit_forward(toy, x, toy.q_garment)
-        assert eps.a.tobytes() == want_eps.tobytes()
+        assert eps.tobytes() == want_eps.tobytes()
         assert layers[1].map.a.tobytes() == want_half.tobytes()
 
 
 class TestToyVjp:
     def test_zero_cotangents_give_zero_gradient(self, toy):
-        zeros = [Grid.zeros(H, W), Grid.zeros(H // 2, W // 2)]
+        zeros = [np.zeros((H, W)), np.zeros((H // 2, W // 2))]
         _, _, tape = toy.predict(rand_x(4), 5, Condition.GARMENT)
         g = toy.attention_vjp(tape, 5, Condition.GARMENT, zeros)
-        assert np.array_equal(g.a, np.zeros((H, W)))
+        assert np.array_equal(g, np.zeros((H, W)))
 
     def test_null_condition_gives_zero_gradient(self, toy):
         rng = RandomStream(5).child("cot")
@@ -164,9 +163,9 @@ class TestToyVjp:
             gaussian_field(rng, H // 2, W // 2),
         ]
         for scale in (1.0, 1e3):
-            _, _, tape = toy.predict(Grid(scale * rand_x(5).a), 5, Condition.NULL)
+            _, _, tape = toy.predict(scale * rand_x(5), 5, Condition.NULL)
             g = toy.attention_vjp(tape, 5, Condition.NULL, cots)
-            assert np.array_equal(g.a, np.zeros((H, W)))
+            assert np.array_equal(g, np.zeros((H, W)))
 
     def test_matches_directional_finite_differences(self, toy):
         rng = RandomStream(11).child("cot")
@@ -176,7 +175,7 @@ class TestToyVjp:
 
     def test_half_layer_alone_matches_finite_differences(self, toy):
         cots = [
-            Grid.zeros(H, W),
+            np.zeros((H, W)),
             gaussian_field(RandomStream(12).child("cot"), H // 2, W // 2),
         ]
         err = fd_vjp_check(toy, rand_x(12), 5, Condition.GARMENT, cots, h=1e-5)
@@ -185,10 +184,10 @@ class TestToyVjp:
     def test_rejects_wrong_cotangent_count(self, toy):
         _, _, tape = toy.predict(rand_x(6), 5, Condition.GARMENT)
         with pytest.raises(ModelError):
-            toy.attention_vjp(tape, 5, Condition.GARMENT, [Grid.zeros(H, W)])
+            toy.attention_vjp(tape, 5, Condition.GARMENT, [np.zeros((H, W))])
 
     def test_rejects_wrong_cotangent_shape(self, toy):
-        cots = [Grid.zeros(H, W), Grid.zeros(H, W)]
+        cots = [np.zeros((H, W)), np.zeros((H, W))]
         _, _, tape = toy.predict(rand_x(6), 5, Condition.GARMENT)
         with pytest.raises(ModelError):
             toy.attention_vjp(tape, 5, Condition.GARMENT, cots)
@@ -196,7 +195,7 @@ class TestToyVjp:
 
 class TestFdVjpCheck:
     def test_zero_cotangents_define_zero_error(self, toy):
-        zeros = [Grid.zeros(H, W), Grid.zeros(H // 2, W // 2)]
+        zeros = [np.zeros((H, W)), np.zeros((H // 2, W // 2))]
         assert fd_vjp_check(toy, rand_x(7), 5, Condition.GARMENT, zeros, h=1e-5) == 0.0
 
     def test_coarse_step_reports_error_without_raising(self, toy):
@@ -207,7 +206,7 @@ class TestFdVjpCheck:
         assert err >= 0.0
 
     def test_rejects_nonpositive_step(self, toy):
-        zeros = [Grid.zeros(H, W), Grid.zeros(H // 2, W // 2)]
+        zeros = [np.zeros((H, W)), np.zeros((H // 2, W // 2))]
         with pytest.raises(ModelError):
             fd_vjp_check(toy, rand_x(7), 5, Condition.GARMENT, zeros, h=0.0)
 
@@ -219,8 +218,8 @@ class TestLinearGaussianModel:
         t = 10
         eps, layers, _ = model.predict(x, t, Condition.GARMENT)
         ab = schedule.alpha_bar_at(t)
-        want = (x.a - math.sqrt(ab) * 0.5) * (math.sqrt(1 - ab) / (ab + 1 - ab))
-        assert np.allclose(eps.a, want, rtol=1e-15, atol=0)
+        want = (x - math.sqrt(ab) * 0.5) * (math.sqrt(1 - ab) / (ab + 1 - ab))
+        assert np.allclose(eps, want, rtol=1e-15, atol=0)
         assert len(layers) == 1
         assert np.array_equal(layers[0].map.a, np.full((8, 8), 1.0 / 64))
 
@@ -228,7 +227,7 @@ class TestLinearGaussianModel:
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
         _, _, tape = model.predict(rand_x(9, 8, 8), 3, Condition.GARMENT)
         g = model.attention_vjp(tape, 3, Condition.GARMENT, [])
-        assert np.array_equal(g.a, np.zeros((8, 8)))
+        assert np.array_equal(g, np.zeros((8, 8)))
 
     def test_rejects_nonpositive_sigma(self, schedule):
         with pytest.raises(ModelError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tryonlab import Grid, RandomStream, gaussian_field
+from tryonlab import RandomStream, gaussian_field
 
 _M = (1 << 64) - 1
 
@@ -70,12 +70,6 @@ class TestChildren:
         p = RandomStream(11)
         assert p.child("a").child("b").seed != p.child("b").child("a").seed
 
-    def test_clone_preserves_position(self):
-        s = RandomStream(5)
-        s.words(10)
-        c = s.clone()
-        assert np.array_equal(s.words(6), c.words(6))
-
     @given(label=st.text(max_size=20), seed=st.integers(0, _M))
     @settings(max_examples=50)
     def test_child_seed_stable_for_any_label(self, label, seed):
@@ -129,19 +123,19 @@ class TestGaussianField:
     def test_deterministic_per_state(self):
         a = gaussian_field(RandomStream(7), 6, 4)
         b = gaussian_field(RandomStream(7), 6, 4)
-        assert a.a.tobytes() == b.a.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_seeds_differ(self):
         a = gaussian_field(RandomStream(7), 6, 4)
         b = gaussian_field(RandomStream(8), 6, 4)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_returns_grid_of_requested_shape(self):
         g = gaussian_field(RandomStream(1), 3, 5)
-        assert isinstance(g, Grid)
+        assert isinstance(g, np.ndarray) and g.dtype == np.float64
         assert g.shape == (3, 5)
 
     def test_large_field_moments(self):
         g = gaussian_field(RandomStream(7), 64, 64)
-        assert abs(g.a.mean()) < 4.0 / math.sqrt(64 * 64)
-        assert abs(g.a.std() - 1.0) < 0.05
+        assert abs(g.mean()) < 4.0 / math.sqrt(64 * 64)
+        assert abs(g.std() - 1.0) < 0.05

@@ -103,7 +103,7 @@ class TestPatterns:
     def test_solid_garment_is_constant_inside_rect(self):
         g = render_garment(make_spec("solid"))
         r = make_spec().garment_rect
-        patch = g.r.a[r.top : r.bottom, r.left : r.right]
+        patch = g.stack()[0][r.top : r.bottom, r.left : r.right]
         assert np.array_equal(patch, np.full((8, 6), 0.2))
 
     def test_gray_outside_rect(self):
@@ -111,8 +111,8 @@ class TestPatterns:
         r = make_spec().garment_rect
         outside = np.ones((16, 12), dtype=bool)
         outside[r.top : r.bottom, r.left : r.right] = False
-        for ch in g.channels():
-            assert np.array_equal(ch.a[outside], np.full(outside.sum(), 0.5))
+        for ch in g.stack():
+            assert np.array_equal(ch[outside], np.full(outside.sum(), 0.5))
 
     def test_stripes_alternate_every_half_period(self):
         spec = make_spec("stripes", period=4)
@@ -120,7 +120,7 @@ class TestPatterns:
         r = spec.garment_rect
         want_rows = [0.2, 0.2, 0.8, 0.8, 0.2, 0.2, 0.8, 0.8]  # cell = period // 2
         for i, want in enumerate(want_rows):
-            row = g.r.a[r.top + i, r.left : r.right]
+            row = g.stack()[0][r.top + i, r.left : r.right]
             assert np.array_equal(row, np.full(6, want))
 
     def test_checker_alternates_in_both_axes(self):
@@ -130,15 +130,15 @@ class TestPatterns:
         yy, xx = np.meshgrid(np.arange(r.height), np.arange(r.width), indexing="ij")
         pick = (yy // 2 + xx // 2) % 2
         want = np.where(pick == 0, 0.2, 0.8)
-        assert np.array_equal(g.r.a[r.top : r.bottom, r.left : r.right], want)
+        assert np.array_equal(g.stack()[0][r.top : r.bottom, r.left : r.right], want)
 
     def test_logo_blob_center_disc(self):
         spec = make_spec("logo_blob")
         g = render_garment(spec)
         r = spec.garment_rect
         center = (r.top + (r.height - 1) // 2, r.left + (r.width - 1) // 2)
-        assert g.r.a[center] == 0.8  # second color inside the disc
-        assert g.r.a[r.top, r.left] == 0.2  # corner keeps the base color
+        assert g.stack()[0][center] == 0.8  # second color inside the disc
+        assert g.stack()[0][r.top, r.left] == 0.2  # corner keeps the base color
 
     def test_all_patterns_render(self):
         for pattern in PATTERN_KINDS:
@@ -181,7 +181,7 @@ class TestRegionMaskAndFlow:
         spec = make_spec("solid")
         fx, fy = affine_flow(spec.croi, spec.garment_rect, 16, 12)
         warped = warp_scene(render_garment(spec), fx, fy)
-        patch = warped.r.a[3:9, 3:8]
+        patch = warped.stack()[0][3:9, 3:8]
         assert np.allclose(patch, 0.2, rtol=0, atol=1e-12)
 
 
@@ -219,9 +219,9 @@ class TestCompositeReference:
                         )
                         sel = m.astype(bool)
                         for gc, pc, qc in zip(
-                            got.channels(), person.channels(), garment.channels()
+                            got.stack(), person.stack(), garment.stack()
                         ):
-                            assert np.array_equal(gc.a, np.where(sel, qc.a, pc.a))
+                            assert np.array_equal(gc, np.where(sel, qc, pc))
 
     def test_respects_nonzero_flow(self):
         rng = RandomStream(4).child("s")
@@ -233,8 +233,8 @@ class TestCompositeReference:
         got = composite_reference(person, garment, mask, fx, fy)
         warped = warp_scene(garment, fx, fy)
         sel = mask.a.astype(bool)
-        for gc, pc, qc in zip(got.channels(), person.channels(), warped.channels()):
-            assert np.array_equal(gc.a, np.where(sel, qc.a, pc.a))
+        for gc, pc, qc in zip(got.stack(), person.stack(), warped.stack()):
+            assert np.array_equal(gc, np.where(sel, qc, pc))
 
     def test_rejects_shape_mismatches(self):
         s = gen_scene(RandomStream(5).child("s"), make_spec())
@@ -261,14 +261,14 @@ class TestGenScene:
     def test_clothing_region_carries_warped_garment(self):
         spec = make_spec("solid")
         s = gen_scene(RandomStream(8).child("s"), spec)
-        patch = s.person.r.a[3:9, 3:8]
+        patch = s.person.stack()[0][3:9, 3:8]
         assert np.allclose(patch, 0.2, rtol=0, atol=1e-12)
 
     def test_background_differs_from_body(self):
         spec = make_spec()
         s = gen_scene(RandomStream(9).child("s"), spec)
-        assert abs(s.person.r.a[0, 0] - 0.85) < 0.011  # background + noise
-        assert s.person.r.a[12, 6] == 0.45  # inside the body ellipse
+        assert abs(s.person.stack()[0][0, 0] - 0.85) < 0.011  # background + noise
+        assert s.person.stack()[0][12, 6] == 0.45  # inside the body ellipse
 
 
 class TestRandomSpec:

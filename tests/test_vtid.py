@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rect_mask
+from helpers import clamp_per_channel, rect_mask, warp_scene_per_channel
 from tryonlab import (
     BinaryMask,
     Grid,
@@ -44,17 +44,22 @@ def sample():
 class TestSceneImage:
     def test_clamps_out_of_range_channels(self):
         img = SceneImage.gray(Grid([[-0.5, 0.3], [1.5, 1.0]]))
-        assert np.array_equal(img.r.a, [[0.0, 0.3], [1.0, 1.0]])
-        assert img.r == img.g == img.b
+        for ch in img.stack():
+            assert np.array_equal(ch, [[0.0, 0.3], [1.0, 1.0]])
 
     def test_in_range_channels_kept_verbatim(self):
         g = Grid([[0.25, 0.75]])
         img = SceneImage.gray(g)
-        assert img.r is g
+        for ch in img.stack():
+            assert ch.tobytes() == g.a.tobytes()
 
     def test_rejects_channel_shape_mismatch(self):
+        # one (3, h, w) array cannot hold channels of differing shapes;
+        # what is left to reject is an empty channel
         with pytest.raises(VtidError):
-            SceneImage(Grid.zeros(2, 2), Grid.zeros(2, 2), Grid.zeros(2, 3))
+            SceneImage.from_stack(np.zeros((3, 0, 4)))
+        with pytest.raises(VtidError):
+            SceneImage.from_stack(np.zeros((3, 4, 0)))
 
     def test_stack_roundtrip(self):
         img = rand_scene(0)
@@ -65,10 +70,30 @@ class TestSceneImage:
         with pytest.raises(VtidError):
             SceneImage.from_stack(np.zeros((2, 4, 4)))
 
+    def test_from_stack_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            stack = np.zeros((3, 2, 2))
+            stack[1, 0, 1] = bad
+            with pytest.raises(GridError, match="non-finite"):
+                SceneImage.from_stack(stack)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_stack_clamps_like_the_per_channel_clamp(self, seed):
+        rng = RandomStream(seed).child("clamp")
+        stack = 1.6 * rng.uniforms(3 * 5 * 4).reshape(3, 5, 4) - 0.3
+        stack[seed % 3] = np.clip(stack[seed % 3], 0.0, 1.0)  # one in-range channel
+        stack[:, 0, 0] = -0.0  # kept bit for bit, signed zero included
+        want = clamp_per_channel(stack)
+        got = SceneImage.from_stack(stack).stack()
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[:, 0, 0]).all()
+
     def test_immutable(self):
         img = rand_scene(1)
         with pytest.raises(AttributeError):
             img.r = Grid.zeros(12, 10)
+        with pytest.raises(ValueError):
+            img.stack()[0, 0, 0] = 0.5
 
 
 class TestExtractions:
@@ -85,8 +110,8 @@ class TestExtractions:
         img = SceneImage.gray(Grid.full(4, 4, 0.8))
         m = rect_mask(4, 4, 0, 0, 2, 4)
         out = extract_agnostic(img, m)
-        assert np.array_equal(out.r.a[:2], np.zeros((2, 4)))
-        assert np.array_equal(out.r.a[2:], np.full((2, 4), 0.8))
+        assert np.array_equal(out.stack()[0][:2], np.zeros((2, 4)))
+        assert np.array_equal(out.stack()[0][2:], np.full((2, 4), 0.8))
 
     def test_clothing_zero_mask_gives_zero(self):
         out = extract_clothing(rand_scene(4), BinaryMask.zeros(12, 10))
@@ -96,7 +121,7 @@ class TestExtractions:
         img = SceneImage.gray(Grid.full(5, 5, 0.6))
         m = rect_mask(5, 5, 1, 1, 2, 3)
         out = extract_clothing(img, m)
-        assert np.array_equal(out.r.a, 0.6 * m.a)
+        assert np.array_equal(out.stack()[0], 0.6 * m.a)
 
     def test_partition_reconstructs_image(self):
         img = rand_scene(5)
@@ -133,8 +158,8 @@ class TestPerceptualL2:
         a, b = rand_scene(10), rand_scene(11)
         want = math.sqrt(
             sum(
-                float(((ca.a - cb.a) ** 2).mean())
-                for ca, cb in zip(a.channels(), b.channels())
+                float(((ca - cb) ** 2).mean())
+                for ca, cb in zip(a.stack(), b.stack())
             )
             / 3.0
         )
@@ -186,8 +211,8 @@ class TestVtidScore:
         )
         assert report.human_dist == 0.0
         total = 0.0
-        for gc, pc in zip(garment.channels(), person.channels()):
-            d = gc.a * mask.a - pc.a * mask.a
+        for gc, pc in zip(garment.stack(), person.stack()):
+            d = gc * mask.a - pc * mask.a
             total += float((d * d).mean())
         assert report.clothing_dist == math.sqrt(total / 3.0)
 
@@ -241,13 +266,13 @@ class TestRandomFeatureExtractor:
         fb = random_feature_extractor(5, 2, 3).features(img)
         assert len(fa) == len(fb) == 6  # 3 maps at each of 2 scales
         for a, b in zip(fa, fb):
-            assert a.a.tobytes() == b.a.tobytes()
+            assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         img = rand_scene(18)
         fa = random_feature_extractor(5, 1, 3).features(img)
         fb = random_feature_extractor(6, 1, 3).features(img)
-        assert not np.array_equal(fa[0].a, fb[0].a)
+        assert not np.array_equal(fa[0], fb[0])
 
     def test_scales_halve_resolution(self):
         maps = random_feature_extractor(7, 3, 2).features(rand_scene(19, 16, 12))
@@ -282,7 +307,7 @@ class TestRandomFeatureExtractor:
             maps = fx.features(img)
             n = len(maps)
             vecs.append(
-                np.concatenate([m.a.ravel() / math.sqrt(n * m.a.size) for m in maps])
+                np.concatenate([m.ravel() / math.sqrt(n * m.size) for m in maps])
             )
         check = np.linalg.norm(vecs[0] - vecs[1])
         assert perceptual_l2(imgs[0], imgs[1], fx) == pytest.approx(check, rel=1e-12)
@@ -298,7 +323,7 @@ class TestSceneIO:
         scene_write(path, sample.person)
         back = scene_read(path)
         assert back == sample.person
-        assert back.r.a.tobytes() == sample.person.r.a.tobytes()
+        assert back.stack().tobytes() == sample.person.stack().tobytes()
 
     def test_stacked_layout_is_plain_grid(self, sample, tmp_path):
         from tryonlab import grid_read
@@ -307,7 +332,7 @@ class TestSceneIO:
         scene_write(path, sample.person)
         grid = grid_read(path)
         assert grid.shape == (3 * 24, 20)
-        assert np.array_equal(grid.a[:24], sample.person.r.a)
+        assert np.array_equal(grid.a[:24], sample.person.stack()[0])
 
     def test_rejects_height_not_divisible_by_three(self, tmp_path):
         path = tmp_path / "bad.f64grid"
@@ -329,5 +354,28 @@ class TestWarpScene:
         img = SceneImage.gray(Grid(base))
         out = warp_scene(img, Grid.full(6, 6, 1.0), Grid.zeros(6, 6))
         # destination (2, 1) reads from source (2, 2)
-        assert out.r.a[2, 1] == 1.0
-        assert out.r.a[2, 2] == 0.0
+        assert out.stack()[0][2, 1] == 1.0
+        assert out.stack()[0][2, 2] == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_pass_equals_per_channel_warps(self, seed):
+        rng = RandomStream(seed).child("flow")
+        img = rand_scene(40 + seed)
+        # flows of up to two canvas sizes each way send sources past every border
+        fx = Grid(40.0 * rng.uniforms(120).reshape(12, 10) - 20.0)
+        fy = Grid(48.0 * rng.uniforms(120).reshape(12, 10) - 24.0)
+        ii, jj = np.indices((12, 10))
+        assert ((ii + fy.a) < 0).any() and ((ii + fy.a) > 11).any()
+        assert ((jj + fx.a) < 0).any() and ((jj + fx.a) > 9).any()
+        got = warp_scene(img, fx, fy)
+        want = warp_scene_per_channel(img, fx, fy)
+        assert got.stack().tobytes() == want.stack().tobytes()
+        # equal values must also give equal features: the convolutions sum
+        # in memory order, so the warped stack must be laid out like any other
+        extractor = random_feature_extractor(seed, 2, 3)
+        for a, b in zip(extractor.features(got), extractor.features(want)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rejects_flow_shape_mismatch(self):
+        with pytest.raises(GridError):
+            warp_scene(rand_scene(23), Grid.zeros(12, 9), Grid.zeros(12, 10))
