@@ -141,25 +141,20 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_step_range(v) -> bool:
-    return v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))
-
-
 def _is_id_list(v) -> bool:
     return v is None or (isinstance(v, list) and all(isinstance(s, str) for s in v))
 
 
 # How a config field is read from JSON, keyed by its annotation string (the
 # config modules postpone annotations): (accepts, convert, what the error
-# message says was expected). The config classes' __post_init__ turn JSON
-# lists into tuples and frozensets.
+# message says was expected). EnergyConfig's __post_init__ turns a JSON
+# list of layer ids into a frozenset.
 _READERS = {
     "int": (_is_int, None, "an integer"),
     "float": (_is_num, float, "a number"),
     "bool": (lambda v: isinstance(v, bool), None, "true/false"),
     "str": (lambda v: isinstance(v, str), None, "a path string"),
     "str | None": (lambda v: v is None or isinstance(v, str), None, "a manifest path string"),
-    "tuple[int, int] | None": (_is_step_range, None, "null or [start, stop]"),
     "frozenset[str] | None": (_is_id_list, None, "null or a list of layer ids"),
 }
 
@@ -244,15 +239,11 @@ def resolve_paths(cfg: ExperimentConfig, config_path) -> ExperimentConfig:
 
 
 def _echo(obj) -> dict:
-    """The fields of one config object; tuples become lists, sets sorted lists."""
+    """The fields of one config object; sets become sorted lists."""
     out = {}
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if isinstance(v, frozenset):
-            v = sorted(v)
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
+        out[f.name] = sorted(v) if isinstance(v, frozenset) else v
     return out
 
 
@@ -326,8 +317,6 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
 
 @dataclass(frozen=True)
 class TrialResult:
-    trial: int
-    final_x: Grid
     record: TrajectoryRecord
     toy_vtid: float | None
 
@@ -364,7 +353,7 @@ def run_trials(
     """Run `trials` independent trajectories, one child stream per trial.
 
     Trial i uses dataset sample i mod n, with the mask resampled to the
-    model's latent resolution. The child stream depends only on (seed, i),
+    model's latent resolution (model.h, model.w). The child stream depends only on (seed, i),
     so two arms (or two sweep points) at the same seed share noise draws.
     Trials are embarrassingly parallel; results are returned in trial
     order regardless of jobs.
@@ -372,18 +361,16 @@ def run_trials(
     n = len(dataset)
     if n == 0:
         raise ConfigError("dataset: no samples")
-    latent_h = getattr(model, "h", None)
-    latent_w = getattr(model, "w", None)
 
     def one(i: int) -> TrialResult:
         sample_i = dataset[i % n]
         mask = sample_i.mask
-        if latent_h is not None and mask.shape != (latent_h, latent_w):
-            mask = resample_mask(mask, latent_h, latent_w)
+        if mask.shape != (model.h, model.w):
+            mask = resample_mask(mask, model.h, model.w)
         rng = RandomStream(seed).child(f"trial-{i}")
         x, record = run_sampler(model, mask, samp_cfg, schedule, rng)
         vt = _toy_vtid(sample_i, x, fx) if fx is not None else None
-        return TrialResult(trial=i, final_x=x, record=record, toy_vtid=vt)
+        return TrialResult(record=record, toy_vtid=vt)
 
     if jobs <= 1 or trials == 1:
         return [one(i) for i in range(trials)]
@@ -466,12 +453,11 @@ def point_metrics(
     trials: int,
     seed: int,
     jobs: int = 1,
-    fx: FeatureExtractor | None = None,
 ) -> dict[str, float]:
     """Mean final metrics of one sweep grid point."""
-    if fx is None:
-        fx = pixel_extractor()
-    results = run_trials(model, schedule, samp_cfg, dataset, trials, seed, jobs, fx=fx)
+    results = run_trials(
+        model, schedule, samp_cfg, dataset, trials, seed, jobs, fx=pixel_extractor()
+    )
     means = {f"mean_{m}": float(np.mean(_final_values(results, m))) for m in _SWEPT_METRICS}
     means["mean_toy_vtid_vs_reference"] = float(np.mean([r.toy_vtid for r in results]))
     return means

@@ -24,7 +24,6 @@ METRIC_COLUMNS = (
 )
 
 ARM_COLORS = {"csc": "#c44e52", "baseline": "#4c72b0"}
-FALLBACK_COLORS = ("#55a868", "#8172b2", "#ccb974", "#64b5cd", "#937860")
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 32, 44
@@ -35,11 +34,11 @@ class PlotError(ValueError):
 
 
 def read_trajectories(path) -> list[dict]:
-    """Parse a trajectory CSV into row dicts with numeric fields converted.
+    """Parse a `run` trajectory CSV into row dicts with numeric fields converted.
 
-    Accepts both the bare record format and the run format with leading
-    trial/arm columns. Numeric parse failures name the CSV line; a file
-    with a header but no rows is rejected with "no data rows".
+    The trial, arm and step columns are required, and every arm is csc or
+    baseline. Numeric parse failures and unknown arms name the CSV line; a
+    file with a header but no rows is rejected with "no data rows".
     """
     path = Path(path)
     if not path.exists():
@@ -48,17 +47,16 @@ def read_trajectories(path) -> list[dict]:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise PlotError(f"{path}: no data rows")
-        missing = {"step"} - set(reader.fieldnames)
+        missing = {"trial", "arm", "step"} - set(reader.fieldnames)
         if missing:
             raise PlotError(f"{path}: missing column(s) {sorted(missing)}")
         rows = []
         for raw in reader:
             if None in raw or any(v is None for v in raw.values()):
                 raise PlotError(f"{path}: line {reader.line_num}: wrong field count")
-            row: dict = {
-                "trial": raw.get("trial", "0"),
-                "arm": raw.get("arm", "run"),
-            }
+            if raw["arm"] not in ARM_COLORS:
+                raise PlotError(f"{path}: line {reader.line_num}: unknown arm {raw['arm']!r}")
+            row: dict = {"trial": raw["trial"], "arm": raw["arm"]}
             try:
                 row["step"] = int(raw["step"])
                 for metric in METRIC_COLUMNS:
@@ -102,10 +100,6 @@ def _arm_means(series) -> dict[str, list[tuple[int, float]]]:
         arm: [(s, sum(ys) / len(ys)) for s, ys in sorted(buckets.items())]
         for arm, buckets in sorted(by_arm.items())
     }
-
-
-def _color(arm: str, index: int) -> str:
-    return ARM_COLORS.get(arm, FALLBACK_COLORS[index % len(FALLBACK_COLORS)])
 
 
 def render_chart(rows: list[dict], metric: str, title: str) -> str:
@@ -170,7 +164,6 @@ def render_chart(rows: list[dict], metric: str, title: str) -> str:
     )
 
     arms = sorted({arm for _, arm in series})
-    arm_index = {arm: i for i, arm in enumerate(arms)}
     many = len(series) > len(arms)
     for (trial, arm) in sorted(series):
         pts = series[(trial, arm)]
@@ -178,7 +171,7 @@ def render_chart(rows: list[dict], metric: str, title: str) -> str:
         opacity = "0.35" if many else "1.0"
         parts.append(
             f'<polyline points="{coords}" fill="none" '
-            f'stroke="{_color(arm, arm_index[arm])}" stroke-width="1" '
+            f'stroke="{ARM_COLORS[arm]}" stroke-width="1" '
             f'opacity="{opacity}"/>'
         )
     if many:
@@ -186,14 +179,14 @@ def render_chart(rows: list[dict], metric: str, title: str) -> str:
             coords = " ".join(f"{_fmt(sx(s))},{_fmt(sy(y))}" for s, y in pts)
             parts.append(
                 f'<polyline points="{coords}" fill="none" '
-                f'stroke="{_color(arm, arm_index[arm])}" stroke-width="2.5"/>'
+                f'stroke="{ARM_COLORS[arm]}" stroke-width="2.5"/>'
             )
     for i, arm in enumerate(arms):
         lx = px0 + 10
         ly = py1 + 16 + 16 * i
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{_color(arm, arm_index[arm])}" stroke-width="2.5"/>'
+            f'stroke="{ARM_COLORS[arm]}" stroke-width="2.5"/>'
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '

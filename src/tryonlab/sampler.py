@@ -57,9 +57,8 @@ class SamplerConfig:
 
     rho scales the correction, guidance_scale mixes the two noise
     predictions, steps is the number of executed reverse steps (stride-
-    subsampled from the schedule when smaller than T). csc_step_range
-    optionally restricts the correction to executed-step indices
-    [start, stop); None applies it at every step.
+    subsampled from the schedule when smaller than T), and csc_enabled
+    applies the correction at every one of them.
     """
 
     rho: float = 0.2
@@ -67,7 +66,6 @@ class SamplerConfig:
     steps: int = 20
     csc_enabled: bool = True
     energy_cfg: EnergyConfig = field(default_factory=EnergyConfig)
-    csc_step_range: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.rho < math.inf:
@@ -76,21 +74,6 @@ class SamplerConfig:
             raise SamplerError("guidance_scale must be finite")
         if self.steps < 1:
             raise SamplerError("steps must be >= 1")
-        if self.csc_step_range is not None:
-            start, stop = self.csc_step_range
-            if not 0 <= start < stop <= self.steps:
-                raise SamplerError(
-                    f"csc_step_range {self.csc_step_range} not within [0, {self.steps})"
-                )
-            object.__setattr__(self, "csc_step_range", (int(start), int(stop)))
-
-    def _csc_active(self, k: int) -> bool:
-        if not self.csc_enabled:
-            return False
-        if self.csc_step_range is None:
-            return True
-        start, stop = self.csc_step_range
-        return start <= k < stop
 
 
 @dataclass(frozen=True)
@@ -255,11 +238,10 @@ def sample(
         m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
 
         layer_masks = [masks.at(layer) for layer in layers]
-        csc_active = config._csc_active(k)
         breakdown, grads = _evaluate_layers(
-            layers, layer_masks, config.energy_cfg, with_grads=csc_active
+            layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
         )
-        if csc_active:
+        if config.csc_enabled:
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
             grad_norm = float(np.sqrt((grad_x * grad_x).sum()))
             x = csc_correct(m_t, grad_x, config.rho)

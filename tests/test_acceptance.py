@@ -297,15 +297,18 @@ def test_criterion_05_baseline_sampler_matches_closed_form_moments():
     sigma_hat = float(finals.std(ddof=1))
     mean_bound = 4.0 * sigma_hat / math.sqrt(N)
     mean_dev = abs(grand_mean - 0.5)
+    ref_dev = abs(grand_mean - m_ref)
     pixel_var = finals.var(axis=0, ddof=1)
     var_dev = float(np.abs(pixel_var - v_ref).max() / v_ref)
     elapsed = time.monotonic() - t0
     assert mean_dev < mean_bound
+    assert ref_dev < mean_bound
     assert var_dev < 0.05
     assert elapsed < 60.0
     print(
-        f"criterion 05 PASS: |mean - 0.5| = {mean_dev:.4f} < 4*sigma/sqrt(N) = "
-        f"{mean_bound:.4f} (closed-form mean {m_ref:.4f}); worst per-pixel variance "
+        f"criterion 05 PASS: |mean - 0.5| = {mean_dev:.4f} and |mean - closed-form "
+        f"{m_ref:.4f}| = {ref_dev:.4f} ({ref_dev / (mean_bound / 4):.2f} standard errors), "
+        f"both < 4*sigma/sqrt(N) = {mean_bound:.4f}; worst per-pixel variance "
         f"deviation {100 * var_dev:.2f}% of {v_ref:.6f} (< 5%); {elapsed:.1f}s < 60s"
     )
 

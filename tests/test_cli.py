@@ -74,6 +74,7 @@ class TestParseConfig:
             ({"energy": {"support_tau": False}}, "energy.support_tau: expected a number"),
             ({"energy": {"epsilon_den": "1e-8"}}, "energy.epsilon_den: expected a number"),
             ({"seed": 1.5}, "config.seed: expected an integer"),
+            ({"sampler": {"csc_step_range": [2, 6]}}, "sampler.csc_step_range: unknown field"),
         ],
     )
     def test_errors_name_the_field(self, doc, needle):
@@ -88,10 +89,6 @@ class TestParseConfig:
         cfg = parse_config({"energy": {"layer_select": ["full"]}})
         assert cfg.sampler.energy_cfg.layer_select == frozenset({"full"})
 
-    def test_step_range_list_accepted(self):
-        cfg = parse_config({"sampler": {"steps": 10, "csc_step_range": [2, 6]}})
-        assert cfg.sampler.csc_step_range == (2, 6)
-
     def test_roundtrips_through_dict_echo(self):
         cfg = parse_config(
             {
@@ -102,7 +99,6 @@ class TestParseConfig:
                     "guidance_scale": 1.5,
                     "steps": 6,
                     "csc_enabled": False,
-                    "csc_step_range": [1, 4],
                 },
                 "energy": {
                     "lam": 0.1,
@@ -125,6 +121,13 @@ class TestParseConfig:
                     assert v != default[name][key], f"{name}.{key} left at its default"
             else:
                 assert value != default[name], f"{name} left at its default"
+
+    def test_readme_config_block_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        shown, default = json.loads(block), config_to_dict(parse_config({}))
+        del shown["dataset"], default["dataset"]
+        assert shown == default
 
 
 class TestLoadConfig:
@@ -339,6 +342,11 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: sampler: {field} must be finite")
 
+    def test_epsilon_den_whose_square_is_zero(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", dataset_dir, energy={"epsilon_den": 1e-300})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: energy: epsilon_den 1e-300")
+
     def test_summary_bytes_do_not_depend_on_the_directory(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         summaries = []
@@ -505,20 +513,38 @@ class TestPlotCommand:
 
     def test_header_only_csv(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"
-        p.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        p.write_text(",".join(("trial", "arm") + CSV_HEADER) + "\n", encoding="utf-8")
         assert main(["plot", "--csv", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "no data rows" in capsys.readouterr().err
 
     def test_malformed_cell_names_line(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text(
-            ",".join(CSV_HEADER) + "\n"
-            "0,8,0.5,0.4,0.1,outer,0.3,0.2,0.0\n"
-            "1,7,not_a_number,0.4,0.1,outer,0.3,0.2,0.0\n",
+            ",".join(("trial", "arm") + CSV_HEADER) + "\n"
+            "0,csc,0,8,0.5,0.4,0.1,outer,0.3,0.2,0.0\n"
+            "0,csc,1,7,not_a_number,0.4,0.1,outer,0.3,0.2,0.0\n",
             encoding="utf-8",
         )
         assert main(["plot", "--csv", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_missing_trial_and_arm_columns(self, tmp_path, capsys):
+        p = tmp_path / "bare.csv"
+        p.write_text(",".join(CSV_HEADER) + "\n0,8,0.5,0.4,0.1,outer,0.3,0.2,0.0\n",
+                     encoding="utf-8")
+        assert main(["plot", "--csv", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "missing column(s) ['arm', 'trial']" in capsys.readouterr().err
+
+    def test_unknown_arm_names_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            ",".join(("trial", "arm") + CSV_HEADER) + "\n"
+            "0,csc,0,8,0.5,0.4,0.1,outer,0.3,0.2,0.0\n"
+            "0,run,0,8,0.5,0.4,0.1,outer,0.3,0.2,0.0\n",
+            encoding="utf-8",
+        )
+        assert main(["plot", "--csv", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "line 3: unknown arm 'run'" in capsys.readouterr().err
 
     def test_missing_step_column(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -537,19 +563,34 @@ class TestPlotCommand:
         assert "Traceback" in capsys.readouterr().err
 
 
+def run_ablation_script(monkeypatch, out) -> None:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_ablations.py"
+    spec = importlib.util.spec_from_file_location("reproduce_ablations", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(
+        sys, "argv", ["reproduce_ablations.py", "--out", str(out), "--trials", "1", "--jobs", "1"]
+    )
+    assert script.main() == 0
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestAblationScript:
     def test_relative_out(self, tmp_path, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_ablations.py"
-        spec = importlib.util.spec_from_file_location("reproduce_ablations", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(
-            sys, "argv", ["reproduce_ablations.py", "--out", "ablations", "--trials", "1",
-                          "--jobs", "1"]
-        )
-        assert script.main() == 0
+        run_ablation_script(monkeypatch, "ablations")
         assert (tmp_path / "ablations" / "run" / "summary.json").is_file()
+
+    def test_tree_bytes_do_not_depend_on_the_directory(self, tmp_path, monkeypatch):
+        shallow, deep = tmp_path / "a", tmp_path / "b" / "c" / "d"
+        for out in (shallow, deep):
+            run_ablation_script(monkeypatch, out)
+        trees = tree_bytes(shallow), tree_bytes(deep)
+        assert len(trees[0]) > 50
+        assert trees[0] == trees[1]
 
 
 class TestLoadDataset:

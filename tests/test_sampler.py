@@ -204,7 +204,6 @@ class TestSamplerConfig:
         assert cfg.guidance_scale == 2.0
         assert cfg.steps == 20
         assert cfg.csc_enabled is True
-        assert cfg.csc_step_range is None
 
     def test_rejects_negative_rho(self):
         with pytest.raises(SamplerError):
@@ -223,15 +222,6 @@ class TestSamplerConfig:
     def test_rejects_zero_steps(self):
         with pytest.raises(SamplerError):
             SamplerConfig(steps=0)
-
-    @pytest.mark.parametrize("bad", [(2, 2), (-1, 3), (0, 21), (5, 3)])
-    def test_rejects_bad_step_range(self, bad):
-        with pytest.raises(SamplerError):
-            SamplerConfig(csc_step_range=bad)
-
-    def test_accepts_valid_step_range(self):
-        cfg = SamplerConfig(steps=10, csc_step_range=(2, 6))
-        assert cfg.csc_step_range == (2, 6)
 
 
 def base_cfg(**kw):
@@ -301,15 +291,6 @@ class TestSampleLoop:
     def test_correction_records_positive_grad_norm(self, toy, mask, schedule):
         _, rec = sample(toy, mask, SamplerConfig(), schedule, RandomStream(17).child("run"))
         assert all(e.grad_norm > 0.0 for e in rec.entries)
-
-    def test_step_range_limits_correction(self, toy, mask, schedule):
-        cfg = SamplerConfig(steps=6, csc_step_range=(2, 4))
-        _, rec = sample(toy, mask, cfg, schedule, RandomStream(18).child("run"))
-        for e in rec.entries:
-            if 2 <= e.step < 4:
-                assert e.grad_norm > 0.0
-            else:
-                assert e.grad_norm == 0.0
 
     def test_energies_finite_throughout(self, toy, mask, schedule):
         for seed in range(4):
