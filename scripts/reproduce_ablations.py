@@ -32,7 +32,10 @@ def main() -> int:
     ap.add_argument("--out", default="ablations", help="output directory")
     ap.add_argument("--seed", type=int, default=0, help="pipeline seed")
     ap.add_argument("--trials", type=int, default=8, help="trials per arm / grid point")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    # unused: kept so that invocations passing --jobs 1 still parse
+    ap.add_argument(
+        "--jobs", type=int, choices=(1,), default=1, help="trials run in order on one thread"
+    )
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -41,7 +44,7 @@ def main() -> int:
 
     steps = [
         ["gen", "--seed", str(args.seed), "--n", "6", "--height", str(CANVAS_H),
-         "--width", str(CANVAS_W), "--out", str(bench), "--jobs", str(args.jobs)],
+         "--width", str(CANVAS_W), "--out", str(bench)],
         ["vtid", "--manifest", str(bench / "manifest.json"), "--features", "random"],
     ]
 
@@ -58,10 +61,10 @@ def main() -> int:
     }
     cfg_path = out / "config.json"
 
-    steps += [["run", "--config", str(cfg_path), "--jobs", str(args.jobs)]]
+    steps += [["run", "--config", str(cfg_path)]]
     steps += [
         ["sweep", "--config", str(cfg_path), "--kind", kind,
-         "--out", str(out / "sweeps"), "--jobs", str(args.jobs)]
+         "--out", str(out / "sweeps")]
         for kind in ("scale_factor", "guidance", "layers")
     ]
     steps += [["plot", "--csv", str(out / "run" / "trajectories.csv"),

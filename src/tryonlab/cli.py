@@ -48,7 +48,7 @@ _USER_ERRORS = (
     SamplerError,
     ModelError,
     ScheduleError,
-    FileNotFoundError,
+    OSError,
 )
 
 
@@ -80,9 +80,7 @@ def cmd_run(args) -> int:
     dataset = load_dataset(cfg.dataset)
     model = build_model(cfg)
     schedule = build_schedule(cfg)
-    csc, base = paired_run(
-        model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed, jobs=args.jobs
-    )
+    csc, base = paired_run(model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     traj_path = outdir / "trajectories.csv"
@@ -106,9 +104,7 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(cfg.dataset)
     model = build_model(cfg)
     schedule = build_schedule(cfg)
-    rows = sweep_rows(
-        args.kind, model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed, jobs=args.jobs
-    )
+    rows = sweep_rows(args.kind, model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     value_col = SWEEPS[args.kind].column
@@ -179,9 +175,7 @@ def cmd_vtid(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    samples = gen_dataset(
-        args.seed, args.n, not args.unpaired, h=args.height, w=args.width, jobs=args.jobs
-    )
+    samples = gen_dataset(args.seed, args.n, not args.unpaired, h=args.height, w=args.width)
     split = "unpaired" if args.unpaired else "paired"
     manifest = write_dataset(args.out, samples, split)
     print(f"{Path(args.out) / 'manifest.json'} ({manifest['n']} samples, {split})")
@@ -206,10 +200,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override config output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
 
     p_run = sub.add_parser("run", help="paired corrected/baseline trajectories")
     add_common(p_run)
+    p_run.add_argument(
+        "--jobs", type=int, choices=(1,), default=1, help="trials run in order on one thread"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="ablation grid over one knob")
@@ -233,7 +229,6 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--height", type=int, default=48)
     p_gen.add_argument("--width", type=int, default=36)
-    p_gen.add_argument("--jobs", type=int, default=1)
     p_gen.set_defaults(func=cmd_gen)
 
     p_plot = sub.add_parser("plot", help="SVG charts from a trajectories CSV")

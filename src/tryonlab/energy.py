@@ -75,9 +75,9 @@ class EnergyConfig:
 
     lam weights the repel term, delta is the hinge margin, support_tau is
     the relative threshold defining the nonzero support of a map, and
-    epsilon_den clamps the attract denominator (its square must not be 0:
-    the gradient divides by S_in^2). layer_select = None means every
-    provided layer participates in the aggregate.
+    epsilon_den clamps the attract denominator (2 / epsilon_den^2 must be
+    finite: the gradient divides S_out, about 1, by S_in^2). layer_select =
+    None means every provided layer participates in the aggregate.
     """
 
     lam: float = 0.01
@@ -93,8 +93,11 @@ class EnergyConfig:
             raise EnergyError("support_tau must be in (0, 1)")
         if not 0.0 < self.epsilon_den < math.inf:
             raise EnergyError("epsilon_den must be finite and > 0")
-        if self.epsilon_den * self.epsilon_den == 0.0:
-            raise EnergyError(f"epsilon_den {self.epsilon_den!r} is so small its square is 0")
+        square = float(self.epsilon_den * self.epsilon_den)
+        if square == 0.0 or 2.0 / square == math.inf:
+            raise EnergyError(
+                f"epsilon_den {self.epsilon_den!r} is so small that 2 / epsilon_den^2 overflows"
+            )
         if self.layer_select is not None:
             object.__setattr__(self, "layer_select", frozenset(self.layer_select))
 

@@ -10,7 +10,6 @@ grid point to mean final metrics.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from math import nan
 from pathlib import Path
@@ -277,6 +276,8 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"dataset: {manifest_path}: invalid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"dataset: {manifest_path}: expected a JSON object")
     roles = ("person", "garment", "flow_x", "flow_y", "generated", "mask", "gen_mask")
     lists = {}
     for role in roles:
@@ -347,7 +348,6 @@ def run_trials(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-    jobs: int = 1,
     fx: FeatureExtractor | None = None,
 ) -> list[TrialResult]:
     """Run `trials` independent trajectories, one child stream per trial.
@@ -355,27 +355,19 @@ def run_trials(
     Trial i uses dataset sample i mod n, with the mask resampled to the
     model's latent resolution (model.h, model.w). The child stream depends only on (seed, i),
     so two arms (or two sweep points) at the same seed share noise draws.
-    Trials are embarrassingly parallel; results are returned in trial
-    order regardless of jobs.
     """
     n = len(dataset)
     if n == 0:
         raise ConfigError("dataset: no samples")
-
-    def one(i: int) -> TrialResult:
+    results = []
+    for i in range(trials):
         sample_i = dataset[i % n]
-        mask = sample_i.mask
-        if mask.shape != (model.h, model.w):
-            mask = resample_mask(mask, model.h, model.w)
+        mask = resample_mask(sample_i.mask, model.h, model.w)
         rng = RandomStream(seed).child(f"trial-{i}")
         x, record = run_sampler(model, mask, samp_cfg, schedule, rng)
         vt = _toy_vtid(sample_i, x, fx) if fx is not None else None
-        return TrialResult(record=record, toy_vtid=vt)
-
-    if jobs <= 1 or trials == 1:
-        return [one(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, range(trials)))
+        results.append(TrialResult(record=record, toy_vtid=vt))
+    return results
 
 
 # Readers of each final metric off the energy breakdown at a trial's final
@@ -400,15 +392,10 @@ def paired_run(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> tuple[list[TrialResult], list[TrialResult]]:
     """(corrected, baseline) trial lists with shared per-trial seeds."""
-    csc = run_trials(
-        model, schedule, replace(samp_cfg, csc_enabled=True), dataset, trials, seed, jobs
-    )
-    base = run_trials(
-        model, schedule, replace(samp_cfg, csc_enabled=False), dataset, trials, seed, jobs
-    )
+    csc = run_trials(model, schedule, replace(samp_cfg, csc_enabled=True), dataset, trials, seed)
+    base = run_trials(model, schedule, replace(samp_cfg, csc_enabled=False), dataset, trials, seed)
     return csc, base
 
 
@@ -452,12 +439,9 @@ def point_metrics(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> dict[str, float]:
     """Mean final metrics of one sweep grid point."""
-    results = run_trials(
-        model, schedule, samp_cfg, dataset, trials, seed, jobs, fx=pixel_extractor()
-    )
+    results = run_trials(model, schedule, samp_cfg, dataset, trials, seed, fx=pixel_extractor())
     means = {f"mean_{m}": float(np.mean(_final_values(results, m))) for m in _SWEPT_METRICS}
     means["mean_toy_vtid_vs_reference"] = float(np.mean([r.toy_vtid for r in results]))
     return means
@@ -471,7 +455,6 @@ def sweep_rows(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> list[dict]:
     """One row per grid point, in grid order, keyed by the value column."""
     if kind not in SWEEPS:
@@ -480,7 +463,7 @@ def sweep_rows(
     rows = []
     for value in sweep.grid:
         cfg = sweep.apply(samp_cfg, value)
-        metrics = point_metrics(model, schedule, cfg, dataset, trials, seed, jobs)
+        metrics = point_metrics(model, schedule, cfg, dataset, trials, seed)
         rows.append({sweep.column: value, **metrics})
     return rows
 

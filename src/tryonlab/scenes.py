@@ -11,7 +11,6 @@ the sweep proxies are scored against.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,33 +289,22 @@ def random_spec(rng: RandomStream, h: int = 48, w: int = 36) -> SceneSpec:
     )
 
 
-def gen_dataset(
-    seed: int, n: int, paired: bool, h: int = 48, w: int = 36, jobs: int = 1
-) -> list[BenchSample]:
+def gen_dataset(seed: int, n: int, paired: bool, h: int = 48, w: int = 36) -> list[BenchSample]:
     """n samples; unpaired takes each person's garment from the next scene.
 
-    Every sample draws from an independent child stream of the seed, so
-    generation order (and therefore jobs, the worker count) cannot change
-    the output.
+    Scene i draws from its own child stream "scene-{i}" of the seed, so it
+    does not depend on n or on the other scenes.
     """
     if n < 1:
         raise SceneError("n must be >= 1")
     if not paired and n < 2:
         raise SceneError("unpaired datasets need n >= 2 (cyclic garment shift)")
     root = RandomStream(seed).child("scenes")
-
-    def one(i: int) -> tuple[SceneSpec, BenchSample]:
+    specs, own = [], []
+    for i in range(n):
         child = root.child(f"scene-{i}")
-        spec = random_spec(child, h, w)
-        return spec, gen_scene(child, spec)
-
-    if jobs <= 1 or n == 1:
-        built = [one(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = list(pool.map(one, range(n)))
-    specs = [spec for spec, _ in built]
-    own = [s for _, s in built]
+        specs.append(random_spec(child, h, w))
+        own.append(gen_scene(child, specs[-1]))
     if paired:
         return own
     out = []

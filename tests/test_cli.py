@@ -197,12 +197,12 @@ class TestGenCommand:
             assert (dataset_dir / "dataset" / "paired" / f"{i:04d}" / "person.f64grid").is_file()
 
     def test_byte_identical_across_invocations(self, tmp_path):
-        for sub, jobs in (("a", "1"), ("b", "3")):
+        for sub in ("a", "b"):
             rc = main(
                 [
                     "gen", "--seed", "9", "--n", "3", "--unpaired",
                     "--out", str(tmp_path / sub),
-                    "--height", "16", "--width", "16", "--jobs", jobs,
+                    "--height", "16", "--width", "16",
                 ]
             )
             assert rc == 0
@@ -240,6 +240,7 @@ class TestRunCommand:
         assert set(summary["arms"]) == {"csc", "baseline"}
         assert set(summary["delta"]) == set(summary["effect_size"])
         assert summary["config"]["model"]["h"] == 16
+        assert summary["config"]["out"] == str(out)  # the --out override is echoed
 
     def test_zero_rho_gives_zero_deltas(self, dataset_dir, tmp_path):
         cfg = write_config(
@@ -253,24 +254,6 @@ class TestRunCommand:
             summary = json.load(f)
         assert all(v == 0.0 for v in summary["delta"].values())
         assert all(v == 0.0 for v in summary["effect_size"].values())
-
-    def test_jobs_do_not_change_bytes(self, dataset_dir, tmp_path):
-        cfg = write_config(tmp_path / "config.json", dataset_dir, trials=3)
-        outs = []
-        for sub, jobs in (("o1", "1"), ("o2", "4")):
-            out = tmp_path / sub
-            assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
-            outs.append(out)
-        assert (outs[0] / "trajectories.csv").read_bytes() == (
-            outs[1] / "trajectories.csv"
-        ).read_bytes()
-        summaries = []
-        for out in outs:
-            with open(out / "summary.json", encoding="utf-8") as f:
-                doc = json.load(f)
-            assert doc["config"].pop("out") == str(out)  # echoed per-run path
-            summaries.append(doc)
-        assert summaries[0] == summaries[1]
 
     def test_seed_override_changes_output(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "config.json", dataset_dir)
@@ -343,9 +326,13 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"error: sampler: {field} must be finite")
 
     def test_epsilon_den_whose_square_is_zero(self, dataset_dir, tmp_path, capsys):
-        cfg = write_config(tmp_path / "config.json", dataset_dir, energy={"epsilon_den": 1e-300})
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: energy: epsilon_den 1e-300")
+        # 1e-300 squares to 0; 1e-160 squares to a subnormal whose reciprocal overflows
+        for eps in (1e-300, 1e-160):
+            cfg = write_config(tmp_path / "config.json", dataset_dir, energy={"epsilon_den": eps})
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: energy: epsilon_den {eps!r} is so small that 2 / epsilon_den^2 overflows"
+            )
 
     def test_summary_bytes_do_not_depend_on_the_directory(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -466,6 +453,12 @@ class TestVtidCommand:
         assert main(["vtid", "--manifest", str(p)]) == 2
         assert "no samples" in capsys.readouterr().err
 
+    def test_manifest_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "manifest.json"
+        p.write_text("[]", encoding="utf-8")
+        assert main(["vtid", "--manifest", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: dataset: {p}: expected a JSON object")
+
     def test_missing_referenced_file(self, dataset_dir, tmp_path, capsys):
         with open(dataset_dir / "manifest.json", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -556,20 +549,22 @@ class TestPlotCommand:
         assert main(["plot", "--csv", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_internal_failure_returns_one(self, tmp_path, capsys):
-        # a directory passes the existence check but cannot be opened: the
-        # resulting OSError is not a user error and maps to exit code 1
-        assert main(["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    def test_internal_failure_returns_one(self, traj_csv, tmp_path, capsys, monkeypatch):
+        def broken(csv_path, outdir):
+            raise RuntimeError("plotting bug")
+
+        monkeypatch.setattr("tryonlab.cli.plot_all", broken)
+        assert main(["plot", "--csv", str(traj_csv), "--out", str(tmp_path / "o")]) == 1
         assert "Traceback" in capsys.readouterr().err
 
 
-def run_ablation_script(monkeypatch, out) -> None:
+def run_ablation_script(monkeypatch, out, jobs="1") -> None:
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_ablations.py"
     spec = importlib.util.spec_from_file_location("reproduce_ablations", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(
-        sys, "argv", ["reproduce_ablations.py", "--out", str(out), "--trials", "1", "--jobs", "1"]
+        sys, "argv", ["reproduce_ablations.py", "--out", str(out), "--trials", "1", "--jobs", jobs]
     )
     assert script.main() == 0
 
@@ -591,6 +586,46 @@ class TestAblationScript:
         trees = tree_bytes(shallow), tree_bytes(deep)
         assert len(trees[0]) > 50
         assert trees[0] == trees[1]
+
+
+def test_jobs_is_only_on_run_and_the_ablation_script_and_only_1(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    cfg = write_config(tmp_path / "config.json", dataset_dir)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+    run_ablation_script(monkeypatch, tmp_path / "ablations", jobs="1")
+    capsys.readouterr()
+    gen = ["gen", "--seed", "1", "--n", "1", "--out", str(tmp_path / "g")]
+    for argv, err in (
+        (["run", "--config", str(cfg), "--jobs", "2"], "argument --jobs: invalid choice: 2"),
+        (gen + ["--jobs", "1"], "unrecognized arguments: --jobs 1"),
+        (["sweep", "--config", str(cfg), "--kind", "layers", "--jobs", "1"],
+         "unrecognized arguments: --jobs 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert err in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_ablation_script(monkeypatch, tmp_path / "ablations2", jobs="2")
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{dir}"],
+        ["vtid", "--manifest", "{dir}"],
+        ["plot", "--csv", "{dir}", "--out", "{dir}/o"],
+        ["gen", "--seed", "1", "--n", "1", "--height", "16", "--width", "12", "--out", "{file}"],
+    ],
+    ids=["run-config-dir", "vtid-manifest-dir", "plot-csv-dir", "gen-out-file"],
+)
+def test_os_path_error_exits_2(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert main([a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLoadDataset:

@@ -599,19 +599,21 @@ class TestConfigValidation:
             EnergyConfig(support_tau=1.0)
         with pytest.raises(EnergyError):
             EnergyConfig(epsilon_den=0.0)
-        with pytest.raises(EnergyError, match="square is 0"):
+        with pytest.raises(EnergyError, match="overflows"):
             EnergyConfig(epsilon_den=1e-300)
 
     def test_smallest_epsilon_den_keeps_the_attract_gradient_finite(self):
-        """Just above the bound, S_in^2 is a subnormal, not 0: no ZeroDivisionError."""
-        eps = 1.6e-162
-        assert eps * eps > 0.0
-        with pytest.raises(EnergyError, match="square is 0"):
-            EnergyConfig(epsilon_den=1.4e-162)
-        a = np.array([[1.7e-162, 1e-170], [1e-170, 0.0]])
+        """At the bound, S_out / S_in^2 with S_out about 1 stays finite."""
+        eps = 1.0547686614863001e-154  # the smallest accepted value
+        EnergyConfig(epsilon_den=eps)
+        for too_small in (np.nextafter(eps, 0.0), 1e-160):
+            with pytest.raises(EnergyError, match="2 / epsilon_den\\^2 overflows"):
+                EnergyConfig(epsilon_den=too_small)
+        # S_in = eps takes the unclamped branch; S_out = 1
+        a = np.array([[eps, 0.5], [0.5, 0.0]])
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         got = _evaluate(a, m, EnergyConfig(epsilon_den=eps), True)
-        assert got.in_mask_mass == 1.7e-162
+        assert got.in_mask_mass == eps
         assert np.isfinite(got.grad_attract).all()
         assert got.grad_attract[0, 0] < 0.0 < got.grad_attract[0, 1]
 
