@@ -114,10 +114,10 @@ class ToyAttentionDenoiser:
         return self.q_garment if cond is Condition.GARMENT else self.q_null
 
     def _attention_maps(self, f: np.ndarray, q: np.ndarray):
+        # pooling is linear, so pooling the logits pools the feature maps
         scale = 1.0 / math.sqrt(self.channels)
-        logits_full = np.einsum("c,cij->ij", q, f) * scale
-        logits_half = np.einsum("c,cij->ij", q, avg_pool2(f)) * scale
-        return _softmax(logits_full), _softmax(logits_half)
+        logits = (q @ f.reshape(self.channels, -1)).reshape(self.h, self.w) * scale
+        return _softmax(logits), _softmax(avg_pool2(logits))
 
     def predict(self, x: np.ndarray, t: int, cond: Condition):
         if x.shape != (self.h, self.w):
@@ -145,7 +145,7 @@ class ToyAttentionDenoiser:
     ) -> np.ndarray:
         """Pull cotangents on (full, half) attention maps back to the latent.
 
-        Backpropagates softmax -> query dot-product -> (pooling) ->
+        Backpropagates softmax -> (pooling) -> query dot-product ->
         softplus -> convolution by hand, from the tape that
         predict(x, t, cond) returned.
         """
@@ -162,11 +162,8 @@ class ToyAttentionDenoiser:
         scale = 1.0 / math.sqrt(self.channels)
 
         dl_full = a_full * (g_full - (a_full * g_full).sum())
-        df = q[:, None, None] * (scale * dl_full)
         dl_half = a_half * (g_half - (a_half * g_half).sum())
-        dfp = q[:, None, None] * (scale * dl_half)
-        df = df + avg_pool2_adjoint(dfp)
-
+        df = q[:, None, None] * (scale * (dl_full + avg_pool2_adjoint(dl_half)))
         dz = sigmoid(tape.z) * df
         return correlate3x3_adjoint(dz, self.kernel)
 

@@ -1,11 +1,12 @@
 """Small convolution/pooling primitives shared by the toy denoiser and the
 random feature extractor. All convolutions are 3x3 cross-correlations with
-zero padding, vectorized over a kernel bank via sliding windows."""
+zero padding, done as im2col: the nine shifted copies of each input channel
+are stacked into one contiguous array and contracted with the kernel bank
+in a single matmul."""
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "correlate3x3",
@@ -18,34 +19,38 @@ __all__ = [
 ]
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    """(h, w, 3, 3) view of x padded with one ring of zeros."""
-    xp = np.pad(x, 1)
-    return sliding_window_view(xp, (3, 3))
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """(K, h, w) -> (9 K, h w); row 9k + 3a + b is channel k of x, zero
+    padded by one, read at offset (a - 1, b - 1)."""
+    k, h, w = x.shape
+    xp = np.zeros((k, h + 2, w + 2))
+    xp[:, 1:-1, 1:-1] = x
+    cols = np.empty((k, 3, 3, h, w))
+    for a in range(3):
+        for b in range(3):
+            cols[:, a, b] = xp[:, a : a + h, b : b + w]
+    return cols.reshape(9 * k, h * w)
+
+
+def correlate3x3_multi(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Cross-correlate (K, h, w) input with a (C, K, 3, 3) bank -> (C, h, w)."""
+    c = bank.shape[0]
+    return (bank.reshape(c, -1) @ _im2col(x)).reshape(c, *x.shape[1:])
 
 
 def correlate3x3(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Cross-correlate (h, w) input with a (C, 3, 3) bank -> (C, h, w)."""
-    return np.einsum("ijab,cab->cij", _windows(x), bank)
+    return correlate3x3_multi(x[None], bank[:, None])
 
 
 def correlate3x3_adjoint(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Adjoint of correlate3x3 w.r.t. the input: (C, h, w) -> (h, w).
 
     Correlation's adjoint under zero padding is convolution, i.e.
-    correlation with the spatially flipped kernels.
+    correlation with the spatially flipped kernels, summed over the C
+    channels: one output channel of a C-channel correlation.
     """
-    flipped = bank[:, ::-1, ::-1]
-    dzp = np.pad(dz, ((0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(dzp, (3, 3), axis=(1, 2))
-    return np.einsum("cijab,cab->ij", win, flipped)
-
-
-def correlate3x3_multi(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Cross-correlate (K, h, w) input with a (C, K, 3, 3) bank -> (C, h, w)."""
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
-    return np.einsum("kijab,ckab->cij", win, bank)
+    return correlate3x3_multi(dz, bank[None, :, ::-1, ::-1])[0]
 
 
 def avg_pool2(f: np.ndarray) -> np.ndarray:
@@ -60,13 +65,11 @@ def avg_pool2_adjoint(g: np.ndarray) -> np.ndarray:
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    """log(1 + e^z), in a form that neither overflows nor loses small values."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    np.exp(-np.abs(z), out=out)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + out[pos])
-    out[~pos] = out[~pos] / (1.0 + out[~pos])
-    return out
+    """1 / (1 + e^-z) from e = e^-|z|, which never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

@@ -8,6 +8,7 @@ second, unrelated implementation.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tryonlab import BinaryMask, Grid, ModelError, RandomStream, SceneImage, bilinear_warp
 
@@ -98,6 +99,42 @@ def dense_inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]
     # orderings doubles the one-sided row sum
     grad = -2.0 * (np.sign(d) * active).sum(axis=1) / n
     return float(h[active].sum()) / n, grad
+
+
+def correlate3x3_windows(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """(h, w) input, (C, 3, 3) bank -> (C, h, w), by sliding windows over
+    the zero-padded input and one einsum."""
+    return np.einsum("ijab,cab->cij", sliding_window_view(np.pad(x, 1), (3, 3)), bank)
+
+
+def correlate3x3_adjoint_windows(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """(C, h, w) -> (h, w): correlation of dz with the flipped kernels,
+    summed over channels, by sliding windows and one einsum."""
+    dzp = np.pad(dz, ((0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(dzp, (3, 3), axis=(1, 2))
+    return np.einsum("cijab,cab->ij", win, bank[:, ::-1, ::-1])
+
+
+def correlate3x3_multi_windows(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """(K, h, w) input, (C, K, 3, 3) bank -> (C, h, w), by sliding windows."""
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return np.einsum("kijab,ckab->cij", win, bank)
+
+
+def softplus_logaddexp(z: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, z)
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """Logistic function with the positive and negative halves written
+    through boolean masks."""
+    out = np.empty_like(z)
+    np.exp(-np.abs(z), out=out)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + out[pos])
+    out[~pos] = out[~pos] / (1.0 + out[~pos])
+    return out
 
 
 def warp_scene_per_channel(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:

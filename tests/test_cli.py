@@ -4,8 +4,10 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 import xml.dom.minidom
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tryonlab
 from tryonlab import Grid, RandomStream, SceneImage, grid_write, scene_read, scene_write
 from tryonlab.cli import main
 from tryonlab.experiments import (
@@ -346,6 +349,25 @@ class TestRunCommand:
         assert summaries[0] == summaries[1]
         echo = json.loads(summaries[0])["config"]
         assert (echo["dataset"], echo["out"]) == ("data/manifest.json", "run")
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Convolutions run through BLAS matmuls, so the run is repeated in
+        fresh interpreters with one and with two OpenBLAS threads."""
+        data = tmp_path / "data"
+        gen = ["gen", "--seed", "3", "--n", "3", "--height", "24", "--width", "18"]
+        assert main(gen + ["--out", str(data)]) == 0
+        model = {"seed": 3, "h": 24, "w": 18, "channels": 4}
+        cfg = write_config(tmp_path / "config.json", data, model=model, out="run")
+        src = str(Path(tryonlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "tryonlab.cli", "run", "--config", str(cfg)],
+                           env=env, check=True, capture_output=True)
+            outputs.append({name: (tmp_path / "run" / name).read_bytes()
+                            for name in ("trajectories.csv", "summary.json")})
+        assert outputs[0] == outputs[1]
 
 
 class TestSweepCommand:

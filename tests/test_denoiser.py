@@ -116,8 +116,9 @@ def explicit_forward(toy, x: np.ndarray, q: np.ndarray):
 
     f = softplus(correlate3x3(x, toy.kernel))
     scale = 1.0 / math.sqrt(toy.channels)
-    a_full = softmax(np.einsum("c,cij->ij", q, f) * scale)
-    a_half = softmax(np.einsum("c,cij->ij", q, avg_pool2(f)) * scale)
+    logits = (q @ f.reshape(toy.channels, -1)).reshape(toy.h, toy.w) * scale
+    a_full = softmax(logits)
+    a_half = softmax(avg_pool2(logits))
     eps = toy.u * x + toy.v * (toy.h * toy.w) * a_full * x
     return eps, a_full, a_half
 

@@ -1,0 +1,155 @@
+"""Convolution, adjoint, softplus and sigmoid kernels against the
+sliding-window, logaddexp and boolean-mask oracles, and the bit-stability
+of their outputs under misaligned inputs and inside a batched product."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from helpers import (
+    correlate3x3_adjoint_windows,
+    correlate3x3_multi_windows,
+    correlate3x3_windows,
+    sigmoid_masked,
+    softplus_logaddexp,
+)
+from tryonlab import RandomStream
+from tryonlab.kernels import (
+    _im2col,
+    correlate3x3,
+    correlate3x3_adjoint,
+    correlate3x3_multi,
+    sigmoid,
+    softplus,
+)
+
+SIZES = [(48, 36), (24, 18), (16, 12), (8, 8), (1, 1)]
+STABILITY_SIZES = [(48, 36), (24, 18), (8, 8)]
+C, K, BATCH = 4, 3, 16
+REL_TOL = 1e-14
+
+
+def normals(label: str, *shape: int) -> np.ndarray:
+    return RandomStream(17).child(label).normals(int(np.prod(shape))).reshape(shape)
+
+
+def assert_close_to_sum_of_terms(got, want, scale):
+    """|got - want| <= REL_TOL * scale elementwise, where scale is the same
+    correlation taken over |input| and |bank|: the sum of the terms'
+    magnitudes, which bounds the rounding of any summation order."""
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= REL_TOL * scale).all()
+
+
+@pytest.mark.parametrize("h,w", SIZES)
+class TestAgainstOracles:
+    def test_correlate3x3(self, h, w):
+        x, bank = normals("x", h, w), normals("bank", C, 3, 3)
+        assert_close_to_sum_of_terms(
+            correlate3x3(x, bank),
+            correlate3x3_windows(x, bank),
+            correlate3x3_windows(np.abs(x), np.abs(bank)),
+        )
+
+    def test_correlate3x3_multi(self, h, w):
+        x, bank = normals("x", K, h, w), normals("bank", 2 * C, K, 3, 3)
+        assert_close_to_sum_of_terms(
+            correlate3x3_multi(x, bank),
+            correlate3x3_multi_windows(x, bank),
+            correlate3x3_multi_windows(np.abs(x), np.abs(bank)),
+        )
+
+    def test_adjoint(self, h, w):
+        dz, bank = normals("dz", C, h, w), normals("bank", C, 3, 3)
+        assert_close_to_sum_of_terms(
+            correlate3x3_adjoint(dz, bank),
+            correlate3x3_adjoint_windows(dz, bank),
+            correlate3x3_adjoint_windows(np.abs(dz), np.abs(bank)),
+        )
+
+    def test_adjoint_dot_product_identity(self, h, w):
+        x, dz, bank = normals("x", h, w), normals("dz", C, h, w), normals("bank", C, 3, 3)
+        lhs = float((correlate3x3(x, bank) * dz).sum())
+        rhs = float((x * correlate3x3_adjoint(dz, bank)).sum())
+        terms = float((correlate3x3(np.abs(x), np.abs(bank)) * np.abs(dz)).sum())
+        assert abs(lhs - rhs) <= 1e-13 * terms
+
+
+def test_one_pixel_convolution_keeps_only_the_centre_tap():
+    x, bank = np.array([[1.5]]), normals("bank", C, 3, 3)
+    assert correlate3x3(x, bank).tobytes() == (1.5 * bank[:, 1:2, 1:2]).tobytes()
+
+
+EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0, 1e300, -1e300]
+
+
+def test_softplus_within_two_ulp_of_logaddexp():
+    z = np.concatenate([EXTREMES, 40.0 * normals("z", 4096)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = softplus(z)
+    want = softplus_logaddexp(z)
+    assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()
+    assert got[:2].tolist() == [np.log(2.0)] * 2
+    assert got[8:10].tolist() == [1e300, 0.0]
+
+
+def test_sigmoid_bit_equal_to_boolean_mask_form():
+    special = EXTREMES + [np.inf, -np.inf, np.nan, -np.nan]
+    z = np.concatenate([special, 40.0 * normals("z", 4096)])
+    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+
+
+# How each convolution's matmul sees its bank: one row per output
+# channel, columns in _im2col's row order.
+BANK_ROWS = {
+    correlate3x3: lambda bank: bank.reshape(C, 9),
+    correlate3x3_multi: lambda bank: bank.reshape(C, 9 * K),
+    correlate3x3_adjoint: lambda bank: bank[None, :, ::-1, ::-1].reshape(1, 9 * C),
+}
+INPUT_SHAPES = {correlate3x3: (), correlate3x3_multi: (K,)}  # leading axes; else (C,)
+
+
+def inputs(kernel, label: str, *lead: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random input of the kernel's shape and a random bank for it."""
+    x = normals(label, *lead, *INPUT_SHAPES.get(kernel, (C,)), h, w)
+    bank = normals("bank", C, K, 3, 3) if kernel is correlate3x3_multi else normals("bank", C, 3, 3)
+    return x, bank
+
+
+def apply(kernel, x: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    return kernel(x, bank) if kernel in BANK_ROWS else kernel(x)
+
+
+def at_offset(x: np.ndarray, offset: int) -> np.ndarray:
+    """Copy of x that starts offset float64 elements into a larger buffer."""
+    buf = np.zeros(x.size + 8)
+    view = buf[offset : offset + x.size].reshape(x.shape)
+    view[...] = x
+    return view
+
+
+@pytest.mark.parametrize("h,w", STABILITY_SIZES)
+@pytest.mark.parametrize(
+    "kernel",
+    [correlate3x3, correlate3x3_multi, correlate3x3_adjoint, softplus, sigmoid],
+    ids=lambda kernel: kernel.__name__,
+)
+class TestBitStability:
+    def test_misaligned_input(self, kernel, h, w):
+        x, bank = inputs(kernel, "x", h=h, w=w)
+        want = apply(kernel, x, bank)
+        for offset in range(1, 8):
+            got = apply(kernel, at_offset(x, offset), bank)
+            assert got.tobytes() == want.tobytes(), f"offset {offset}"
+
+    def test_one_item_of_a_batch_of_16(self, kernel, h, w):
+        items, bank = inputs(kernel, "batch", BATCH, h=h, w=w)
+        if kernel in BANK_ROWS:
+            cols = np.concatenate([_im2col(item.reshape(-1, h, w)) for item in items], axis=1)
+            blocks = np.split(BANK_ROWS[kernel](bank) @ cols, BATCH, axis=1)
+        else:
+            blocks = kernel(items)
+        for i, item in enumerate(items):
+            assert blocks[i].tobytes() == apply(kernel, item, bank).tobytes(), f"item {i}"
