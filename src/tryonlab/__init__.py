@@ -49,6 +49,7 @@ from .sampler import (
     ancestral_step,
     cfg_mix,
     csc_correct,
+    draw_noise,
     eps_to_score,
     sample,
 )

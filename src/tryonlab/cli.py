@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
         writer.writerow(("trial", "arm") + CSV_HEADER)
         for i in range(cfg.trials):
             for arm, results in (("baseline", base), ("csc", csc)):
-                for row in results[i].record.csv_rows():
+                for row in results[i].csv_rows():
                     writer.writerow([str(i), arm, *row])
     summary = run_summary(csc, base, echo)
     _write_json(outdir / "summary.json", summary)

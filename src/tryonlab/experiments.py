@@ -3,8 +3,9 @@
 A config fully determines every output byte: model seed and dims, noise
 schedule, sampler and energy settings, dataset manifest, trial count.
 Runs execute paired corrected/baseline trajectories per trial with shared
-seeds; sweeps re-run the trials over fixed ablation grids and reduce each
-grid point to mean final metrics.
+seeds; sweeps run every trial at each point of a fixed ablation grid, on
+one noise block per trial, and reduce each grid point to mean final
+metrics.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .denoiser import LAYER_FULL, LAYER_HALF, ToyAttentionDenoiser, toy_init
 from .energy import EnergyConfig, EnergyError
 from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
 from .rng import RandomStream
-from .sampler import SamplerConfig, SamplerError, TrajectoryRecord
+from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
 from .sampler import sample as run_sampler
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
@@ -37,7 +38,6 @@ __all__ = [
     "config_to_dict",
     "DatasetSample",
     "load_dataset",
-    "TrialResult",
     "run_trials",
     "paired_run",
     "run_summary",
@@ -47,7 +47,6 @@ __all__ = [
     "LAYER_SELECTIONS",
     "SWEEPS",
     "SWEEP_METRIC_COLUMNS",
-    "point_metrics",
     "sweep_rows",
 ]
 
@@ -316,12 +315,6 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
     return samples
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    record: TrajectoryRecord
-    toy_vtid: float | None
-
-
 def _toy_vtid(sample: DatasetSample, final_x: Grid, fx: FeatureExtractor) -> float:
     if sample.person.shape != final_x.shape:
         raise ConfigError(
@@ -341,6 +334,25 @@ def _toy_vtid(sample: DatasetSample, final_x: Grid, fx: FeatureExtractor) -> flo
     return report.vtid
 
 
+def _trial_inputs(
+    model,
+    schedule: NoiseSchedule,
+    samp_cfg: SamplerConfig,
+    dataset: list[DatasetSample],
+    seed: int,
+    i: int,
+) -> tuple[DatasetSample, BinaryMask, np.ndarray]:
+    """Trial i's dataset sample (i mod n), its mask resampled to the model's
+    latent resolution (model.h, model.w), and its noise block, drawn from
+    child "trial-{i}" of the seed."""
+    if not dataset:
+        raise ConfigError("dataset: no samples")
+    sample_i = dataset[i % len(dataset)]
+    mask = resample_mask(sample_i.mask, model.h, model.w)
+    noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, samp_cfg, schedule)
+    return sample_i, mask, noise
+
+
 def run_trials(
     model,
     schedule: NoiseSchedule,
@@ -348,26 +360,18 @@ def run_trials(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-    fx: FeatureExtractor | None = None,
-) -> list[TrialResult]:
-    """Run `trials` independent trajectories, one child stream per trial.
+) -> list[TrajectoryRecord]:
+    """Run `trials` independent trajectories, one noise block per trial.
 
-    Trial i uses dataset sample i mod n, with the mask resampled to the
-    model's latent resolution (model.h, model.w). The child stream depends only on (seed, i),
-    so two arms (or two sweep points) at the same seed share noise draws.
+    The block depends only on (seed, i), so two arms at the same seed run
+    on the same noise. Each trial's block is drawn just before its
+    trajectory, so only one is held at a time.
     """
-    n = len(dataset)
-    if n == 0:
-        raise ConfigError("dataset: no samples")
-    results = []
+    records = []
     for i in range(trials):
-        sample_i = dataset[i % n]
-        mask = resample_mask(sample_i.mask, model.h, model.w)
-        rng = RandomStream(seed).child(f"trial-{i}")
-        x, record = run_sampler(model, mask, samp_cfg, schedule, rng)
-        vt = _toy_vtid(sample_i, x, fx) if fx is not None else None
-        results.append(TrialResult(record=record, toy_vtid=vt))
-    return results
+        _, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
+        records.append(run_sampler(model, mask, samp_cfg, schedule, noise)[1])
+    return records
 
 
 # Readers of each final metric off the energy breakdown at a trial's final
@@ -381,8 +385,8 @@ FINAL_METRICS = {
 }
 
 
-def _final_values(results: list[TrialResult], name: str) -> list[float]:
-    return [FINAL_METRICS[name](r.record.final) for r in results]
+def _final_values(records: list[TrajectoryRecord], name: str) -> list[float]:
+    return [FINAL_METRICS[name](r.final) for r in records]
 
 
 def paired_run(
@@ -392,8 +396,13 @@ def paired_run(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-) -> tuple[list[TrialResult], list[TrialResult]]:
-    """(corrected, baseline) trial lists with shared per-trial seeds."""
+) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord]]:
+    """(corrected, baseline) trial lists with shared per-trial seeds.
+
+    Every corrected trial runs before the first baseline one, and each arm
+    draws its own noise blocks: sharing them would hold every block of
+    the corrected arm until its baseline twin runs.
+    """
     csc = run_trials(model, schedule, replace(samp_cfg, csc_enabled=True), dataset, trials, seed)
     base = run_trials(model, schedule, replace(samp_cfg, csc_enabled=False), dataset, trials, seed)
     return csc, base
@@ -410,7 +419,7 @@ def _paired_effect_size(deltas: np.ndarray) -> float:
 
 
 def run_summary(
-    csc: list[TrialResult], base: list[TrialResult], cfg: ExperimentConfig
+    csc: list[TrajectoryRecord], base: list[TrajectoryRecord], cfg: ExperimentConfig
 ) -> dict:
     """Aggregate a paired run: per-arm means, deltas, paired effect sizes.
 
@@ -432,21 +441,6 @@ def run_summary(
     return out
 
 
-def point_metrics(
-    model,
-    schedule: NoiseSchedule,
-    samp_cfg: SamplerConfig,
-    dataset: list[DatasetSample],
-    trials: int,
-    seed: int,
-) -> dict[str, float]:
-    """Mean final metrics of one sweep grid point."""
-    results = run_trials(model, schedule, samp_cfg, dataset, trials, seed, fx=pixel_extractor())
-    means = {f"mean_{m}": float(np.mean(_final_values(results, m))) for m in _SWEPT_METRICS}
-    means["mean_toy_vtid_vs_reference"] = float(np.mean([r.toy_vtid for r in results]))
-    return means
-
-
 def sweep_rows(
     kind: str,
     model,
@@ -456,15 +450,32 @@ def sweep_rows(
     trials: int,
     seed: int,
 ) -> list[dict]:
-    """One row per grid point, in grid order, keyed by the value column."""
+    """One row per grid point, in grid order, keyed by the value column.
+
+    Trials run in the outer loop: each trial's noise block is drawn and
+    its mask resampled once, then every grid point runs on them. A row
+    holds trial means, taken in trial order.
+    """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
     sweep = SWEEPS[kind]
+    cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
+    fx = pixel_extractor()
+    finals = [[] for _ in cfgs]  # per grid point: one final breakdown per trial
+    vtids = [[] for _ in cfgs]
+    for i in range(trials):
+        sample_i, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
+        for cfg, point_finals, point_vtids in zip(cfgs, finals, vtids):
+            x, record = run_sampler(model, mask, cfg, schedule, noise)
+            point_finals.append(record.final)
+            point_vtids.append(_toy_vtid(sample_i, x, fx))
     rows = []
-    for value in sweep.grid:
-        cfg = sweep.apply(samp_cfg, value)
-        metrics = point_metrics(model, schedule, cfg, dataset, trials, seed)
-        rows.append({sweep.column: value, **metrics})
+    for value, point_finals, point_vtids in zip(sweep.grid, finals, vtids):
+        row = {sweep.column: value}
+        for m in _SWEPT_METRICS:
+            row[f"mean_{m}"] = float(np.mean([FINAL_METRICS[m](f) for f in point_finals]))
+        row["mean_toy_vtid_vs_reference"] = float(np.mean(point_vtids))
+        rows.append(row)
     return rows
 
 

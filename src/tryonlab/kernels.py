@@ -54,9 +54,18 @@ def correlate3x3_adjoint(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
 
 
 def avg_pool2(f: np.ndarray) -> np.ndarray:
-    """2x2 average pooling over the last two (even) axes."""
-    h, w = f.shape[-2], f.shape[-1]
-    return f.reshape(*f.shape[:-2], h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    """2x2 average pooling over the last two (even) axes.
+
+    Each cell is (top-left + top-right) + (bottom-left + bottom-right),
+    times 0.25, in that order, so it does not depend on how numpy orders
+    a reduction. For inputs at least 4 wide it is bit-equal to numpy's
+    mean over a (h/2, 2, w/2, 2) reshape, except that a block of four
+    -0.0 gives -0.0 here and +0.0 there. At width 2 numpy sums that mean
+    left to right instead, and the two can differ in the last bits.
+    """
+    top = f[..., 0::2, 0::2] + f[..., 0::2, 1::2]
+    bottom = f[..., 1::2, 0::2] + f[..., 1::2, 1::2]
+    return (top + bottom) * 0.25
 
 
 def avg_pool2_adjoint(g: np.ndarray) -> np.ndarray:

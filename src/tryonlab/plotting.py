@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 __all__ = ["PlotError", "METRIC_COLUMNS", "read_trajectories", "render_chart", "plot_all"]
 
@@ -31,6 +30,15 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 32, 44
 
 class PlotError(ValueError):
     """Malformed trajectory CSV."""
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for SVG text, in the order xml.sax.saxutils does.
+
+    Importing saxutils would load urllib.request, http.client and ssl
+    into every verb of the CLI.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def read_trajectories(path) -> list[dict]:

@@ -96,6 +96,16 @@ class RandomStream:
         return f"RandomStream(seed={self.seed:#018x}, counter={self.counter})"
 
 
-def gaussian_field(rng: RandomStream, h: int, w: int) -> np.ndarray:
-    """(h, w) array of i.i.d. standard normals; consumes 2*h*w stream steps."""
-    return rng.normals(h * w).reshape(h, w)
+def gaussian_field(rng: RandomStream, *shape: int) -> np.ndarray:
+    """(..., h, w) array of i.i.d. standard normals; consumes 2 steps per value.
+
+    Leading axes count fields: gaussian_field(rng, F, h, w) holds, in C
+    order, the F fields that F calls of gaussian_field(rng, h, w) return,
+    and leaves the same counter. Each field is drawn into its slot of the
+    result, so the temporaries stay the size of one field.
+    """
+    h, w = shape[-2:]
+    out = np.empty(shape)
+    for f in out.reshape(-1, h, w):
+        f[...] = rng.normals(h * w).reshape(h, w)
+    return out

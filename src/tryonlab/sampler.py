@@ -31,6 +31,7 @@ __all__ = [
     "eps_to_score",
     "ancestral_step",
     "csc_correct",
+    "draw_noise",
     "sample",
 ]
 
@@ -145,19 +146,26 @@ def eps_to_score(eps: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray
 
 
 def ancestral_step(
-    x_t: np.ndarray, t: int, score: np.ndarray, schedule: NoiseSchedule, rng: RandomStream
+    x_t: np.ndarray,
+    t: int,
+    score: np.ndarray,
+    schedule: NoiseSchedule,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
-    """One reverse update: (1 + beta/2) x_t + beta * score + sqrt(beta) * eps.
+    """One reverse update: (1 + beta/2) x_t + beta * score + sqrt(beta) * noise.
 
-    At t = 1 the noise term is omitted, so the final step is deterministic
-    and consumes no random words.
+    At t = 1 the noise term is omitted and `noise` is ignored (it may be
+    None), so the final step is deterministic.
     """
     if score.shape != x_t.shape:
         raise SamplerError(f"score shape {score.shape} != latent shape {x_t.shape}")
     beta = schedule.beta_at(t)
     out = (1.0 + 0.5 * beta) * x_t + beta * score
     if t > 1:
-        out = out + math.sqrt(beta) * gaussian_field(rng, *x_t.shape)
+        if noise is None or noise.shape != x_t.shape:
+            got = None if noise is None else noise.shape
+            raise SamplerError(f"noise shape {got} != latent shape {x_t.shape}")
+        out = out + math.sqrt(beta) * noise
     return out
 
 
@@ -179,6 +187,21 @@ def _stride_ts(T: int, steps: int) -> list[int]:
     if steps == 1:
         return [T]
     return [T - (k * (T - 1)) // (steps - 1) for k in range(steps)]
+
+
+def _noise_shape(
+    mask: BinaryMask, config: SamplerConfig, schedule: NoiseSchedule
+) -> tuple[int, int, int]:
+    """(F, h, w): the initial field plus one per executed step with t > 1."""
+    fields = 1 + sum(t > 1 for t in _stride_ts(schedule.T, config.steps))
+    return fields, mask.height, mask.width
+
+
+def draw_noise(
+    rng: RandomStream, mask: BinaryMask, config: SamplerConfig, schedule: NoiseSchedule
+) -> np.ndarray:
+    """The noise block `sample` takes, drawn from rng in the order it is used."""
+    return gaussian_field(rng, *_noise_shape(mask, config, schedule))
 
 
 class _MaskCache:
@@ -211,9 +234,15 @@ def sample(
     mask: BinaryMask,
     config: SamplerConfig,
     schedule: NoiseSchedule,
-    rng: RandomStream,
+    noise: np.ndarray,
 ) -> tuple[Grid, TrajectoryRecord]:
     """Run the full recorded sampling loop from Gaussian noise.
+
+    `noise` is the trajectory's whole noise block, as `draw_noise` draws
+    it: field 0 is the initial latent and field k + 1 the noise of
+    executed step k, for every step with t > 1. The sampler draws nothing
+    itself, so equal inputs give equal outputs, and one block can be
+    shared by runs that differ only in their config.
 
     The mask defines the latent resolution; it must keep at least one
     cell at every attention layer's resolution. Energies are always
@@ -222,20 +251,24 @@ def sample(
     and the model's VJP of that same forward, so those are computed only
     when enabled. A step that leaves the latent non-finite (overflow
     under extreme guidance, say) raises SamplerError naming the step.
-    Identical seeds give bit-identical runs whether the correction is
+    Identical noise gives bit-identical runs whether the correction is
     disabled or enabled with rho = 0. The latent is a plain ndarray inside
     the loop and becomes a Grid only when it is returned.
     """
     if schedule.T < config.steps:
         raise SamplerError(f"schedule T={schedule.T} shorter than steps={config.steps}")
+    want = _noise_shape(mask, config, schedule)
+    if noise.shape != want:
+        raise SamplerError(f"noise block shape {noise.shape} != expected {want}")
     masks = _MaskCache(mask)
-    x = gaussian_field(rng, mask.height, mask.width)
+    x = noise[0]
     entries: list[StepEntry] = []
     for k, t in enumerate(_stride_ts(schedule.T, config.steps)):
         eps_u, _, _ = model.predict(x, t, Condition.NULL)
         eps_c, layers, tape = model.predict(x, t, Condition.GARMENT)
         eps = cfg_mix(eps_u, eps_c, config.guidance_scale)
-        m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
+        z = noise[k + 1] if t > 1 else None
+        m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
 
         layer_masks = [masks.at(layer) for layer in layers]
         breakdown, grads = _evaluate_layers(

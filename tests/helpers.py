@@ -10,7 +10,28 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tryonlab import BinaryMask, Grid, ModelError, RandomStream, SceneImage, bilinear_warp
+import math
+
+from tryonlab import (
+    BinaryMask,
+    Condition,
+    Grid,
+    ModelError,
+    RandomStream,
+    SceneImage,
+    bilinear_warp,
+    cfg_mix,
+    draw_noise,
+    e_total,
+    eps_to_score,
+    gaussian_field,
+    pixel_extractor,
+    resample_mask,
+    sample,
+)
+from tryonlab.energy import _evaluate_layers
+from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, _toy_vtid
+from tryonlab.sampler import StepEntry, TrajectoryRecord, _MaskCache, _stride_ts
 
 # Central differences resolve a derivative to roughly eps_machine * |E| / h.
 # Below this floor both sides are numerical zero and the relative error is
@@ -135,6 +156,80 @@ def sigmoid_masked(z: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + out[pos])
     out[~pos] = out[~pos] / (1.0 + out[~pos])
     return out
+
+
+def avg_pool2_mean(f: np.ndarray) -> np.ndarray:
+    """2x2 average pooling as numpy's mean over a (h/2, 2, w/2, 2) reshape."""
+    h, w = f.shape[-2], f.shape[-1]
+    return f.reshape(*f.shape[:-2], h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+
+
+def sample_seeded(model, mask, config, schedule, rng: RandomStream):
+    """sample() on the noise block drawn from rng, as the experiments draw it."""
+    return sample(model, mask, config, schedule, draw_noise(rng, mask, config, schedule))
+
+
+def sample_per_step(model, mask, config, schedule, rng: RandomStream):
+    """The recorded sampling loop with the noise drawn from rng as it is
+    needed: the initial field first, then one field inside each step with
+    t > 1, after the step's two predictions."""
+    masks = _MaskCache(mask)
+    x = gaussian_field(rng, mask.height, mask.width)
+    entries = []
+    for k, t in enumerate(_stride_ts(schedule.T, config.steps)):
+        eps_u, _, _ = model.predict(x, t, Condition.NULL)
+        eps_c, layers, tape = model.predict(x, t, Condition.GARMENT)
+        eps = cfg_mix(eps_u, eps_c, config.guidance_scale)
+        beta = schedule.beta_at(t)
+        m_t = (1.0 + 0.5 * beta) * x + beta * eps_to_score(eps, t, schedule)
+        if t > 1:
+            m_t = m_t + math.sqrt(beta) * gaussian_field(rng, *x.shape)
+        layer_masks = [masks.at(layer) for layer in layers]
+        breakdown, grads = _evaluate_layers(
+            layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
+        )
+        if config.csc_enabled:
+            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
+            grad_norm = float(np.sqrt((grad_x * grad_x).sum()))
+            x = m_t - config.rho * grad_x if config.rho else m_t
+        else:
+            grad_norm = 0.0
+            x = m_t
+        entries.append(StepEntry(k, t, breakdown, grad_norm))
+    _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
+    final = e_total(final_layers, [masks.at(layer) for layer in final_layers], config.energy_cfg)
+    return Grid(x), TrajectoryRecord(entries=entries, final=final)
+
+
+def point_metrics(model, schedule, samp_cfg, dataset, trials: int, seed: int) -> dict:
+    """Mean final metrics of one sweep grid point, from its own loop over
+    the trials: noise from child "trial-{i}" of the seed, drawn per step."""
+    finals, vtids = [], []
+    fx = pixel_extractor()
+    for i in range(trials):
+        sample_i = dataset[i % len(dataset)]
+        mask = resample_mask(sample_i.mask, model.h, model.w)
+        rng = RandomStream(seed).child(f"trial-{i}")
+        x, record = sample_per_step(model, mask, samp_cfg, schedule, rng)
+        finals.append(record.final)
+        vtids.append(_toy_vtid(sample_i, x, fx))
+    means = {
+        f"mean_{m}": float(np.mean([FINAL_METRICS[m](f) for f in finals]))
+        for m in _SWEPT_METRICS
+    }
+    means["mean_toy_vtid_vs_reference"] = float(np.mean(vtids))
+    return means
+
+
+def sweep_rows_grid_major(kind: str, model, schedule, samp_cfg, dataset, trials, seed):
+    """A sweep with the grid in the outer loop: every grid point reruns
+    every trial and redraws its noise."""
+    sweep = SWEEPS[kind]
+    return [
+        {sweep.column: v, **point_metrics(model, schedule, sweep.apply(samp_cfg, v), dataset,
+                                          trials, seed)}
+        for v in sweep.grid
+    ]
 
 
 def warp_scene_per_channel(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tryonlab
 from tryonlab import Grid, RandomStream, SceneImage, grid_write, scene_read, scene_write
@@ -27,7 +29,7 @@ from tryonlab.experiments import (
     read_config,
     resolve_paths,
 )
-from tryonlab.plotting import METRIC_COLUMNS
+from tryonlab.plotting import METRIC_COLUMNS, escape
 from tryonlab.sampler import CSV_HEADER
 
 
@@ -578,6 +580,26 @@ class TestPlotCommand:
         monkeypatch.setattr("tryonlab.cli.plot_all", broken)
         assert main(["plot", "--csv", str(traj_csv), "--out", str(tmp_path / "o")]) == 1
         assert "Traceback" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("&<>;amplgt#x\"' ") | st.characters()))
+    def test_escape_equals_saxutils(self, text):
+        from xml.sax.saxutils import escape as sax_escape
+
+        assert escape(text) == sax_escape(text)
+
+    def test_cli_import_loads_no_network_modules(self):
+        """A fresh `import tryonlab.cli` leaves out the modules that
+        xml.sax.saxutils would pull in."""
+        src = str(Path(tryonlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, tryonlab.cli; "
+                 "print(' '.join(m for m in ('xml.sax', 'urllib.request', 'http.client', 'ssl') "
+                 "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.split() == []
 
 
 def run_ablation_script(monkeypatch, out, jobs="1") -> None:

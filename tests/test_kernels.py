@@ -1,13 +1,18 @@
-"""Convolution, adjoint, softplus and sigmoid kernels against the
-sliding-window, logaddexp and boolean-mask oracles, and the bit-stability
-of their outputs under misaligned inputs and inside a batched product."""
+"""Convolution, adjoint, softplus, sigmoid and pooling kernels against
+the sliding-window, logaddexp, boolean-mask and mean oracles, and the
+bit-stability of their outputs under misaligned inputs and inside a
+batched product."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
+    avg_pool2_mean,
     correlate3x3_adjoint_windows,
     correlate3x3_multi_windows,
     correlate3x3_windows,
@@ -17,6 +22,7 @@ from helpers import (
 from tryonlab import RandomStream
 from tryonlab.kernels import (
     _im2col,
+    avg_pool2,
     correlate3x3,
     correlate3x3_adjoint,
     correlate3x3_multi,
@@ -153,3 +159,60 @@ class TestBitStability:
             blocks = kernel(items)
         for i, item in enumerate(items):
             assert blocks[i].tobytes() == apply(kernel, item, bank).tobytes(), f"item {i}"
+
+
+# Values that stress a 2x2 sum: signed zeros, subnormals, the smallest
+# normal, cancelling pairs and magnitudes up to 1e300.
+POOL_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.0,
+                 1e300, -1e300]
+POOL_VALUES = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
+    st.sampled_from(POOL_SPECIALS),
+)
+
+
+@st.composite
+def pool_inputs(draw, widths):
+    """An (h, w), (C, h, w) or (3, h, w) array, often a view cut from an
+    odd-sized parent the way vtid's pyramid cuts its stacks."""
+    lead = draw(st.sampled_from([(), (4,), (3,)]))
+    h, w = 2 * draw(st.integers(1, 6)), draw(widths)
+    pad_h, pad_w = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    parent = draw(hnp.arrays(np.float64, (*lead, h + pad_h, w + pad_w), elements=POOL_VALUES))
+    return parent[..., :h, :w]
+
+
+def blocks_of(f: np.ndarray) -> np.ndarray:
+    """(..., h/2, w/2, 4): the four values each pooled cell sums."""
+    *lead, h, w = f.shape
+    return f.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2).reshape(*lead, h // 2, w // 2, 4)
+
+
+class TestAvgPool2:
+    @settings(max_examples=250, deadline=None)
+    @given(pool_inputs(st.integers(2, 8).map(lambda k: 2 * k)))
+    def test_bit_equals_the_mean_from_width_4(self, f):
+        """Bit-equal to numpy's mean, save one sign of zero: a block of four
+        -0.0 sums to -0.0 in IEEE arithmetic, while the mean starts its
+        sum at +0.0 and returns +0.0."""
+        neg_zero = (f == 0.0) & np.signbit(f)
+        want = np.where(blocks_of(neg_zero).all(axis=-1), -0.0, avg_pool2_mean(f))
+        assert avg_pool2(f).tobytes() == want.tobytes()
+
+    @settings(max_examples=250, deadline=None)
+    @given(pool_inputs(st.just(2)))
+    def test_width_2_within_the_rounding_of_two_summation_orders(self, f):
+        """At width 2 the mean sums left to right. Each order rounds three
+        times, so each is within 3u of the sum of magnitudes, with u the
+        unit roundoff; 7u of the mean magnitude covers both after the
+        exact quarter, and 5e-324 the quarter's rounding in the subnormal
+        range."""
+        got, want = avg_pool2(f), avg_pool2_mean(f)
+        bound = 7 * 2.0**-53 * avg_pool2_mean(np.abs(f)) + 5e-324
+        assert (np.abs(got - want) <= bound).all()
+
+    def test_width_2_differs_from_the_mean_in_the_last_bit(self):
+        """Why the width-2 case has a bound rather than bit equality."""
+        f = np.array([[1.0, 1.0], [2.0**-53, 2.0**-52]])
+        assert avg_pool2(f)[0, 0] == 0.25 * (2.0 + 2.0**-51)  # 2 + 3 * 2^-53 rounds up
+        assert avg_pool2_mean(f)[0, 0] == 0.5  # left to right: 2 + 2^-53 + 2^-52 rounds to 2

@@ -1,0 +1,130 @@
+"""Noise as data: the sampler runs on a block drawn once per trial, and
+sweeps share it across their grid points.
+
+The oracles in helpers.py draw the noise the other way, one field at a
+time inside the loop, and sweep with the grid in the outer loop; the
+block form must match them bit for bit.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import tryonlab.sampler as sampler
+from helpers import rect_mask, sample_per_step, sweep_rows_grid_major
+from tryonlab import (
+    RandomStream,
+    SamplerConfig,
+    SamplerError,
+    draw_noise,
+    gen_dataset,
+    make_schedule,
+    sample,
+    toy_init,
+    write_dataset,
+)
+from tryonlab.experiments import SWEEPS, load_dataset, paired_run, sweep_rows
+
+
+@pytest.fixture(scope="module")
+def schedule():
+    return make_schedule(20, 0.05, 0.3)
+
+
+@pytest.fixture(scope="module")
+def toy():
+    return toy_init(7, 16, 12, 4)
+
+
+@pytest.fixture(scope="module")
+def mask():
+    return rect_mask(16, 12, 4, 3, 8, 5)
+
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench")
+    write_dataset(root, gen_dataset(seed=3, n=2, paired=True, h=16, w=12), "paired")
+    return load_dataset(root / "manifest.json")
+
+
+def trajectory_outputs(x, record):
+    return x.a.tobytes(), record.csv_rows(), record.final
+
+
+@pytest.mark.parametrize("csc_enabled", [True, False])
+@pytest.mark.parametrize("steps", [1, 7, 20])
+def test_sample_on_a_block_equals_per_step_draws(toy, mask, schedule, steps, csc_enabled):
+    cfg = SamplerConfig(steps=steps, csc_enabled=csc_enabled)
+    noise = draw_noise(RandomStream(5).child("run"), mask, cfg, schedule)
+    got = sample(toy, mask, cfg, schedule, noise)
+    want = sample_per_step(toy, mask, cfg, schedule, RandomStream(5).child("run"))
+    assert trajectory_outputs(*got) == trajectory_outputs(*want)
+
+
+def test_block_holds_one_field_per_noisy_step(mask, schedule):
+    for steps in (1, 7, 20):
+        cfg = SamplerConfig(steps=steps)
+        # every executed step but the last (t = 1) adds a field; one step runs at T
+        fields = 2 if steps == 1 else steps
+        assert draw_noise(RandomStream(0), mask, cfg, schedule).shape == (fields, 16, 12)
+
+
+def test_sample_does_not_write_to_the_block(toy, mask, schedule):
+    noise = draw_noise(RandomStream(6), mask, SamplerConfig(steps=7), schedule)
+    before = noise.tobytes()
+    sample(toy, mask, SamplerConfig(steps=7), schedule, noise)
+    assert noise.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(6, 16, 12), (8, 16, 12), (7, 12, 16), (16, 12), (7, 16, 12, 1)],
+    ids=["too-few-fields", "too-many-fields", "transposed", "one-field", "extra-axis"],
+)
+def test_wrong_block_shape_names_both_shapes(toy, mask, schedule, shape):
+    want = re.escape(f"noise block shape {shape} != expected (7, 16, 12)")
+    with pytest.raises(SamplerError, match=want):
+        sample(toy, mask, SamplerConfig(steps=7), schedule, np.zeros(shape))
+
+
+@pytest.mark.parametrize("kind", list(SWEEPS))
+def test_trial_major_sweep_equals_grid_major_sweep(toy, bench, kind):
+    sched = make_schedule(8, 0.05, 0.3)
+    samp = SamplerConfig(steps=6)
+    got = sweep_rows(kind, toy, sched, samp, bench, 3, 42)
+    want = sweep_rows_grid_major(kind, toy, sched, samp, bench, 3, 42)
+    as_hex = lambda rows: [
+        {k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows
+    ]
+    assert as_hex(got) == as_hex(want)
+
+
+class TestDrawCounts:
+    """One block per trial in a sweep, and one per trial and arm in a run."""
+
+    TRIALS = 3
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        shapes = []
+        draw = sampler.gaussian_field
+
+        def counted(rng, *shape):
+            shapes.append(shape)
+            return draw(rng, *shape)
+
+        monkeypatch.setattr(sampler, "gaussian_field", counted)
+        return shapes
+
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    def test_sweep_draws_one_block_per_trial(self, toy, bench, shapes, kind):
+        sweep_rows(kind, toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
+                   self.TRIALS, 42)
+        assert shapes == [(6, 16, 12)] * self.TRIALS
+
+    def test_paired_run_draws_one_block_per_trial_and_arm(self, toy, bench, shapes):
+        paired_run(toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
+                   self.TRIALS, 42)
+        assert shapes == [(6, 16, 12)] * (2 * self.TRIALS)

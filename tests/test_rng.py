@@ -135,6 +135,17 @@ class TestGaussianField:
         assert isinstance(g, np.ndarray) and g.dtype == np.float64
         assert g.shape == (3, 5)
 
+    @pytest.mark.parametrize("fields, h, w", [(1, 3, 5), (4, 6, 4), (20, 8, 8), (3, 1, 1)])
+    def test_block_equals_sequential_fields(self, fields, h, w):
+        """A block of F fields is F single-field draws, byte for byte, and
+        leaves the stream at the same counter."""
+        block_rng, seq_rng = RandomStream(19).child("b"), RandomStream(19).child("b")
+        block = gaussian_field(block_rng, fields, h, w)
+        seq = [gaussian_field(seq_rng, h, w) for _ in range(fields)]
+        assert block.shape == (fields, h, w) and block.dtype == np.float64
+        assert block.tobytes() == b"".join(f.tobytes() for f in seq)
+        assert block_rng.counter == seq_rng.counter == 2 * fields * h * w
+
     def test_large_field_moments(self):
         g = gaussian_field(RandomStream(7), 64, 64)
         assert abs(g.mean()) < 4.0 / math.sqrt(64 * 64)

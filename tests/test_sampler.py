@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tryonlab.denoiser as denoiser
-from helpers import rect_mask
+from helpers import rect_mask, sample_seeded
 from tryonlab.sampler import CSV_HEADER
 from tryonlab import (
     BinaryMask,
@@ -21,12 +21,12 @@ from tryonlab import (
     ancestral_step,
     cfg_mix,
     csc_correct,
+    draw_noise,
     e_total,
     eps_to_score,
     gaussian_field,
     make_schedule,
     resample_mask,
-    sample,
     toy_init,
 )
 
@@ -130,9 +130,12 @@ class TestEpsToScore:
 
 class TestAncestralStep:
     def test_final_step_is_deterministic_drift(self, schedule):
+        """At t = 1 the noise field is ignored."""
         x = gaussian_field(RandomStream(7).child("x"), 5, 5)
-        a = ancestral_step(x, 1, np.zeros((5, 5)), schedule, RandomStream(8))
-        b = ancestral_step(x, 1, np.zeros((5, 5)), schedule, RandomStream(999))
+        noise_a = gaussian_field(RandomStream(8), 5, 5)
+        noise_b = gaussian_field(RandomStream(999), 5, 5)
+        a = ancestral_step(x, 1, np.zeros((5, 5)), schedule, noise_a)
+        b = ancestral_step(x, 1, np.zeros((5, 5)), schedule, noise_b)
         beta = schedule.beta_at(1)
         assert np.array_equal(a, (1.0 + 0.5 * beta) * x)
         assert a.tobytes() == b.tobytes()
@@ -141,32 +144,47 @@ class TestAncestralStep:
         """The update is exactly drift plus sqrt(beta) times the next field."""
         x = gaussian_field(RandomStream(9).child("x"), 5, 5)
         score = gaussian_field(RandomStream(9).child("score"), 5, 5)
-        rng = RandomStream(10).child("step")
-        got = ancestral_step(x, 7, score, schedule, RandomStream(rng.seed, rng.counter))
+        noise = gaussian_field(RandomStream(10).child("step"), 5, 5)
+        got = ancestral_step(x, 7, score, schedule, noise)
         beta = schedule.beta_at(7)
         want = (1.0 + 0.5 * beta) * x + beta * score
-        want = want + math.sqrt(beta) * gaussian_field(rng, 5, 5)
+        want = want + math.sqrt(beta) * noise
         assert got.tobytes() == want.tobytes()
 
     def test_noise_step_consumes_rng(self, schedule):
+        """A step with t > 1 takes a field of the noise block beyond the
+        initial one: two steps at T = 5 run at t = 5 and t = 1."""
         rng = RandomStream(11).child("step")
         before = rng.counter
-        ancestral_step(np.zeros((3, 3)), 5, np.zeros((3, 3)), schedule, rng)
-        assert rng.counter > before
+        mask3 = rect_mask(3, 3, 0, 0, 1, 1)
+        draw_noise(rng, mask3, SamplerConfig(steps=2), make_schedule(5, 0.05, 0.3))
+        assert rng.counter > before + 2 * 3 * 3
 
     def test_final_step_consumes_no_rng(self, schedule):
+        """A step at t = 1 takes no field: one step at T = 1 draws only the
+        initial field, and the step itself needs no noise."""
         rng = RandomStream(11).child("step")
         before = rng.counter
-        ancestral_step(np.zeros((3, 3)), 1, np.zeros((3, 3)), schedule, rng)
-        assert rng.counter == before
+        mask3 = rect_mask(3, 3, 0, 0, 1, 1)
+        draw_noise(rng, mask3, SamplerConfig(steps=1), make_schedule(1, 0.1, 0.1))
+        assert rng.counter == before + 2 * 3 * 3
+        out = ancestral_step(np.zeros((3, 3)), 1, np.zeros((3, 3)), schedule, None)
+        assert not out.any()
+
+    @pytest.mark.parametrize("noise", [None, np.zeros((3, 4)), np.zeros((1, 3, 3))])
+    def test_noise_step_rejects_a_missing_or_misshapen_field(self, schedule, noise):
+        got = None if noise is None else noise.shape
+        want = re.escape(f"noise shape {got} != latent shape (3, 3)")
+        with pytest.raises(SamplerError, match=want):
+            ancestral_step(np.zeros((3, 3)), 5, np.zeros((3, 3)), schedule, noise)
 
     def test_rejects_t_out_of_range(self, schedule):
         with pytest.raises(ScheduleError):
-            ancestral_step(np.zeros((3, 3)), 0, np.zeros((3, 3)), schedule, RandomStream(0))
+            ancestral_step(np.zeros((3, 3)), 0, np.zeros((3, 3)), schedule, np.zeros((3, 3)))
 
     def test_rejects_shape_mismatch(self, schedule):
         with pytest.raises(SamplerError):
-            ancestral_step(np.zeros((3, 3)), 5, np.zeros((3, 4)), schedule, RandomStream(0))
+            ancestral_step(np.zeros((3, 3)), 5, np.zeros((3, 4)), schedule, np.zeros((3, 3)))
 
 
 class TestCscCorrect:
@@ -238,7 +256,7 @@ class TestSampleLoop:
     )
     def test_disabled_equals_zero_rho(self, toy, schedule, region, branch):
         """Energies are bit-equal whether or not their gradients are computed."""
-        run = lambda cfg: sample(toy, region, cfg, schedule, RandomStream(42).child("run"))
+        run = lambda cfg: sample_seeded(toy, region, cfg, schedule, RandomStream(42).child("run"))
         x_off, rec_off = run(base_cfg())
         x_rho0, rec_rho0 = run(SamplerConfig(rho=0.0))
         assert x_off.a.tobytes() == x_rho0.a.tobytes()
@@ -249,32 +267,32 @@ class TestSampleLoop:
         assert rec_off.final == rec_rho0.final
 
     def test_same_seed_bit_identical(self, toy, mask, schedule):
-        a, _ = sample(toy, mask, SamplerConfig(), schedule, RandomStream(6).child("run"))
-        b, _ = sample(toy, mask, SamplerConfig(), schedule, RandomStream(6).child("run"))
+        a, _ = sample_seeded(toy, mask, SamplerConfig(), schedule, RandomStream(6).child("run"))
+        b, _ = sample_seeded(toy, mask, SamplerConfig(), schedule, RandomStream(6).child("run"))
         assert a.a.tobytes() == b.a.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_record_length_equals_steps(self, toy, mask, schedule, steps):
-        _, rec = sample(
+        _, rec = sample_seeded(
             toy, mask, base_cfg(steps=steps), schedule, RandomStream(13).child("run")
         )
         assert len(rec) == steps
         assert [e.step for e in rec.entries] == list(range(steps))
 
     def test_stride_subsampling_hits_endpoints(self, toy, mask, schedule):
-        _, rec = sample(
+        _, rec = sample_seeded(
             toy, mask, base_cfg(steps=5), schedule, RandomStream(14).child("run")
         )
         assert [e.t for e in rec.entries] == [20, 16, 11, 6, 1]
 
     def test_full_step_count_walks_every_t(self, toy, mask, schedule):
-        _, rec = sample(
+        _, rec = sample_seeded(
             toy, mask, base_cfg(steps=20), schedule, RandomStream(15).child("run")
         )
         assert [e.t for e in rec.entries] == list(range(20, 0, -1))
 
     def test_single_step_runs_at_t_max(self, toy, mask, schedule):
-        _, rec = sample(
+        _, rec = sample_seeded(
             toy, mask, base_cfg(steps=1), schedule, RandomStream(16).child("run")
         )
         assert [e.t for e in rec.entries] == [20]
@@ -282,19 +300,19 @@ class TestSampleLoop:
     def test_rejects_more_steps_than_schedule(self, toy, mask):
         short = make_schedule(5, 0.05, 0.3)
         with pytest.raises(SamplerError):
-            sample(toy, mask, base_cfg(steps=6), short, RandomStream(0))
+            sample_seeded(toy, mask, base_cfg(steps=6), short, RandomStream(0))
 
     def test_baseline_records_zero_grad_norm(self, toy, mask, schedule):
-        _, rec = sample(toy, mask, base_cfg(), schedule, RandomStream(17).child("run"))
+        _, rec = sample_seeded(toy, mask, base_cfg(), schedule, RandomStream(17).child("run"))
         assert all(e.grad_norm == 0.0 for e in rec.entries)
 
     def test_correction_records_positive_grad_norm(self, toy, mask, schedule):
-        _, rec = sample(toy, mask, SamplerConfig(), schedule, RandomStream(17).child("run"))
+        _, rec = sample_seeded(toy, mask, SamplerConfig(), schedule, RandomStream(17).child("run"))
         assert all(e.grad_norm > 0.0 for e in rec.entries)
 
     def test_energies_finite_throughout(self, toy, mask, schedule):
         for seed in range(4):
-            _, rec = sample(
+            _, rec = sample_seeded(
                 toy, mask, SamplerConfig(), schedule, RandomStream(seed).child("run")
             )
             for e in rec.entries:
@@ -306,7 +324,7 @@ class TestSampleLoop:
     def test_matches_manual_composition_of_public_pieces(self, toy, mask, schedule):
         """The loop is exactly init-field, predict x2, mix, step, measure."""
         cfg = base_cfg(steps=20, guidance_scale=2.0)
-        got_x, got_rec = sample(toy, mask, cfg, schedule, RandomStream(20).child("run"))
+        got_x, got_rec = sample_seeded(toy, mask, cfg, schedule, RandomStream(20).child("run"))
 
         rng = RandomStream(20).child("run")
         x = gaussian_field(rng, mask.height, mask.width)
@@ -316,7 +334,8 @@ class TestSampleLoop:
             eps_u, _, _ = toy.predict(x, t, Condition.NULL)
             eps_c, layers, _ = toy.predict(x, t, Condition.GARMENT)
             eps = cfg_mix(eps_u, eps_c, 2.0)
-            x = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, rng)
+            z = gaussian_field(rng, *x.shape) if t > 1 else None
+            x = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
             want_totals.append(e_total(layers, [mask, half_mask]).total)
         assert got_x.a.tobytes() == x.tobytes()
         assert [e.energy.total for e in got_rec.entries] == want_totals
@@ -325,8 +344,8 @@ class TestSampleLoop:
         deltas = []
         for seed in range(8):
             rng = lambda: RandomStream(100 + seed).child("run")
-            _, rec_on = sample(toy, mask, SamplerConfig(), schedule, rng())
-            _, rec_off = sample(toy, mask, base_cfg(), schedule, rng())
+            _, rec_on = sample_seeded(toy, mask, SamplerConfig(), schedule, rng())
+            _, rec_off = sample_seeded(toy, mask, base_cfg(), schedule, rng())
             deltas.append(
                 rec_on.final.in_mask_fraction["full"] - rec_off.final.in_mask_fraction["full"]
             )
@@ -334,7 +353,9 @@ class TestSampleLoop:
 
     def test_works_with_uniform_attention_model(self, mask, schedule):
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
-        x, rec = sample(model, mask, SamplerConfig(), schedule, RandomStream(21).child("run"))
+        x, rec = sample_seeded(
+            model, mask, SamplerConfig(), schedule, RandomStream(21).child("run")
+        )
         assert x.shape == (16, 12)
         assert set(rec.entries[0].energy.in_mask_fraction) == {"full"}
         assert all(e.grad_norm == 0.0 for e in rec.entries)  # zero VJP model
@@ -350,7 +371,7 @@ class TestSampleLoop:
     def test_mask_vanishing_at_a_layer_raises(self, toy, schedule, empty_at, bad_mask):
         want = re.escape(f"mask is empty at attention layer {empty_at}")
         with pytest.raises(SamplerError, match=want):
-            sample(toy, bad_mask, SamplerConfig(steps=2), schedule, RandomStream(0))
+            sample_seeded(toy, bad_mask, SamplerConfig(steps=2), schedule, RandomStream(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("csc_enabled", [True, False])
@@ -358,7 +379,7 @@ class TestSampleLoop:
         cfg = SamplerConfig(guidance_scale=1e20, csc_enabled=csc_enabled)
         want = re.escape("step 16 (t=4): the latent is no longer finite")
         with pytest.raises(SamplerError, match=want):
-            sample(toy, mask, cfg, schedule, RandomStream(0).child("run"))
+            sample_seeded(toy, mask, cfg, schedule, RandomStream(0).child("run"))
 
 
 class TestKernelCalls:
@@ -390,13 +411,13 @@ class TestKernelCalls:
         self, toy, mask, schedule, counts, csc_enabled, adjoint_calls
     ):
         cfg = SamplerConfig(steps=self.STEPS, csc_enabled=csc_enabled)
-        sample(toy, mask, cfg, schedule, RandomStream(24).child("run"))
+        sample_seeded(toy, mask, cfg, schedule, RandomStream(24).child("run"))
         assert counts == {"conv": self.STEPS + 1, "adjoint": adjoint_calls}
 
 
 class TestTrajectoryCsv:
     def test_header_and_roundtrip(self, toy, mask, schedule):
-        _, rec = sample(
+        _, rec = sample_seeded(
             toy, mask, SamplerConfig(steps=4), schedule, RandomStream(22).child("run")
         )
         rows = rec.csv_rows()
@@ -415,7 +436,7 @@ class TestTrajectoryCsv:
 
     def test_missing_layer_leaves_cell_empty(self, mask, schedule, tmp_path):
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
-        _, rec = sample(
+        _, rec = sample_seeded(
             model, mask, SamplerConfig(steps=3), schedule, RandomStream(23).child("run")
         )
         rows = rec.csv_rows()
