@@ -52,6 +52,7 @@ from .sampler import (
     draw_noise,
     eps_to_score,
     sample,
+    sample_points,
 )
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .scenes import (

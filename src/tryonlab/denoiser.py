@@ -1,13 +1,16 @@
 """Denoiser contract and two reference implementations.
 
 The contract every sampler-facing model satisfies: one forward,
-predict(x, t, cond), that takes the latent as an (h, w) float64 ndarray
-and returns its predicted noise as an ndarray of the same shape, the
-attention maps as AttentionLayers (each map a Grid) and a tape of what
-its backward pass needs; plus a vector-Jacobian product,
-attention_vjp(tape, t, cond, cotangents), that pulls one ndarray
-cotangent per attention layer back to an (h, w) ndarray gradient on the
-latent from that tape without rerunning the forward.
+predict(x, t, cond), that takes a stack of latents as an (..., h, w)
+float64 ndarray, one (h, w) latent per item on the leading axes, and
+returns their predicted noise as an ndarray of the same shape, the
+attention maps as a dict from layer id to an (..., h_l, w_l) ndarray
+stack, and a tape of what its backward pass needs; plus a
+vector-Jacobian product, attention_vjp(tape, t, cond, cotangents), that
+pulls one (..., h_l, w_l) cotangent stack per attention layer, in map
+order, back to an (..., h, w) gradient on the latents from that tape
+without rerunning the forward. Items never mix: each item of a stack
+gets, bit for bit, what a call on that item alone returns.
 ToyAttentionDenoiser is a small conv/softmax network with a hand-derived
 VJP; LinearGaussianModel is a closed-form optimal predictor used to
 validate the sampler statistically.
@@ -23,8 +26,6 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .energy import AttentionLayer
-from .grids import Grid
 from .kernels import (
     avg_pool2,
     avg_pool2_adjoint,
@@ -63,7 +64,7 @@ class Condition(enum.Enum):
 class DenoiserModel(Protocol):
     def predict(
         self, x: np.ndarray, t: int, cond: Condition
-    ) -> tuple[np.ndarray, list[AttentionLayer], Any]: ...
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], Any]: ...
 
     def attention_vjp(
         self, tape: Any, t: int, cond: Condition, cotangents: list[np.ndarray]
@@ -71,13 +72,22 @@ class DenoiserModel(Protocol):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    """Softmax over the last two axes of each item.
+
+    numpy sums the last two axes of a C-contiguous stack as one flat run
+    per item, the order it sums a lone (h, w) array in, so every item's
+    sum here and in the VJP is bit-equal to that of the item alone.
+    """
+    e = np.exp(logits - logits.max(axis=(-2, -1), keepdims=True))
+    return e / e.sum(axis=(-2, -1), keepdims=True)
 
 
-@lru_cache(maxsize=8)
-def _uniform_layer(layer_id: str, h: int, w: int) -> AttentionLayer:
-    return AttentionLayer(layer_id, Grid.full(h, w, 1.0 / (h * w)))
+@lru_cache(maxsize=32)
+def _uniform_map(shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform attention over the last two axes, read-only."""
+    a = np.full(shape, 1.0 / (shape[-2] * shape[-1]))
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -113,32 +123,26 @@ class ToyAttentionDenoiser:
     def _query(self, cond: Condition) -> np.ndarray:
         return self.q_garment if cond is Condition.GARMENT else self.q_null
 
-    def _attention_maps(self, f: np.ndarray, q: np.ndarray):
+    def _attention_maps(self, f: np.ndarray, q: np.ndarray, shape: tuple[int, ...]):
         # pooling is linear, so pooling the logits pools the feature maps
         scale = 1.0 / math.sqrt(self.channels)
-        logits = (q @ f.reshape(self.channels, -1)).reshape(self.h, self.w) * scale
+        logits = (q @ f.reshape(self.channels, -1)).reshape(shape) * scale
         return _softmax(logits), _softmax(avg_pool2(logits))
 
     def predict(self, x: np.ndarray, t: int, cond: Condition):
-        if x.shape != (self.h, self.w):
+        if x.shape[-2:] != (self.h, self.w):
             raise ModelError(f"latent shape {x.shape} != model dims {(self.h, self.w)}")
         q = self._query(cond)
         if q.any():
             z = correlate3x3(x, self.kernel)
-            a_full, a_half = self._attention_maps(softplus(z), q)
-            layers = [
-                AttentionLayer(LAYER_FULL, Grid(a_full)),
-                AttentionLayer(LAYER_HALF, Grid(a_half)),
-            ]
+            a_full, a_half = self._attention_maps(softplus(z), q, x.shape)
         else:
             z = None
-            layers = [
-                _uniform_layer(LAYER_FULL, self.h, self.w),
-                _uniform_layer(LAYER_HALF, self.h // 2, self.w // 2),
-            ]
-            a_full, a_half = layers[0].map.a, layers[1].map.a
+            a_full = _uniform_map(x.shape)
+            a_half = _uniform_map((*x.shape[:-2], self.h // 2, self.w // 2))
         eps = self.u * x + self.v * (self.h * self.w) * a_full * x
-        return eps, layers, _ToyTape(z, a_full, a_half)
+        maps = {LAYER_FULL: a_full, LAYER_HALF: a_half}
+        return eps, maps, _ToyTape(z, a_full, a_half)
 
     def attention_vjp(
         self, tape: _ToyTape, t: int, cond: Condition, cotangents: list[np.ndarray]
@@ -161,10 +165,11 @@ class ToyAttentionDenoiser:
             return np.zeros(a_full.shape)
         scale = 1.0 / math.sqrt(self.channels)
 
-        dl_full = a_full * (g_full - (a_full * g_full).sum())
-        dl_half = a_half * (g_half - (a_half * g_half).sum())
-        df = q[:, None, None] * (scale * (dl_full + avg_pool2_adjoint(dl_half)))
-        dz = sigmoid(tape.z) * df
+        dl_full = a_full * (g_full - (a_full * g_full).sum(axis=(-2, -1), keepdims=True))
+        dl_half = a_half * (g_half - (a_half * g_half).sum(axis=(-2, -1), keepdims=True))
+        q = q.reshape(-1, *(1,) * a_full.ndim)
+        dz = sigmoid(tape.z)
+        dz *= q * (scale * (dl_full + avg_pool2_adjoint(dl_half)))  # times df
         return correlate3x3_adjoint(dz, self.kernel)
 
 
@@ -199,7 +204,7 @@ class LinearGaussianModel:
 
     eps(x, t) = (x - sqrt(abar_t) mu0) sqrt(1 - abar_t) / (abar_t sigma0^2
     + 1 - abar_t), which is E[eps | x_t]. Attention is a uniform
-    placeholder, the tape is the latent shape and the VJP is zero.
+    placeholder, the tape is the latents' shape and the VJP is zero.
     """
 
     mu0: float
@@ -214,9 +219,9 @@ class LinearGaussianModel:
         ab = self.schedule.alpha_bar_at(t)
         denom = ab * self.sigma0**2 + 1.0 - ab
         eps = (x - math.sqrt(ab) * self.mu0) * (math.sqrt(1.0 - ab) / denom)
-        return eps, [_uniform_layer(LAYER_FULL, *x.shape)], x.shape
+        return eps, {LAYER_FULL: _uniform_map(x.shape)}, x.shape
 
     def attention_vjp(
-        self, tape: tuple[int, int], t: int, cond: Condition, cotangents: list[np.ndarray]
+        self, tape: tuple[int, ...], t: int, cond: Condition, cotangents: list[np.ndarray]
     ) -> np.ndarray:
         return np.zeros(tape)

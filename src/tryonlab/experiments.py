@@ -4,8 +4,8 @@ A config fully determines every output byte: model seed and dims, noise
 schedule, sampler and energy settings, dataset manifest, trial count.
 Runs execute paired corrected/baseline trajectories per trial with shared
 seeds; sweeps run every trial at each point of a fixed ablation grid, on
-one noise block per trial, and reduce each grid point to mean final
-metrics.
+one noise block per trial with all grid points in lockstep, and reduce
+each grid point to mean final metrics.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .energy import EnergyConfig, EnergyError
 from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
 from .rng import RandomStream
 from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
-from .sampler import sample as run_sampler
+from .sampler import sample_points as run_sampler
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
 
@@ -315,12 +315,18 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
     return samples
 
 
+def _require_canvas(model, dataset: list[DatasetSample], trials: int) -> None:
+    """The try-on proxy metric compares final latents with the canvases
+    of the samples that `trials` trials read, so their shapes must agree."""
+    for sample in dataset[:trials]:
+        if sample.person.shape != (model.h, model.w):
+            raise ConfigError(
+                f"model dims {(model.h, model.w)} != dataset canvas {sample.person.shape}; "
+                "the try-on proxy metric needs them equal"
+            )
+
+
 def _toy_vtid(sample: DatasetSample, final_x: Grid, fx: FeatureExtractor) -> float:
-    if sample.person.shape != final_x.shape:
-        raise ConfigError(
-            f"model dims {final_x.shape} != dataset canvas {sample.person.shape}; "
-            "the try-on proxy metric needs them equal"
-        )
     report = vtid_score(
         person=sample.person,
         garment=sample.garment,
@@ -370,7 +376,8 @@ def run_trials(
     records = []
     for i in range(trials):
         _, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
-        records.append(run_sampler(model, mask, samp_cfg, schedule, noise)[1])
+        [(_, record)] = run_sampler(model, mask, [samp_cfg], schedule, noise)
+        records.append(record)
     return records
 
 
@@ -453,11 +460,13 @@ def sweep_rows(
     """One row per grid point, in grid order, keyed by the value column.
 
     Trials run in the outer loop: each trial's noise block is drawn and
-    its mask resampled once, then every grid point runs on them. A row
-    holds trial means, taken in trial order.
+    its mask resampled once, then every grid point runs on them in
+    lockstep. A row holds trial means, taken in trial order. A grid point
+    whose trajectory diverges is named by its value column.
     """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
+    _require_canvas(model, dataset, trials)
     sweep = SWEEPS[kind]
     cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
     fx = pixel_extractor()
@@ -465,8 +474,14 @@ def sweep_rows(
     vtids = [[] for _ in cfgs]
     for i in range(trials):
         sample_i, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
-        for cfg, point_finals, point_vtids in zip(cfgs, finals, vtids):
-            x, record = run_sampler(model, mask, cfg, schedule, noise)
+        try:
+            points = run_sampler(model, mask, cfgs, schedule, noise)
+        except SamplerError as e:
+            if not e.configs:
+                raise
+            named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in e.configs)
+            raise SamplerError(f"{named}: {e}", e.configs) from e
+        for (x, record), point_finals, point_vtids in zip(points, finals, vtids):
             point_finals.append(record.final)
             point_vtids.append(_toy_vtid(sample_i, x, fx))
     rows = []

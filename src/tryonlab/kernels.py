@@ -2,7 +2,11 @@
 random feature extractor. All convolutions are 3x3 cross-correlations with
 zero padding, done as im2col: the nine shifted copies of each input channel
 are stacked into one contiguous array and contracted with the kernel bank
-in a single matmul."""
+in a single matmul. The single-channel convolution and its adjoint take a
+stack of items on leading axes, (..., h, w). The convolution still makes
+one matmul, whose columns run item by item; each item's block of columns
+is bit-equal to the product on that item alone. The adjoint makes one
+matmul per item."""
 
 from __future__ import annotations
 
@@ -20,37 +24,46 @@ __all__ = [
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(K, h, w) -> (9 K, h w); row 9k + 3a + b is channel k of x, zero
-    padded by one, read at offset (a - 1, b - 1)."""
-    k, h, w = x.shape
-    xp = np.zeros((k, h + 2, w + 2))
-    xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((k, 3, 3, h, w))
+    """(K, ..., h, w) -> (9 K, n h w), n items on the middle axes; row
+    9k + 3a + b is channel k of x, zero padded by one, read at offset
+    (a - 1, b - 1), and its columns run item-major."""
+    k, *lead, h, w = x.shape
+    xp = np.zeros((k, *lead, h + 2, w + 2))
+    xp[..., 1:-1, 1:-1] = x
+    cols = np.empty((k, 3, 3, *lead, h, w))
     for a in range(3):
         for b in range(3):
-            cols[:, a, b] = xp[:, a : a + h, b : b + w]
-    return cols.reshape(9 * k, h * w)
+            cols[:, a, b] = xp[..., a : a + h, b : b + w]
+    return cols.reshape(9 * k, -1)
 
 
 def correlate3x3_multi(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Cross-correlate (K, h, w) input with a (C, K, 3, 3) bank -> (C, h, w)."""
+    """Cross-correlate (K, ..., h, w) input with a (C, K, 3, 3) bank -> (C, ..., h, w)."""
     c = bank.shape[0]
     return (bank.reshape(c, -1) @ _im2col(x)).reshape(c, *x.shape[1:])
 
 
 def correlate3x3(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Cross-correlate (h, w) input with a (C, 3, 3) bank -> (C, h, w)."""
+    """Cross-correlate (..., h, w) input with a (C, 3, 3) bank -> (C, ..., h, w)."""
     return correlate3x3_multi(x[None], bank[:, None])
 
 
 def correlate3x3_adjoint(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Adjoint of correlate3x3 w.r.t. the input: (C, h, w) -> (h, w).
+    """Adjoint of correlate3x3 w.r.t. the input: (C, ..., h, w) -> (..., h, w).
 
     Correlation's adjoint under zero padding is convolution, i.e.
     correlation with the spatially flipped kernels, summed over the C
-    channels: one output channel of a C-channel correlation.
+    channels: one output channel of a C-channel correlation. Its im2col
+    holds 9 C rows per item, so a stack is taken one item at a time: one
+    item's im2col is all it holds at once.
     """
-    return correlate3x3_multi(dz, bank[None, :, ::-1, ::-1])[0]
+    flipped = bank[None, :, ::-1, ::-1]
+    c, *lead, h, w = dz.shape
+    if dz.size == c * h * w:  # one item
+        return correlate3x3_multi(dz, flipped)[0]
+    items = dz.reshape(c, -1, h, w)
+    per_item = [correlate3x3_multi(items[:, i], flipped)[0] for i in range(items.shape[1])]
+    return np.stack(per_item).reshape(*lead, h, w)
 
 
 def avg_pool2(f: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ m_t = (1 + beta/2) x_t + beta * score + sqrt(beta) * noise, then (when the
 correction is enabled) pull the region-energy gradient back to the
 latent through the tape of the garment forward and subtract rho times it.
 Every step is recorded so attention containment can be plotted over time.
+
+`sample_points` runs K configs that share their steps and correction
+switch in lockstep, as one (K, h, w) latent stack on one noise block: one
+null predict, one garment predict, one ancestral update and one VJP per
+step serve all K. Only the energy is evaluated item by item, since its
+branch and layer selection differ per config. `sample` is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "csc_correct",
     "draw_noise",
     "sample",
+    "sample_points",
 ]
 
 CSV_HEADER = (
@@ -49,7 +56,15 @@ CSV_HEADER = (
 
 
 class SamplerError(ValueError):
-    """Invalid sampler configuration or step."""
+    """Invalid sampler configuration or step.
+
+    configs holds the indices, into sample_points' config list, of the
+    configs whose trajectory failed; it is empty for an error they share.
+    """
+
+    def __init__(self, message: str, configs: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.configs = configs
 
 
 @dataclass(frozen=True)
@@ -125,15 +140,28 @@ def _entry_row(e: StepEntry) -> list[str]:
     ]
 
 
-def cfg_mix(eps_uncond: np.ndarray, eps_cond: np.ndarray, s: float) -> np.ndarray:
+def _take_items(pick: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, with the items that an (n, 1, 1) boolean pick selects copied
+    from src."""
+    rows = pick.ravel()
+    if rows.any():
+        out[rows] = src[rows]
+    return out
+
+
+def cfg_mix(eps_uncond: np.ndarray, eps_cond: np.ndarray, s) -> np.ndarray:
     """Classifier-free guidance: eps_u + s * (eps_c - eps_u).
 
-    s = 1 returns the conditional prediction bit-exactly.
+    s is one float, or an (n, 1, 1) array holding one per item of an
+    (n, h, w) stack. Where s = 1 the result is the conditional prediction
+    bit-exactly.
     """
     if eps_uncond.shape != eps_cond.shape:
         raise SamplerError(
             f"prediction shapes differ: {eps_uncond.shape} vs {eps_cond.shape}"
         )
+    if isinstance(s, np.ndarray):
+        return _take_items(s == 1.0, eps_cond, eps_uncond + s * (eps_cond - eps_uncond))
     if s == 1.0:
         return eps_cond
     return eps_uncond + s * (eps_cond - eps_uncond)
@@ -154,29 +182,38 @@ def ancestral_step(
 ) -> np.ndarray:
     """One reverse update: (1 + beta/2) x_t + beta * score + sqrt(beta) * noise.
 
-    At t = 1 the noise term is omitted and `noise` is ignored (it may be
-    None), so the final step is deterministic.
+    x_t is an (h, w) latent or a stack of them; noise is one (h, w) field,
+    added to every item. At t = 1 the noise term is omitted and `noise` is
+    ignored (it may be None), so the final step is deterministic.
     """
     if score.shape != x_t.shape:
         raise SamplerError(f"score shape {score.shape} != latent shape {x_t.shape}")
     beta = schedule.beta_at(t)
     out = (1.0 + 0.5 * beta) * x_t + beta * score
     if t > 1:
-        if noise is None or noise.shape != x_t.shape:
+        if noise is None or noise.shape != x_t.shape[-2:]:
             got = None if noise is None else noise.shape
-            raise SamplerError(f"noise shape {got} != latent shape {x_t.shape}")
+            raise SamplerError(f"noise shape {got} != latent shape {x_t.shape[-2:]}")
         out = out + math.sqrt(beta) * noise
     return out
 
 
-def csc_correct(m_t: np.ndarray, grad_x: np.ndarray, rho: float) -> np.ndarray:
-    """Subtract rho times the latent energy gradient from the predicted step."""
-    if rho < 0:
+def csc_correct(m_t: np.ndarray, grad_x: np.ndarray, rho) -> np.ndarray:
+    """Subtract rho times the latent energy gradient from the predicted step.
+
+    rho is one float, or an (n, 1, 1) array holding one per item of an
+    (n, h, w) stack. Where rho = 0 the result is the predicted step
+    bit-exactly.
+    """
+    per_item = isinstance(rho, np.ndarray)
+    if (rho.min() if per_item else rho) < 0.0:
         raise SamplerError("rho must be >= 0")
     if m_t.shape != grad_x.shape:
         raise SamplerError(f"gradient shape {grad_x.shape} != latent shape {m_t.shape}")
     if not np.isfinite(grad_x).all():
         raise SamplerError("non-finite energy gradient")
+    if per_item:
+        return _take_items(rho == 0.0, m_t, m_t - rho * grad_x)
     if rho == 0.0:
         return m_t
     return m_t - rho * grad_x
@@ -215,18 +252,58 @@ class _MaskCache:
         self._base = mask
         self._by_shape: dict[tuple[int, int], BinaryMask] = {}
 
-    def at(self, layer: AttentionLayer) -> BinaryMask:
-        shape = layer.resolution
+    def at(self, layer_id: str, shape: tuple[int, int]) -> BinaryMask:
         got = self._by_shape.get(shape)
         if got is None:
             got = resample_mask(self._base, *shape)
             if not got.a.any():
                 raise SamplerError(
-                    f"mask is empty at attention layer {layer.layer_id!r} "
-                    f"({shape[0]}x{shape[1]})"
+                    f"mask is empty at attention layer {layer_id!r} ({shape[0]}x{shape[1]})"
                 )
             self._by_shape[shape] = got
         return got
+
+    def of(self, maps: dict[str, np.ndarray]) -> list[BinaryMask]:
+        """The mask at each layer's resolution, in map order."""
+        return [self.at(layer_id, a.shape[-2:]) for layer_id, a in maps.items()]
+
+
+def _item_layers(maps: dict[str, np.ndarray], i: int) -> list[AttentionLayer]:
+    """Item i of each stacked map, as the validated layers the energy reads."""
+    return [AttentionLayer(layer_id, Grid(a[i])) for layer_id, a in maps.items()]
+
+
+def _per_item(values: list[float]):
+    """A lone config's value, or an (n, 1, 1) array of one per config, as
+    cfg_mix and csc_correct take them."""
+    return values[0] if len(values) == 1 else np.array(values).reshape(-1, 1, 1)
+
+
+def _stack(items: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The items as one (n, ...) stack; a lone item is viewed, not copied."""
+    return items[0][None] if len(items) == 1 else np.stack(items)
+
+
+def _require_finite(a: np.ndarray, what: str, k: int, t: int) -> None:
+    """Raise naming the step and every config whose item of stack a is
+    not finite."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return
+    configs = tuple(int(i) for i in np.flatnonzero(~finite.reshape(len(a), -1).all(axis=1)))
+    raise SamplerError(
+        f"step {k} (t={t}): {what} is no longer finite "
+        f"(config {', '.join(map(str, configs))})",
+        configs,
+    )
+
+
+def _lockstep_field(configs: list[SamplerConfig], name: str):
+    """The value of field `name` that every config shares."""
+    values = {getattr(c, name) for c in configs}
+    if len(values) != 1:
+        raise SamplerError(f"configs run in lockstep must share {name}, got {sorted(values)}")
+    return values.pop()
 
 
 def sample(
@@ -236,56 +313,92 @@ def sample(
     schedule: NoiseSchedule,
     noise: np.ndarray,
 ) -> tuple[Grid, TrajectoryRecord]:
-    """Run the full recorded sampling loop from Gaussian noise.
+    """One trajectory: sample_points with the single config."""
+    return sample_points(model, mask, [config], schedule, noise)[0]
+
+
+def sample_points(
+    model,
+    mask: BinaryMask,
+    configs: list[SamplerConfig],
+    schedule: NoiseSchedule,
+    noise: np.ndarray,
+) -> list[tuple[Grid, TrajectoryRecord]]:
+    """Run the full recorded sampling loop from Gaussian noise, once per
+    config, with every config's latent stepped in lockstep.
 
     `noise` is the trajectory's whole noise block, as `draw_noise` draws
     it: field 0 is the initial latent and field k + 1 the noise of
-    executed step k, for every step with t > 1. The sampler draws nothing
-    itself, so equal inputs give equal outputs, and one block can be
-    shared by runs that differ only in their config.
+    executed step k, for every step with t > 1. Every config runs on the
+    same block. The sampler draws nothing itself and never writes the
+    block, so equal inputs give equal outputs. The configs must share
+    steps and csc_enabled; each config's result is bit-equal to a run of
+    that config alone.
 
     The mask defines the latent resolution; it must keep at least one
     cell at every attention layer's resolution. Energies are always
     measured on the conditional (garment-token) attention maps at the
-    pre-update latent; the correction additionally needs their gradients
-    and the model's VJP of that same forward, so those are computed only
-    when enabled. A step that leaves the latent non-finite (overflow
-    under extreme guidance, say) raises SamplerError naming the step.
-    Identical noise gives bit-identical runs whether the correction is
-    disabled or enabled with rho = 0. The latent is a plain ndarray inside
-    the loop and becomes a Grid only when it is returned.
+    pre-update latent, item by item under each config's energy settings;
+    the correction additionally needs their gradients and the model's
+    VJP of that same forward, so those are computed only when enabled. A
+    step that leaves a latent or an energy gradient non-finite (overflow
+    under extreme guidance, say) raises SamplerError naming the step and
+    the failing configs. Identical noise gives bit-identical runs whether
+    the correction is disabled or enabled with rho = 0. Latents are a
+    plain ndarray stack inside the loop and become Grids only when they
+    are returned.
     """
-    if schedule.T < config.steps:
-        raise SamplerError(f"schedule T={schedule.T} shorter than steps={config.steps}")
-    want = _noise_shape(mask, config, schedule)
+    if not configs:
+        raise SamplerError("no configs to sample")
+    steps = _lockstep_field(configs, "steps")
+    csc = _lockstep_field(configs, "csc_enabled")
+    if schedule.T < steps:
+        raise SamplerError(f"schedule T={schedule.T} shorter than steps={steps}")
+    want = _noise_shape(mask, configs[0], schedule)
     if noise.shape != want:
         raise SamplerError(f"noise block shape {noise.shape} != expected {want}")
     masks = _MaskCache(mask)
-    x = noise[0]
-    entries: list[StepEntry] = []
-    for k, t in enumerate(_stride_ts(schedule.T, config.steps)):
+    scales = _per_item([c.guidance_scale for c in configs])
+    rhos = _per_item([c.rho for c in configs])
+    x = np.broadcast_to(noise[0], (len(configs), *noise.shape[1:]))
+    entries: list[list[StepEntry]] = [[] for _ in configs]
+    for k, t in enumerate(_stride_ts(schedule.T, steps)):
         eps_u, _, _ = model.predict(x, t, Condition.NULL)
-        eps_c, layers, tape = model.predict(x, t, Condition.GARMENT)
-        eps = cfg_mix(eps_u, eps_c, config.guidance_scale)
+        eps_c, maps, tape = model.predict(x, t, Condition.GARMENT)
+        eps = cfg_mix(eps_u, eps_c, scales)
         z = noise[k + 1] if t > 1 else None
         m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
 
-        layer_masks = [masks.at(layer) for layer in layers]
-        breakdown, grads = _evaluate_layers(
-            layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
-        )
-        if config.csc_enabled:
-            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
-            grad_norm = float(np.sqrt((grad_x * grad_x).sum()))
-            x = csc_correct(m_t, grad_x, config.rho)
+        layer_masks = masks.of(maps)
+        evals = [
+            _evaluate_layers(_item_layers(maps, i), layer_masks, c.energy_cfg, with_grads=csc)
+            for i, c in enumerate(configs)
+        ]
+        if csc:
+            cotangents = [_stack(layer) for layer in zip(*(grads for _, grads in evals))]
+            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
+            grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
+            try:
+                x = csc_correct(m_t, grad_x, rhos)
+            except SamplerError:
+                _require_finite(grad_x, "the energy gradient", k, t)
+                raise
         else:
-            grad_norm = 0.0
+            grad_norms = np.zeros(len(configs))
             x = m_t
-        if not np.isfinite(x).all():
-            raise SamplerError(f"step {k} (t={t}): the latent is no longer finite")
-        entries.append(StepEntry(k, t, breakdown, grad_norm))
+        _require_finite(x, "the latent", k, t)
+        for record, (breakdown, _), grad_norm in zip(entries, evals, grad_norms):
+            record.append(StepEntry(k, t, breakdown, float(grad_norm)))
 
-    _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
-    final_masks = [masks.at(layer) for layer in final_layers]
-    final = e_total(final_layers, final_masks, config.energy_cfg)
-    return Grid(x), TrajectoryRecord(entries=entries, final=final)
+    _, final_maps, _ = model.predict(x, 1, Condition.GARMENT)
+    final_masks = masks.of(final_maps)
+    return [
+        (
+            Grid(x[i]),
+            TrajectoryRecord(
+                entries=record,
+                final=e_total(_item_layers(final_maps, i), final_masks, c.energy_cfg),
+            ),
+        )
+        for i, (c, record) in enumerate(zip(configs, entries))
+    ]

@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import math
 
 from tryonlab import (
+    AttentionLayer,
     BinaryMask,
     Condition,
     Grid,
@@ -20,7 +21,6 @@ from tryonlab import (
     RandomStream,
     SceneImage,
     bilinear_warp,
-    cfg_mix,
     draw_noise,
     e_total,
     eps_to_score,
@@ -169,22 +169,29 @@ def sample_seeded(model, mask, config, schedule, rng: RandomStream):
     return sample(model, mask, config, schedule, draw_noise(rng, mask, config, schedule))
 
 
+def layers_of(maps: dict) -> list[AttentionLayer]:
+    """The attention layers of one (h, w) latent's forward."""
+    return [AttentionLayer(layer_id, Grid(a)) for layer_id, a in maps.items()]
+
+
 def sample_per_step(model, mask, config, schedule, rng: RandomStream):
-    """The recorded sampling loop with the noise drawn from rng as it is
-    needed: the initial field first, then one field inside each step with
-    t > 1, after the step's two predictions."""
+    """The recorded sampling loop on one (h, w) latent, with the noise
+    drawn from rng as it is needed: the initial field first, then one
+    field inside each step with t > 1, after the step's two predictions."""
     masks = _MaskCache(mask)
     x = gaussian_field(rng, mask.height, mask.width)
     entries = []
+    s = config.guidance_scale
     for k, t in enumerate(_stride_ts(schedule.T, config.steps)):
         eps_u, _, _ = model.predict(x, t, Condition.NULL)
-        eps_c, layers, tape = model.predict(x, t, Condition.GARMENT)
-        eps = cfg_mix(eps_u, eps_c, config.guidance_scale)
+        eps_c, maps, tape = model.predict(x, t, Condition.GARMENT)
+        eps = eps_c if s == 1.0 else eps_u + s * (eps_c - eps_u)
         beta = schedule.beta_at(t)
         m_t = (1.0 + 0.5 * beta) * x + beta * eps_to_score(eps, t, schedule)
         if t > 1:
             m_t = m_t + math.sqrt(beta) * gaussian_field(rng, *x.shape)
-        layer_masks = [masks.at(layer) for layer in layers]
+        layers = layers_of(maps)
+        layer_masks = [masks.at(layer.layer_id, layer.resolution) for layer in layers]
         breakdown, grads = _evaluate_layers(
             layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
         )
@@ -196,8 +203,9 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
             grad_norm = 0.0
             x = m_t
         entries.append(StepEntry(k, t, breakdown, grad_norm))
-    _, final_layers, _ = model.predict(x, 1, Condition.GARMENT)
-    final = e_total(final_layers, [masks.at(layer) for layer in final_layers], config.energy_cfg)
+    final_layers = layers_of(model.predict(x, 1, Condition.GARMENT)[1])
+    final_masks = [masks.at(layer.layer_id, layer.resolution) for layer in final_layers]
+    final = e_total(final_layers, final_masks, config.energy_cfg)
     return Grid(x), TrajectoryRecord(entries=entries, final=final)
 
 
@@ -259,10 +267,11 @@ def fd_vjp_check(
 ) -> float:
     """Max relative error of the model's VJP against central differences.
 
-    Runs one forward at x and pulls grad_layers back through its tape,
-    then probes n_directions random unit directions d, comparing
-    <grad_x, d> with [s(x + h d) - s(x - h d)] / 2h for s(x) =
-    sum_layers <A_layer(x), cotangent_layer>. Directions where both sides
+    Runs one forward at x, an (h, w) latent or a stack of them, and pulls
+    grad_layers back through its tape, then probes n_directions random
+    unit directions d of x's shape, comparing <grad_x, d> with
+    [s(x + h d) - s(x - h d)] / 2h for s(x) = sum_layers <A_layer(x),
+    cotangent_layer>. Directions where both sides
     are below 1e-12 count as zero error; all-zero cotangents return 0 by
     definition.
     """
@@ -276,8 +285,8 @@ def fd_vjp_check(
     grad_x = model.attention_vjp(tape, t, cond, grad_layers)
 
     def score(xa: np.ndarray) -> float:
-        _, layers, _ = model.predict(xa, t, cond)
-        return sum(float((layer.map.a * g).sum()) for layer, g in zip(layers, grad_layers))
+        _, maps, _ = model.predict(xa, t, cond)
+        return sum(float((a * g).sum()) for a, g in zip(maps.values(), grad_layers))
 
     worst = 0.0
     n = x.size

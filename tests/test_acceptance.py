@@ -212,19 +212,36 @@ def test_criterion_04_attention_vjp_matches_directional_differences(toy16):
         case = root.child(f"case-{i}")
         x = gaussian_field(case.child("x"), 16, 12)
         t = 1 + int(case.child("t").integers(1, 0, 20)[0])
-        _, layers, _ = toy16.predict(x, t, Condition.GARMENT)
+        _, maps, _ = toy16.predict(x, t, Condition.GARMENT)
         cotangents = [
-            case.child(f"cot-{k}").normals(layer.map.a.size).reshape(layer.map.shape)
-            for k, layer in enumerate(layers)
+            case.child(f"cot-{k}").normals(a.size).reshape(a.shape)
+            for k, a in enumerate(maps.values())
         ]
         err = fd_vjp_check(
             toy16, x, t, Condition.GARMENT, cotangents, h=1e-5, rng=case.child("dirs")
         )
         worst = max(worst, err)
+    # the same check on 3-item stacks, each direction spanning all items
+    worst_stack = 0.0
+    for i in range(10):
+        case = root.child(f"stack-{i}")
+        x = np.stack([gaussian_field(case.child(f"x-{j}"), 16, 12) for j in range(3)])
+        t = 1 + int(case.child("t").integers(1, 0, 20)[0])
+        _, maps, _ = toy16.predict(x, t, Condition.GARMENT)
+        cotangents = [
+            case.child(f"cot-{k}").normals(a.size).reshape(a.shape)
+            for k, a in enumerate(maps.values())
+        ]
+        err = fd_vjp_check(
+            toy16, x, t, Condition.GARMENT, cotangents, h=1e-5, rng=case.child("dirs")
+        )
+        worst_stack = max(worst_stack, err)
     assert worst < 1e-5
+    assert worst_stack < 1e-5
     print(
         f"criterion 04 PASS: max VJP directional-FD rel err over 100 trials "
-        f"(16x12, C=4, 32 directions each) = {worst:.3e} (< 1e-5)"
+        f"(16x12, C=4, 32 directions each) = {worst:.3e}, and over 10 3-item stacks "
+        f"= {worst_stack:.3e} (< 1e-5)"
     )
 
 

@@ -307,14 +307,23 @@ class TestRunCommand:
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-    @pytest.mark.parametrize("verb", [["run"], ["sweep", "--kind", "layers"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize(
+        "verb, named",
+        [
+            (["run"], ""),
+            # a sweep names every grid point that diverged by its value column
+            (["sweep", "--kind", "layers"], "layers=both, layers=full_only, layers=half_only: "),
+        ],
+        ids=["run", "sweep"],
+    )
     @pytest.mark.parametrize("csc_enabled", [True, False])
-    def test_non_finite_latent(self, dataset_dir, tmp_path, capsys, verb, csc_enabled):
+    def test_non_finite_latent(self, dataset_dir, tmp_path, capsys, verb, named, csc_enabled):
         sampler = {"steps": 6, "guidance_scale": 1e300, "csc_enabled": csc_enabled}
         cfg = write_config(tmp_path / "config.json", dataset_dir, sampler=sampler)
         assert main(verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert re.search(r"error: step \d+ \(t=\d+\): the latent is no longer finite", err)
+        want = r"error: " + re.escape(named) + r"step \d+ \(t=\d+\): the latent is no longer finite"
+        assert re.search(want, err)
 
     @pytest.mark.parametrize(
         "bad, field",

@@ -47,10 +47,10 @@ class TestToyInit:
         assert not np.array_equal(toy_init(3, H, W, C).kernel, toy_init(4, H, W, C).kernel)
 
     def test_layer_resolutions(self, toy):
-        _, layers, _ = toy.predict(rand_x(0), 5, Condition.GARMENT)
-        assert [l.layer_id for l in layers] == ["full", "half"]
-        assert layers[0].resolution == (16, 12)
-        assert layers[1].resolution == (8, 6)
+        _, maps, _ = toy.predict(rand_x(0), 5, Condition.GARMENT)
+        assert list(maps) == ["full", "half"]
+        assert maps["full"].shape == (16, 12)
+        assert maps["half"].shape == (8, 6)
 
     def test_initial_output_scalars(self, toy):
         assert toy.u == 1.0
@@ -72,28 +72,28 @@ class TestToyInit:
 
 class TestToyPredict:
     def test_null_condition_uniform_attention(self, toy):
-        _, layers, _ = toy.predict(rand_x(1), 5, Condition.NULL)
-        assert np.array_equal(layers[0].map.a, np.full((H, W), 1.0 / (H * W)))
+        _, maps, _ = toy.predict(rand_x(1), 5, Condition.NULL)
+        assert np.array_equal(maps["full"], np.full((H, W), 1.0 / (H * W)))
         assert np.array_equal(
-            layers[1].map.a, np.full((H // 2, W // 2), 4.0 / (H * W))
+            maps["half"], np.full((H // 2, W // 2), 4.0 / (H * W))
         )
 
     def test_attention_sums_to_one(self, toy):
         for seed in range(10):
-            _, layers, _ = toy.predict(rand_x(seed), 5, Condition.GARMENT)
-            for layer in layers:
-                assert abs(layer.map.a.sum() - 1.0) <= 1e-12
+            _, maps, _ = toy.predict(rand_x(seed), 5, Condition.GARMENT)
+            for a in maps.values():
+                assert abs(a.sum() - 1.0) <= 1e-12
 
     def test_zero_latent_gives_uniform_attention(self, toy):
         # constant features make every logit equal
-        _, layers, _ = toy.predict(np.zeros((H, W)), 5, Condition.GARMENT)
-        assert np.allclose(layers[0].map.a, 1.0 / (H * W), rtol=1e-12)
-        assert np.allclose(layers[1].map.a, 4.0 / (H * W), rtol=1e-12)
+        _, maps, _ = toy.predict(np.zeros((H, W)), 5, Condition.GARMENT)
+        assert np.allclose(maps["full"], 1.0 / (H * W), rtol=1e-12)
+        assert np.allclose(maps["half"], 4.0 / (H * W), rtol=1e-12)
 
     def test_eps_composition(self, toy):
         x = rand_x(2)
-        eps, layers, _ = toy.predict(x, 5, Condition.GARMENT)
-        want = toy.u * x + toy.v * (H * W) * layers[0].map.a * x
+        eps, maps, _ = toy.predict(x, 5, Condition.GARMENT)
+        want = toy.u * x + toy.v * (H * W) * maps["full"] * x
         assert np.array_equal(eps, want)
 
     def test_deterministic(self, toy):
@@ -129,25 +129,25 @@ class TestZeroQueryShortcut:
     @pytest.mark.parametrize("seed,scale", LATENTS)
     def test_bit_equal_to_explicit_path(self, toy, seed, scale):
         x = scale * rand_x(20 + seed)
-        eps, layers, _ = toy.predict(x, 5, Condition.NULL)
+        eps, maps, _ = toy.predict(x, 5, Condition.NULL)
         want_eps, want_full, want_half = explicit_forward(toy, x, np.zeros(C))
         assert eps.tobytes() == want_eps.tobytes()
-        assert layers[0].map.a.tobytes() == want_full.tobytes()
-        assert layers[1].map.a.tobytes() == want_half.tobytes()
+        assert maps["full"].tobytes() == want_full.tobytes()
+        assert maps["half"].tobytes() == want_half.tobytes()
 
     def test_follows_query_values_not_condition(self, toy):
         x = rand_x(30)
         zero_garment = replace(toy, q_garment=np.zeros(C))
-        eps, layers, _ = zero_garment.predict(x, 5, Condition.GARMENT)
+        eps, maps, _ = zero_garment.predict(x, 5, Condition.GARMENT)
         want_eps, want_full, _ = explicit_forward(toy, x, np.zeros(C))
         assert eps.tobytes() == want_eps.tobytes()
-        assert layers[0].map.a.tobytes() == want_full.tobytes()
+        assert maps["full"].tobytes() == want_full.tobytes()
 
         live_null = replace(toy, q_null=toy.q_garment)
-        eps, layers, _ = live_null.predict(x, 5, Condition.NULL)
+        eps, maps, _ = live_null.predict(x, 5, Condition.NULL)
         want_eps, want_full, want_half = explicit_forward(toy, x, toy.q_garment)
         assert eps.tobytes() == want_eps.tobytes()
-        assert layers[1].map.a.tobytes() == want_half.tobytes()
+        assert maps["half"].tobytes() == want_half.tobytes()
 
 
 class TestToyVjp:
@@ -217,12 +217,12 @@ class TestLinearGaussianModel:
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)
         x = rand_x(8, 8, 8)
         t = 10
-        eps, layers, _ = model.predict(x, t, Condition.GARMENT)
+        eps, maps, _ = model.predict(x, t, Condition.GARMENT)
         ab = schedule.alpha_bar_at(t)
         want = (x - math.sqrt(ab) * 0.5) * (math.sqrt(1 - ab) / (ab + 1 - ab))
         assert np.allclose(eps, want, rtol=1e-15, atol=0)
-        assert len(layers) == 1
-        assert np.array_equal(layers[0].map.a, np.full((8, 8), 1.0 / 64))
+        assert list(maps) == ["full"]
+        assert np.array_equal(maps["full"], np.full((8, 8), 1.0 / 64))
 
     def test_vjp_is_zero(self, schedule):
         model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule)

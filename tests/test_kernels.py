@@ -155,10 +155,15 @@ class TestBitStability:
         if kernel in BANK_ROWS:
             cols = np.concatenate([_im2col(item.reshape(-1, h, w)) for item in items], axis=1)
             blocks = np.split(BANK_ROWS[kernel](bank) @ cols, BATCH, axis=1)
+            # the kernel's own batched form: items on the axis after the channels
+            batched = apply(kernel, np.moveaxis(items, 0, 1) if items.ndim == 4 else items, bank)
+            batched = np.moveaxis(batched, -3, 0)
         else:
-            blocks = kernel(items)
+            blocks = batched = kernel(items)
         for i, item in enumerate(items):
-            assert blocks[i].tobytes() == apply(kernel, item, bank).tobytes(), f"item {i}"
+            want = apply(kernel, item, bank).tobytes()
+            assert blocks[i].tobytes() == want, f"item {i}"
+            assert batched[i].tobytes() == want, f"item {i} of the batched call"
 
 
 # Values that stress a 2x2 sum: signed zeros, subnormals, the smallest

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tryonlab.denoiser as denoiser
-from helpers import rect_mask, sample_seeded
+from helpers import layers_of, rect_mask, sample_seeded
 from tryonlab.sampler import CSV_HEADER
 from tryonlab import (
     BinaryMask,
@@ -332,11 +332,11 @@ class TestSampleLoop:
         want_totals = []
         for t in range(20, 0, -1):
             eps_u, _, _ = toy.predict(x, t, Condition.NULL)
-            eps_c, layers, _ = toy.predict(x, t, Condition.GARMENT)
+            eps_c, maps, _ = toy.predict(x, t, Condition.GARMENT)
             eps = cfg_mix(eps_u, eps_c, 2.0)
             z = gaussian_field(rng, *x.shape) if t > 1 else None
             x = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
-            want_totals.append(e_total(layers, [mask, half_mask]).total)
+            want_totals.append(e_total(layers_of(maps), [mask, half_mask]).total)
         assert got_x.a.tobytes() == x.tobytes()
         assert [e.energy.total for e in got_rec.entries] == want_totals
 
