@@ -21,20 +21,13 @@ from .energy import (
     EnergyConfig,
     EnergyError,
     LayerEnergy,
-    e_attract,
-    e_repel,
     e_total,
-    grad_e_attract,
-    grad_e_repel,
-    grad_e_total,
-    support,
 )
 from .grids import (
     BinaryMask,
     Grid,
     GridError,
     GridFormatError,
-    bilinear_warp,
     grid_read,
     grid_write,
     mask_read,

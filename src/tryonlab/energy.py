@@ -11,6 +11,9 @@ Gradients treat the support set, the pair count, and a clamped
 denominator as constants: they are discontinuous in the map, so only the
 smooth factors are differentiated.
 
+The sampler reaches every energy through one per-layer pass,
+_evaluate_layers, at each step; e_total reads it without gradients.
+
 The inner hinge never forms the n x n pair matrix. It sorts the n
 in-support values and reads the active pairs off searchsorted cuts, in
 O(n log n) time and O(n) memory. A pair (p, q) is active exactly when
@@ -36,13 +39,7 @@ __all__ = [
     "LayerEnergy",
     "EnergyBreakdown",
     "EnergyError",
-    "support",
-    "e_attract",
-    "grad_e_attract",
-    "e_repel",
-    "grad_e_repel",
     "e_total",
-    "grad_e_total",
 ]
 
 BRANCH_INNER = "inner"
@@ -135,11 +132,6 @@ class EnergyBreakdown:
 
 def _support_raw(a: np.ndarray, tau: float) -> np.ndarray:
     return a > tau * a.max()
-
-
-def support(A: Grid, tau: float) -> BinaryMask:
-    """Positions where A exceeds tau * max(A); empty for an all-zero map."""
-    return BinaryMask(Grid(_support_raw(A.a, tau).astype(np.float64)))
 
 
 class _LayerEval(NamedTuple):
@@ -246,26 +238,6 @@ def _evaluate(a: np.ndarray, m: np.ndarray, cfg: EnergyConfig, with_grads: bool)
     return _LayerEval(e_att, e_rep, BRANCH_INNER, s_in, grad_att, grad_rep)
 
 
-def e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> float:
-    """Attention mass outside the mask over (clamped) mass inside it."""
-    return _evaluate(A.a, M.a, cfg, False).e_attract
-
-
-def grad_e_attract(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    return Grid(_evaluate(A.a, M.a, cfg, True).grad_attract)
-
-
-def e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> tuple[float, str]:
-    """Branch-selected repel energy: inner iff the support is nonempty and
-    entirely inside the mask, else outer (negative in-mask mass)."""
-    layer = _evaluate(A.a, M.a, cfg, False)
-    return layer.e_repel, layer.branch
-
-
-def grad_e_repel(A: Grid, M: BinaryMask, cfg: EnergyConfig = EnergyConfig()) -> Grid:
-    return Grid(_evaluate(A.a, M.a, cfg, True).grad_repel)
-
-
 def _evaluate_layers(layers, masks, cfg, with_grads: bool):
     """Shared per-layer evaluation; returns (breakdown, grads or None).
 
@@ -316,17 +288,3 @@ def e_total(
     """
     breakdown, _ = _evaluate_layers(layers, masks, cfg, with_grads=False)
     return breakdown
-
-
-def grad_e_total(
-    layers: list[AttentionLayer],
-    masks: list[BinaryMask],
-    cfg: EnergyConfig = EnergyConfig(),
-) -> list[Grid]:
-    """Gradient of e_total's aggregate w.r.t. each layer's map.
-
-    Entries align with the input layer order; unselected layers get zero
-    grids.
-    """
-    _, grads = _evaluate_layers(layers, masks, cfg, with_grads=True)
-    return [Grid(g) for g in grads]

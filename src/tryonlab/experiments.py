@@ -59,6 +59,7 @@ LAYER_SELECTIONS = {
     "half_only": frozenset({LAYER_HALF}),
 }
 LAYER_GRID = tuple(LAYER_SELECTIONS)
+_LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 
 
 class SweepKind(NamedTuple):
@@ -140,7 +141,8 @@ def _is_num(v) -> bool:
 
 
 def _is_id_list(v) -> bool:
-    return v is None or (isinstance(v, list) and all(isinstance(s, str) for s in v))
+    """None, or ids of the toy model's layers (build_model makes no other model)."""
+    return v is None or (isinstance(v, list) and v != [] and all(s in _LAYER_IDS for s in v))
 
 
 # How a config field is read from JSON, keyed by its annotation string (the
@@ -153,7 +155,7 @@ _READERS = {
     "bool": (lambda v: isinstance(v, bool), None, "true/false"),
     "str": (lambda v: isinstance(v, str), None, "a path string"),
     "str | None": (lambda v: v is None or isinstance(v, str), None, "a manifest path string"),
-    "frozenset[str] | None": (_is_id_list, None, "null or a list of layer ids"),
+    "frozenset[str] | None": (_is_id_list, None, "null or a non-empty list of 'full', 'half'"),
 }
 
 # The JSON objects nested in a config. "energy" is its own object in JSON

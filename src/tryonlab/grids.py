@@ -1,10 +1,10 @@
 """Dense 2-D float grids, binary masks, resampling, warping, and file IO.
 
-Grid and BinaryMask live at the boundary of the package: file IO, the
-public API (sample's mask and final latent, attention maps, energy
-readers, dataset flows and masks). Inside, the sampler loop, the model
-contract and the scene images carry plain float64 ndarrays, so a Grid is
-built only where a value crosses that boundary, and every Grid is
+A BinaryMask is a Grid of exact 0/1 values. Grids live at the boundary of
+the package: file IO and the public API (sample's mask and final latent,
+attention layers, dataset flows and masks). Inside, the sampler loop, the
+model contract and the scene images carry plain float64 ndarrays, so a
+Grid is built only where a value crosses that boundary, and every Grid is
 validated on construction.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "GridError",
     "GridFormatError",
     "resample_mask",
-    "bilinear_warp",
     "grid_write",
     "grid_read",
     "mask_read",
@@ -57,7 +56,7 @@ class Grid:
         object.__setattr__(self, "a", a)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Grid is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def height(self) -> int:
@@ -72,67 +71,27 @@ class Grid:
         return self.a.shape
 
     @classmethod
-    def zeros(cls, height: int, width: int) -> "Grid":
-        return cls(np.zeros((height, width)))
-
-    @classmethod
     def full(cls, height: int, width: int, value: float) -> "Grid":
+        """A constant grid. It stays because perfbench/workloads.py calls it."""
         return cls(np.full((height, width), float(value)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and self.a.shape == other.a.shape and bool(
-            np.array_equal(self.a, other.a)
-        )
+        return type(other) is type(self) and bool(np.array_equal(self.a, other.a))
 
     def __repr__(self) -> str:
-        return f"Grid({self.height}x{self.width})"
+        return f"{type(self).__name__}({self.height}x{self.width})"
 
 
-class BinaryMask:
-    """Grid whose values are exactly 0.0 or 1.0."""
+class BinaryMask(Grid):
+    """Grid whose values are exactly 0.0 or 1.0, built from a Grid or an
+    array. It never equals a plain Grid, whatever the values."""
 
-    __slots__ = ("grid",)
+    __slots__ = ()
 
-    def __init__(self, grid):
-        if not isinstance(grid, Grid):
-            grid = Grid(grid)
-        a = grid.a
-        if not np.all((a == 0.0) | (a == 1.0)):
+    def __init__(self, values):
+        super().__init__(values.a if isinstance(values, Grid) else values)
+        if not np.all((self.a == 0.0) | (self.a == 1.0)):
             raise GridError("mask values must be exactly 0 or 1")
-        object.__setattr__(self, "grid", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryMask is immutable")
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.grid.a
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
-    @property
-    def width(self) -> int:
-        return self.grid.width
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.shape
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "BinaryMask":
-        return cls(Grid.zeros(height, width))
-
-    @classmethod
-    def ones(cls, height: int, width: int) -> "BinaryMask":
-        return cls(Grid.full(height, width, 1.0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryMask) and self.grid == other.grid
-
-    def __repr__(self) -> str:
-        return f"BinaryMask({self.height}x{self.width})"
 
 
 def _overlap_weights(n_src: int, n_dst: int) -> np.ndarray:
@@ -166,11 +125,13 @@ def resample_mask(mask: BinaryMask, target_h: int, target_w: int) -> BinaryMask:
     wr = _overlap_weights(mask.height, target_h)
     wc = _overlap_weights(mask.width, target_w)
     avg = wr @ mask.a @ wc.T
-    return BinaryMask(Grid(np.where(avg >= 0.5, 1.0, 0.0)))
+    return BinaryMask(np.where(avg >= 0.5, 1.0, 0.0))
 
 
 def warp_array(a: np.ndarray, flow_x: np.ndarray, flow_y: np.ndarray) -> np.ndarray:
-    """Bilinear warp of the last two axes of a, (..., h, w), by an (h, w) flow.
+    """Bilinear warp of the last two axes of a, (..., h, w), by an (h, w) flow:
+    a[..., i, j] samples (i + flow_y, j + flow_x), in pixels, clamped to the
+    image rectangle, so zero flow is the bit-exact identity.
 
     Every leading slice is sampled at the same source coordinates, with
     the same arithmetic as a lone (h, w) image, so warping a stack equals
@@ -193,15 +154,6 @@ def warp_array(a: np.ndarray, flow_x: np.ndarray, flow_y: np.ndarray) -> np.ndar
     return top * (1.0 - fy) + bot * fy
 
 
-def bilinear_warp(image: Grid, flow_x: Grid, flow_y: Grid) -> Grid:
-    """Sample image at (i + flow_y, j + flow_x) with bilinear interpolation.
-
-    Flow is in pixel units; source coordinates are clamped to the image
-    rectangle, so zero flow is the bit-exact identity.
-    """
-    return Grid(warp_array(image.a, flow_x.a, flow_y.a))
-
-
 def grid_write(path, grid: Grid) -> None:
     """Write a grid to the .f64grid format (magic, u32 dims, f64 payload, LE)."""
     with open(path, "wb") as f:
@@ -209,8 +161,7 @@ def grid_write(path, grid: Grid) -> None:
         f.write(grid.a.astype("<f8").tobytes())
 
 
-def grid_read(path) -> Grid:
-    """Read a .f64grid file; exact inverse of grid_write on finite values."""
+def _read_payload(path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -229,10 +180,14 @@ def grid_read(path) -> Grid:
         )
     if len(raw) > expected:
         raise GridFormatError(f"{path}: trailing data after payload")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(h, w)
-    return Grid(values)
+    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(h, w)
+
+
+def grid_read(path) -> Grid:
+    """Read a .f64grid file; exact inverse of grid_write on finite values."""
+    return Grid(_read_payload(path))
 
 
 def mask_read(path) -> BinaryMask:
     """Read a .f64grid file whose payload must be exactly 0/1."""
-    return BinaryMask(grid_read(path))
+    return BinaryMask(_read_payload(path))

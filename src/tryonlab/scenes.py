@@ -165,7 +165,7 @@ def render_garment(spec: SceneSpec) -> SceneImage:
 def region_mask(spec: SceneSpec) -> BinaryMask:
     m = np.zeros((spec.canvas_h, spec.canvas_w))
     m[spec.croi.top : spec.croi.bottom, spec.croi.left : spec.croi.right] = 1.0
-    return BinaryMask(Grid(m))
+    return BinaryMask(m)
 
 
 def affine_flow(croi: Rect, garment_rect: Rect, h: int, w: int) -> tuple[Grid, Grid]:
@@ -345,8 +345,8 @@ def write_dataset(outdir, samples: list[BenchSample], split: str) -> dict:
         grid_write(d / "flow_x.f64grid", s.flow_x)
         grid_write(d / "flow_y.f64grid", s.flow_y)
         scene_write(d / "generated.f64grid", s.reference)
-        grid_write(d / "mask.f64grid", s.mask.grid)
-        grid_write(d / "gen_mask.f64grid", s.mask.grid)
+        grid_write(d / "mask.f64grid", s.mask)
+        grid_write(d / "gen_mask.f64grid", s.mask)
         for role in DATASET_ROLES:
             paths[role].append((rel / f"{role}.f64grid").as_posix())
     manifest = {"split": split, "n": len(samples), **paths}

@@ -78,7 +78,7 @@ class SceneImage:
 
     @classmethod
     def from_stack(cls, a: np.ndarray) -> "SceneImage":
-        """SceneImage(a), under the name the rest of the API uses."""
+        """SceneImage(a). It stays because perfbench/workloads.py calls it."""
         return cls(a)
 
     @classmethod
@@ -127,7 +127,7 @@ def extract_clothing(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage
 
 def warp_scene(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
     """Bilinear warp of all three channels by the (flow_x, flow_y) field,
-    in one pass; each channel equals bilinear_warp of it bit for bit."""
+    in one pass; each channel equals warp_array of it alone, bit for bit."""
     return SceneImage(warp_array(image.stack(), flow_x.a, flow_y.a))
 
 

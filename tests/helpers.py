@@ -20,7 +20,6 @@ from tryonlab import (
     ModelError,
     RandomStream,
     SceneImage,
-    bilinear_warp,
     draw_noise,
     e_total,
     eps_to_score,
@@ -31,6 +30,7 @@ from tryonlab import (
 )
 from tryonlab.energy import _evaluate_layers
 from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, _toy_vtid
+from tryonlab.grids import warp_array
 from tryonlab.sampler import StepEntry, TrajectoryRecord, _MaskCache, _stride_ts
 
 # Central differences resolve a derivative to roughly eps_machine * |E| / h.
@@ -241,10 +241,8 @@ def sweep_rows_grid_major(kind: str, model, schedule, samp_cfg, dataset, trials,
 
 
 def warp_scene_per_channel(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
-    """warp_scene as three separate bilinear_warp calls, one per channel."""
-    return SceneImage.from_stack(
-        np.stack([bilinear_warp(Grid(ch), flow_x, flow_y).a for ch in image.stack()])
-    )
+    """warp_scene as three separate warp_array calls, one per channel."""
+    return SceneImage(np.stack([warp_array(ch, flow_x.a, flow_y.a) for ch in image.stack()]))
 
 
 def clamp_per_channel(stack: np.ndarray) -> np.ndarray:

@@ -44,25 +44,21 @@ from tryonlab import (
     SceneImage,
     ancestral_step,
     cfg_mix,
-    e_attract,
-    e_repel,
     eps_to_score,
     gaussian_field,
     gen_dataset,
     gen_scene,
-    grad_e_attract,
-    grad_e_repel,
     make_schedule,
     perceptual_l2,
     pixel_extractor,
     random_feature_extractor,
     random_spec,
-    support,
     toy_init,
     vtid_score,
     write_dataset,
 )
 from tryonlab.cli import main as cli_main
+from tryonlab.energy import _evaluate, _support_raw
 from tryonlab.experiments import (
     FINAL_METRICS,
     GUIDANCE_GRID,
@@ -114,16 +110,15 @@ def test_criterion_01_energy_gradients_match_finite_differences():
     for i in range(50):
         A = softmax_map(root.child(f"a-{i}"), 16, 12)
         M = random_mask(root.child(f"m-{i}"), 16, 12)
-        ga = grad_e_attract(A, M, cfg).a
-        gr = grad_e_repel(A, M, cfg).a
-        _, branch = e_repel(A, M, cfg)
+        ev = _evaluate(A.a, M.a, cfg, True)
+        ga, gr, branch = ev.grad_attract, ev.grad_repel, ev.branch
         outer_pairs += branch == "outer"
         for r in range(16):
             for c in range(12):
-                fd = fd_scalar(lambda G: e_attract(G, M, cfg), A, r, c, h)
+                fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_attract, A, r, c, h)
                 worst["attract"] = max(worst["attract"], fd_rel_err(ga[r, c], fd))
                 if branch == "outer":
-                    fd = fd_scalar(lambda G: e_repel(G, M, cfg)[0], A, r, c, h)
+                    fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
                     worst["repel_outer"] = max(worst["repel_outer"], fd_rel_err(gr[r, c], fd))
     assert outer_pairs >= 45
 
@@ -132,20 +127,20 @@ def test_criterion_01_energy_gradients_match_finite_differences():
     # kink are excluded (the subgradient there is one-sided).
     for i in range(50):
         A, M = inner_case(root.child(f"i-{i}"), 16, 12)
-        _, branch = e_repel(A, M, cfg)
-        assert branch == "inner"
-        gr = grad_e_repel(A, M, cfg).a
-        pts = (support(A, cfg.support_tau).a > 0) & (M.a > 0)
+        ev = _evaluate(A.a, M.a, cfg, True)
+        assert ev.branch == "inner"
+        gr = ev.grad_repel
+        pts = _support_raw(A.a, cfg.support_tau) & (M.a > 0)
         vals = A.a[pts]
         for k, (r, c) in enumerate(np.argwhere(pts)):
             if not hinge_safe(vals, k, cfg.delta, h):
                 inner_skipped += 1
                 continue
-            fd = fd_scalar(lambda G: e_repel(G, M, cfg)[0], A, r, c, h)
+            fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
             worst["repel_inner"] = max(worst["repel_inner"], fd_rel_err(gr[r, c], fd))
             inner_checked += 1
         for r, c in ((0, 0), (15, 11)):  # off-support: the energy is flat
-            fd = fd_scalar(lambda G: e_repel(G, M, cfg)[0], A, r, c, h)
+            fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
             worst["repel_inner"] = max(worst["repel_inner"], fd_rel_err(gr[r, c], fd))
     assert inner_checked >= 300
 
@@ -166,10 +161,10 @@ def test_criterion_02_attract_energy_is_scale_invariant():
     for i in range(25):
         A = softmax_map(root.child(f"a-{i}"), 16, 12)
         M = random_mask(root.child(f"m-{i}"), 16, 12)
-        base = e_attract(A, M)
+        base = _evaluate(A.a, M.a, EnergyConfig(), False).e_attract
         for c in (1e-3, 1.0, 1e3):
             assert float((c * A.a * M.a).sum()) >= 1e-6  # in-mask mass precondition
-            scaled = e_attract(Grid(c * A.a), M)
+            scaled = _evaluate(c * A.a, M.a, EnergyConfig(), False).e_attract
             worst = max(worst, abs(scaled - base) / abs(base))
     assert worst < 1e-12
     print(
@@ -195,7 +190,7 @@ def test_criterion_03_repel_branch_matches_brute_force_enumeration():
         for M, pm in zip(masks, patterns):
             m = pm.ravel()
             want = "inner" if sup and all(m[k] == 1.0 for k in sup) else "outer"
-            got = e_repel(A, M, cfg)[1]
+            got = _evaluate(A.a, M.a, cfg, False).branch
             assert got == want, f"A={a.tolist()} M={m.tolist()}: got {got}, want {want}"
             checked += 1
     assert checked == 512 * 512
@@ -443,7 +438,7 @@ def test_criterion_09_vtid_identity_monotonicity_and_pseudometric(bench):
     for si, sig in enumerate((0.01, 0.02, 0.04, 0.06, 0.09, 0.12, 0.16, 0.2, 0.25, 0.3)):
         for rep_i in range(20):
             z = noise_root.child(f"z-{si}-{rep_i}").normals(stack.size).reshape(stack.shape)
-            gen = SceneImage.from_stack(np.clip(stack + sig * z, 0.0, 1.0))
+            gen = SceneImage(np.clip(stack + sig * z, 0.0, 1.0))
             report = vtid_score(
                 person=scene.person, garment=scene.garment, flow_x=scene.flow_x,
                 flow_y=scene.flow_y, generated=gen, clothing_mask=scene.mask,

@@ -348,6 +348,17 @@ class TestRunCommand:
                 f"error: energy: epsilon_den {eps!r} is so small that 2 / epsilon_den^2 overflows"
             )
 
+    @pytest.mark.parametrize(
+        "select", [["full", "hlaf"], ["hlaf"], []], ids=["misspelt-second", "misspelt", "empty"]
+    )
+    def test_layer_select_names_only_model_layers(self, dataset_dir, tmp_path, capsys, select):
+        cfg = write_config(tmp_path / "config.json", dataset_dir, energy={"layer_select": select})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: energy.layer_select: expected null or a non-empty list")
+        assert repr(select) in err
+        assert not (tmp_path / "out").exists()
+
     def test_summary_bytes_do_not_depend_on_the_directory(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         summaries = []
@@ -463,7 +474,7 @@ class TestVtidCommand:
         victim = d / manifest["generated"][0]
         scene = scene_read(victim)
         rng = RandomStream(0).child("corrupt")
-        noisy = SceneImage.from_stack(
+        noisy = SceneImage(
             np.clip(scene.stack() + 0.2 * rng.normals(3 * 16 * 12).reshape(3, 16, 12), 0, 1)
         )
         scene_write(victim, noisy)

@@ -18,15 +18,9 @@ from tryonlab import (
     EnergyError,
     Grid,
     RandomStream,
-    e_attract,
-    e_repel,
     e_total,
-    grad_e_attract,
-    grad_e_repel,
-    grad_e_total,
-    support,
 )
-from tryonlab.energy import _evaluate
+from tryonlab.energy import _evaluate, _evaluate_layers, _support_raw
 from helpers import (
     dense_inner_repel,
     fd_rel_err,
@@ -56,20 +50,20 @@ def repel_inner_oracle(values: list[float], delta: float) -> float:
 
 class TestSupport:
     def test_all_zero_map_has_empty_support(self):
-        assert support(Grid.zeros(3, 3), 0.01).a.sum() == 0.0
+        assert _support_raw(np.zeros((3, 3)), 0.01).sum() == 0.0
 
     def test_threshold_is_relative_to_max(self):
-        s = support(Grid([[1.0, 0.005]]), 0.01)
-        assert s.a.tolist() == [[1.0, 0.0]]
+        s = _support_raw(np.array([[1.0, 0.005]]), 0.01)
+        assert s.tolist() == [[True, False]]
 
     def test_uniform_map_has_full_support(self):
-        s = support(Grid.full(2, 2, 0.25), 0.01)
-        assert s.a.sum() == 4.0
+        s = _support_raw(np.full((2, 2), 0.25), 0.01)
+        assert s.sum() == 4.0
 
     def test_boundary_is_strict(self):
         # exactly tau * max is excluded
-        s = support(Grid([[1.0, 0.01]]), 0.01)
-        assert s.a.tolist() == [[1.0, 0.0]]
+        s = _support_raw(np.array([[1.0, 0.01]]), 0.01)
+        assert s.tolist() == [[True, False]]
 
 
 # -------------------------------------------------------------- e_attract
@@ -79,27 +73,27 @@ class TestEAttract:
     def test_fully_contained_attention_is_zero(self):
         A = Grid([[0.0, 0.0], [0.7, 0.3]])
         M = BinaryMask(Grid([[0.0, 0.0], [1.0, 1.0]]))
-        assert e_attract(A, M, CFG) == 0.0
+        assert _evaluate(A.a, M.a, CFG, False).e_attract == 0.0
 
     def test_uniform_split(self):
         A = Grid.full(2, 2, 1.0)
         M = BinaryMask(Grid([[1.0, 1.0], [0.0, 0.0]]))
-        assert e_attract(A, M, CFG) == 1.0
+        assert _evaluate(A.a, M.a, CFG, False).e_attract == 1.0
 
     def test_hand_summed_ratio(self):
         A = Grid([[0.2, 0.4], [0.1, 0.3]])
         M = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
         # out = 0.4 + 0.1, in = 0.2 + 0.3
-        assert e_attract(A, M, CFG) == pytest.approx(1.0, rel=1e-15)
+        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0, rel=1e-15)
 
     def test_clamped_denominator(self):
         A = Grid([[0.0, 1.0]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
-        assert e_attract(A, M, CFG) == pytest.approx(1.0 / CFG.epsilon_den)
+        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0 / CFG.epsilon_den)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(EnergyError):
-            e_attract(Grid.zeros(2, 2), BinaryMask.ones(2, 3), CFG)
+            _evaluate(np.zeros((2, 2)), np.ones((2, 3)), CFG, False)
 
     @given(seed=st.integers(0, 10_000), c=st.sampled_from([1e-3, 1.0, 1e3]))
     @settings(max_examples=60)
@@ -109,8 +103,8 @@ class TestEAttract:
         M = random_mask(rng, 6, 5)
         if float((A.a * M.a).sum()) < 1e-6:
             return
-        base = e_attract(A, M, CFG)
-        scaled = e_attract(Grid(c * A.a), M, CFG)
+        base = _evaluate(A.a, M.a, CFG, False).e_attract
+        scaled = _evaluate(c * A.a, M.a, CFG, False).e_attract
         assert abs(scaled - base) <= 1e-12 * abs(base)
 
     @given(seed=st.integers(0, 10_000))
@@ -119,7 +113,7 @@ class TestEAttract:
         rng = RandomStream(seed)
         A = softmax_map(rng, 5, 4)
         M = random_mask(rng, 5, 4)
-        value = e_attract(A, M, CFG)
+        value = _evaluate(A.a, M.a, CFG, False).e_attract
         assert value >= 0.0
         s_out = float((A.a * (1.0 - M.a)).sum())
         assert (value == 0.0) == (s_out == 0.0)
@@ -137,24 +131,23 @@ class TestEAttract:
             A.a[i, j] for i in range(5) for j in range(4) if M.a[i, j] == 0.0
         )
         want = s_out / max(s_in, CFG.epsilon_den)
-        assert e_attract(A, M, CFG) == pytest.approx(want, rel=1e-12)
+        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(want, rel=1e-12)
 
 
 class TestGradEAttract:
     def test_hand_values_on_2x2(self):
         A = Grid([[0.2, 0.4], [0.1, 0.3]])
         M = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
-        g = grad_e_attract(A, M, CFG)
+        g = _evaluate(A.a, M.a, CFG, True).grad_attract
         # in-mask: -S_out / S_in^2 = -0.5 / 0.25; out-mask: 1 / S_in
-        assert g.a[0, 0] == pytest.approx(-2.0, rel=1e-12)
-        assert g.a[1, 1] == pytest.approx(-2.0, rel=1e-12)
-        assert g.a[0, 1] == pytest.approx(2.0, rel=1e-12)
-        assert g.a[1, 0] == pytest.approx(2.0, rel=1e-12)
+        assert g[0, 0] == pytest.approx(-2.0, rel=1e-12)
+        assert g[1, 1] == pytest.approx(-2.0, rel=1e-12)
+        assert g[0, 1] == pytest.approx(2.0, rel=1e-12)
+        assert g[1, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_full_mask_gives_zero_gradient(self):
-        A = Grid([[0.2, 0.8]])
-        g = grad_e_attract(A, BinaryMask.ones(1, 2), CFG)
-        assert np.array_equal(g.a, np.zeros((1, 2)))
+        g = _evaluate(np.array([[0.2, 0.8]]), np.ones((1, 2)), CFG, True).grad_attract
+        assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_matches_central_differences(self):
         h = 1e-6
@@ -163,10 +156,10 @@ class TestGradEAttract:
             rng = RandomStream(1000 + seed)
             A = softmax_map(rng, 6, 5)
             M = random_mask(rng, 6, 5)
-            g = grad_e_attract(A, M, CFG).a
+            g = _evaluate(A.a, M.a, CFG, True).grad_attract
             for i in range(6):
                 for j in range(5):
-                    fd = fd_scalar(lambda x: e_attract(x, M, CFG), A, i, j, h)
+                    fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_attract, A, i, j, h)
                     worst = max(worst, fd_rel_err(g[i, j], fd))
         assert worst < 1e-5
 
@@ -174,10 +167,10 @@ class TestGradEAttract:
         # no attention mass in the mask: denominator is the constant clamp
         A = Grid([[0.0, 0.6], [0.0, 0.4]])
         M = BinaryMask(Grid([[1.0, 0.0], [1.0, 0.0]]))
-        g = grad_e_attract(A, M, CFG)
-        assert np.array_equal(g.a, (1.0 - M.a) / CFG.epsilon_den)
+        g = _evaluate(A.a, M.a, CFG, True).grad_attract
+        assert np.array_equal(g, (1.0 - M.a) / CFG.epsilon_den)
         # out-mask finite difference agrees exactly: energy is linear there
-        fd = fd_scalar(lambda x: e_attract(x, M, CFG), A, 0, 1, 1e-6)
+        fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_attract, A, 0, 1, 1e-6)
         assert fd == pytest.approx(1.0 / CFG.epsilon_den, rel=1e-9)
 
 
@@ -185,10 +178,10 @@ class TestGradEAttract:
 
 
 def repel_on(branch: str, A: Grid, M: BinaryMask) -> float:
-    """e_repel's value, after checking that (A, M) takes the expected branch."""
-    value, got = e_repel(A, M, CFG)
-    assert got == branch
-    return value
+    """The repel energy, after checking that (A, M) takes the expected branch."""
+    layer = _evaluate(A.a, M.a, CFG, False)
+    assert layer.branch == branch
+    return layer.e_repel
 
 
 def in_support_in_mask(A: Grid, M: BinaryMask) -> list[float]:
@@ -204,13 +197,13 @@ def in_support_in_mask(A: Grid, M: BinaryMask) -> list[float]:
 class TestERepelInner:
     def test_three_equal_values(self):
         A = Grid([[0.5, 0.5, 0.5]])
-        M = BinaryMask.ones(1, 3)
+        M = BinaryMask(np.ones((1, 3)))
         # 6 ordered pairs, each contributing delta, divided by N=3
         assert repel_on("inner", A, M) == pytest.approx(0.04, rel=1e-12)
 
     def test_wide_gap_is_inactive(self):
         A = Grid([[0.1, 0.5]])
-        M = BinaryMask.ones(1, 2)
+        M = BinaryMask(np.ones((1, 2)))
         assert repel_on("inner", A, M) == 0.0
 
     def test_single_point_has_no_pairs(self):
@@ -322,12 +315,12 @@ class TestInnerRepelAgainstDense:
     def test_grad_e_total_memory_is_linear(self):
         a = 1.0 + RandomStream(96).uniforms(96 * 72).reshape(96, 72)
         layers = [AttentionLayer("full", Grid(a / a.sum()))]
-        masks = [BinaryMask.ones(96, 72)]
+        masks = [BinaryMask(np.ones((96, 72)))]
         assert e_total(layers, masks, CFG).branch_label == "inner"
-        assert support(layers[0].map, CFG.support_tau).a.sum() == 96 * 72
+        assert _support_raw(layers[0].map.a, CFG.support_tau).sum() == 96 * 72
         tracemalloc.start()
         try:
-            grad_e_total(layers, masks, CFG)
+            _evaluate_layers(layers, masks, CFG, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,31 +335,31 @@ class TestERepelOuter:
         assert repel_on("outer", A, M) == pytest.approx(-0.5, rel=1e-15)
 
     def test_empty_mask_is_zero(self):
-        assert repel_on("outer", Grid.full(2, 2, 0.25), BinaryMask.zeros(2, 2)) == 0.0
+        assert repel_on("outer", Grid.full(2, 2, 0.25), BinaryMask(np.zeros((2, 2)))) == 0.0
 
     def test_zero_attention_is_zero(self):
-        assert repel_on("outer", Grid.zeros(2, 2), BinaryMask.ones(2, 2)) == 0.0
+        assert repel_on("outer", Grid(np.zeros((2, 2))), BinaryMask(np.ones((2, 2)))) == 0.0
 
 
 class TestBranchSelection:
     def test_support_inside_mask_selects_inner(self):
         A, M = inner_case(RandomStream(5), 6, 6)
-        value, branch = e_repel(A, M, CFG)
-        assert branch == "inner"
+        ev = _evaluate(A.a, M.a, CFG, False)
+        assert ev.branch == "inner"
         want = repel_inner_oracle(in_support_in_mask(A, M), CFG.delta)
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-18)
+        assert ev.e_repel == pytest.approx(want, rel=1e-12, abs=1e-18)
 
     def test_supported_point_outside_mask_selects_outer(self):
         A = Grid([[0.5, 0.5]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
-        value, branch = e_repel(A, M, CFG)
-        assert branch == "outer"
-        assert value == -0.5
+        ev = _evaluate(A.a, M.a, CFG, False)
+        assert ev.branch == "outer"
+        assert ev.e_repel == -0.5
 
     def test_all_zero_attention_is_outer_zero(self):
-        value, branch = e_repel(Grid.zeros(2, 2), BinaryMask.ones(2, 2), CFG)
-        assert branch == "outer"
-        assert value == 0.0
+        ev = _evaluate(np.zeros((2, 2)), np.ones((2, 2)), CFG, False)
+        assert ev.branch == "outer"
+        assert ev.e_repel == 0.0
 
     def test_3x3_binary_patterns_match_literal_oracle(self):
         """Every binary A pattern against a spread of binary masks.
@@ -390,7 +383,7 @@ class TestBranchSelection:
                 none_outside = not any(s and not m for s, m in zip(sup, m_bits))
                 some_inside = any(s and m for s, m in zip(sup, m_bits))
                 want = "inner" if (none_outside and some_inside) else "outer"
-                _, got = e_repel(grids[ai], masks[mi], CFG)
+                got = _evaluate(grids[ai].a, masks[mi].a, CFG, False).branch
                 assert got == want, f"A bits {ai:09b}, M bits {mi:09b}"
 
 
@@ -399,26 +392,26 @@ class TestGradERepel:
         rng = RandomStream(17)
         A = softmax_map(rng, 5, 4)
         M = random_mask(rng, 5, 4)
-        assert e_repel(A, M, CFG)[1] == "outer"
-        g = grad_e_repel(A, M, CFG)
-        assert g.a.tobytes() == (-M.a).tobytes()
+        ev = _evaluate(A.a, M.a, CFG, True)
+        assert ev.branch == "outer"
+        assert ev.grad_repel.tobytes() == (-M.a).tobytes()
 
     def test_inner_equal_values_cancel(self):
         A = Grid([[0.25, 0.25], [0.25, 0.25]])
-        M = BinaryMask.ones(2, 2)
-        g = grad_e_repel(A, M, CFG)
-        assert np.array_equal(g.a, np.zeros((2, 2)))
+        M = BinaryMask(np.ones((2, 2)))
+        g = _evaluate(A.a, M.a, CFG, True).grad_repel
+        assert np.array_equal(g, np.zeros((2, 2)))
 
     def test_two_close_values_match_finite_differences(self):
         A = Grid([[0.50, 0.51]])
-        M = BinaryMask.ones(1, 2)
-        g = grad_e_repel(A, M, CFG).a
+        M = BinaryMask(np.ones((1, 2)))
+        g = _evaluate(A.a, M.a, CFG, True).grad_repel
         # both orderings of the single pair are active, so each point gets
         # twice the one-sided 1/N contribution
         assert g[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert g[0, 1] == pytest.approx(-1.0, rel=1e-12)
         for j in range(2):
-            fd = fd_scalar(lambda x: e_repel(x, M, CFG)[0], A, 0, j, 1e-6)
+            fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_repel, A, 0, j, 1e-6)
             assert fd_rel_err(g[0, j], fd) < 1e-7
 
     def test_inner_branch_matches_finite_differences(self):
@@ -428,15 +421,16 @@ class TestGradERepel:
         for seed in range(12):
             rng = RandomStream(4000 + seed)
             A, M = inner_case(rng, 6, 6)
-            assert e_repel(A, M, CFG)[1] == "inner"
-            g = grad_e_repel(A, M, CFG).a
+            ev = _evaluate(A.a, M.a, CFG, True)
+            assert ev.branch == "inner"
+            g = ev.grad_repel
             sel = (M.a == 1.0) & (A.a > CFG.support_tau * A.a.max())
             vals = A.a[sel]
             coords = np.argwhere(sel)
             for idx, (i, j) in enumerate(coords):
                 if not hinge_safe(vals, idx, CFG.delta, h):
                     continue
-                fd = fd_scalar(lambda x: e_repel(x, M, CFG)[0], A, i, j, h)
+                fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_repel, A, i, j, h)
                 worst = max(worst, fd_rel_err(g[i, j], fd))
                 checked += 1
         assert checked > 100
@@ -444,7 +438,7 @@ class TestGradERepel:
 
     def test_out_of_support_points_have_zero_gradient(self):
         A, M = inner_case(RandomStream(77), 6, 6)
-        g = grad_e_repel(A, M, CFG).a
+        g = _evaluate(A.a, M.a, CFG, True).grad_repel
         outside = ~((M.a == 1.0) & (A.a > CFG.support_tau * A.a.max()))
         assert np.array_equal(g[outside], np.zeros(int(outside.sum())))
 
@@ -467,8 +461,8 @@ class TestETotal:
         layers, masks = _two_layer_fixture()
         cfg = EnergyConfig(layer_select=frozenset({"full"}))
         bd = e_total(layers, masks, cfg)
-        a, m = layers[0].map, masks[0]
-        want = e_attract(a, m, cfg) + cfg.lam * e_repel(a, m, cfg)[0]
+        ev = _evaluate(layers[0].map.a, masks[0].a, cfg, False)
+        want = ev.e_attract + cfg.lam * ev.e_repel
         assert bd.total == pytest.approx(want, rel=1e-12)
         assert bd.per_layer["full"].selected
         assert not bd.per_layer["half"].selected
@@ -478,34 +472,26 @@ class TestETotal:
         cfg = EnergyConfig(lam=0.0)
         bd = e_total(layers, masks, cfg)
         want = 0.5 * (
-            e_attract(layers[0].map, masks[0], cfg)
-            + e_attract(layers[1].map, masks[1], cfg)
+            _evaluate(layers[0].map.a, masks[0].a, cfg, False).e_attract
+            + _evaluate(layers[1].map.a, masks[1].a, cfg, False).e_attract
         )
         assert bd.total == pytest.approx(want, rel=1e-12)
 
     def test_mean_of_two_hand_computed_layers(self):
         layers, masks = _two_layer_fixture()
-        per = [
-            e_attract(l.map, m, CFG) + CFG.lam * e_repel(l.map, m, CFG)[0]
-            for l, m in zip(layers, masks)
-        ]
+        evs = [_evaluate(l.map.a, m.a, CFG, False) for l, m in zip(layers, masks)]
+        per = [ev.e_attract + CFG.lam * ev.e_repel for ev in evs]
         bd = e_total(layers, masks, CFG)
         assert bd.total == pytest.approx(0.5 * (per[0] + per[1]), rel=1e-12)
-        assert bd.e_attract == pytest.approx(
-            0.5 * sum(e_attract(l.map, m, CFG) for l, m in zip(layers, masks)),
-            rel=1e-12,
-        )
+        assert bd.e_attract == pytest.approx(0.5 * sum(ev.e_attract for ev in evs), rel=1e-12)
 
     def test_unselected_layers_still_reported(self):
         layers, masks = _two_layer_fixture()
         cfg = EnergyConfig(layer_select=frozenset({"half"}))
         bd = e_total(layers, masks, cfg)
         assert set(bd.per_layer) == {"full", "half"}
-        assert bd.total == pytest.approx(
-            e_attract(layers[1].map, masks[1], cfg)
-            + cfg.lam * e_repel(layers[1].map, masks[1], cfg)[0],
-            rel=1e-12,
-        )
+        ev = _evaluate(layers[1].map.a, masks[1].a, cfg, False)
+        assert bd.total == pytest.approx(ev.e_attract + cfg.lam * ev.e_repel, rel=1e-12)
 
     def test_empty_selection_is_an_error(self):
         layers, masks = _two_layer_fixture()
@@ -529,24 +515,22 @@ class TestETotal:
 class TestGradETotal:
     def test_composes_per_layer_gradients(self):
         layers, masks = _two_layer_fixture()
-        grads = grad_e_total(layers, masks, CFG)
+        _, grads = _evaluate_layers(layers, masks, CFG, True)
         for layer, mask, g in zip(layers, masks, grads):
-            want = (
-                grad_e_attract(layer.map, mask, CFG).a
-                + CFG.lam * grad_e_repel(layer.map, mask, CFG).a
-            ) / 2.0
-            assert np.array_equal(g.a, want)
+            ev = _evaluate(layer.map.a, mask.a, CFG, True)
+            want = (ev.grad_attract + CFG.lam * ev.grad_repel) / 2.0
+            assert np.array_equal(g, want)
 
     def test_unselected_layer_gets_zero_grid(self):
         layers, masks = _two_layer_fixture()
         cfg = EnergyConfig(layer_select=frozenset({"full"}))
-        grads = grad_e_total(layers, masks, cfg)
-        assert np.array_equal(grads[1].a, np.zeros((2, 2)))
-        assert grads[0].a.any()
+        _, grads = _evaluate_layers(layers, masks, cfg, True)
+        assert np.array_equal(grads[1], np.zeros((2, 2)))
+        assert grads[0].any()
 
     def test_matches_finite_differences_of_aggregate(self):
         layers, masks = _two_layer_fixture()
-        grads = grad_e_total(layers, masks, CFG)
+        _, grads = _evaluate_layers(layers, masks, CFG, True)
         h = 1e-6
         worst = 0.0
         for li, layer in enumerate(layers):
@@ -568,7 +552,7 @@ class TestGradETotal:
                         CFG,
                     ).total
                     fd = (e_up - e_dn) / (2.0 * h)
-                    worst = max(worst, fd_rel_err(grads[li].a[i, j], fd))
+                    worst = max(worst, fd_rel_err(grads[li][i, j], fd))
         assert worst < 1e-5
 
 
@@ -622,5 +606,5 @@ class TestConfigValidation:
             AttentionLayer("full", Grid([[-0.1, 1.1]]))
 
     def test_attention_layer_resolution(self):
-        layer = AttentionLayer("full", Grid.zeros(4, 6))
+        layer = AttentionLayer("full", Grid(np.zeros((4, 6))))
         assert layer.resolution == (4, 6)

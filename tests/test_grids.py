@@ -13,12 +13,12 @@ from tryonlab import (
     GridError,
     GridFormatError,
     RandomStream,
-    bilinear_warp,
     grid_read,
     grid_write,
     mask_read,
     resample_mask,
 )
+from tryonlab.grids import warp_array
 
 # ---------------------------------------------------------------- oracles
 
@@ -88,7 +88,7 @@ class TestGrid:
             Grid(np.zeros((3, 0)))
 
     def test_immutable(self):
-        g = Grid.zeros(2, 3)
+        g = Grid(np.zeros((2, 3)))
         with pytest.raises(AttributeError):
             g.a = np.ones((2, 3))
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestGrid:
     def test_equality_by_value(self):
         assert Grid.full(2, 2, 0.5) == Grid.full(2, 2, 0.5)
         assert Grid.full(2, 2, 0.5) != Grid.full(2, 2, 0.25)
-        assert Grid.zeros(2, 2) != Grid.zeros(2, 3)
+        assert Grid(np.zeros((2, 2))) != Grid(np.zeros((2, 3)))
 
 
 class TestBinaryMask:
@@ -112,9 +112,40 @@ class TestBinaryMask:
         with pytest.raises(GridError):
             BinaryMask(Grid([[1.0 + 1e-12]]))
 
-    def test_zeros_ones_builders(self):
-        assert BinaryMask.zeros(3, 2).a.sum() == 0.0
-        assert BinaryMask.ones(3, 2).a.sum() == 6.0
+    def test_is_a_grid_built_from_a_grid_or_an_array(self):
+        x = np.array([[0.0, 1.0], [1.0, 1.0]])
+        for values in (Grid(x.copy()), x.copy()):
+            m = BinaryMask(values)
+            assert isinstance(m, Grid)
+            assert np.array_equal(m.a, x)
+            assert not m.a.flags.writeable
+            assert repr(m) == "BinaryMask(2x2)"
+
+    def test_rejects_half_and_nan_arrays(self):
+        for bad in (0.5, float("nan")):
+            with pytest.raises(GridError):
+                BinaryMask(np.array([[1.0, bad]]))
+
+    def test_never_equals_a_plain_grid(self):
+        x = np.array([[0.0, 1.0]])
+        assert Grid(x) != BinaryMask(x)
+        assert BinaryMask(x) != Grid(x)
+        assert not Grid(x) == BinaryMask(x)
+        assert not BinaryMask(x) == Grid(x)
+        assert BinaryMask(x) == BinaryMask(Grid(x))
+
+    def test_immutable(self):
+        m = BinaryMask(np.ones((1, 2)))
+        with pytest.raises(AttributeError, match="BinaryMask is immutable"):
+            m.a = np.zeros((1, 2))
+        with pytest.raises(AttributeError):
+            m.grid = Grid(np.ones((1, 2)))
+
+    def test_writes_the_bytes_of_a_grid_with_its_values(self, tmp_path):
+        x = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        grid_write(tmp_path / "m.f64grid", BinaryMask(x))
+        grid_write(tmp_path / "g.f64grid", Grid(x))
+        assert (tmp_path / "m.f64grid").read_bytes() == (tmp_path / "g.f64grid").read_bytes()
 
 
 # ---------------------------------------------------------- resample_mask
@@ -122,12 +153,12 @@ class TestBinaryMask:
 
 class TestResampleMask:
     def test_all_ones_shrinks_to_all_ones(self):
-        out = resample_mask(BinaryMask.ones(8, 8), 4, 4)
-        assert out == BinaryMask.ones(4, 4)
+        out = resample_mask(BinaryMask(np.ones((8, 8))), 4, 4)
+        assert out == BinaryMask(np.ones((4, 4)))
 
     def test_all_zeros_shrinks_to_all_zeros(self):
-        out = resample_mask(BinaryMask.zeros(8, 8), 2, 2)
-        assert out == BinaryMask.zeros(2, 2)
+        out = resample_mask(BinaryMask(np.zeros((8, 8))), 2, 2)
+        assert out == BinaryMask(np.zeros((2, 2)))
 
     def test_checkerboard_tie_maps_to_one(self):
         m = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
@@ -136,9 +167,9 @@ class TestResampleMask:
 
     def test_rejects_zero_target(self):
         with pytest.raises(GridError):
-            resample_mask(BinaryMask.ones(4, 4), 0, 2)
+            resample_mask(BinaryMask(np.ones((4, 4))), 0, 2)
         with pytest.raises(GridError):
-            resample_mask(BinaryMask.ones(4, 4), 2, 0)
+            resample_mask(BinaryMask(np.ones((4, 4))), 2, 0)
 
     def test_half_scale_matches_oracle_exactly(self):
         rng = RandomStream(101)
@@ -182,37 +213,37 @@ class TestResampleMask:
         assert resample_mask(m, 2, 2) == m
 
 
-# ---------------------------------------------------------- bilinear_warp
+# ------------------------------------------------------------- warp_array
 
 
 class TestBilinearWarp:
     def test_zero_flow_is_bit_exact_identity(self):
         rng = RandomStream(7)
-        img = Grid(rng.normals(6 * 5).reshape(6, 5))
-        zero = Grid.zeros(6, 5)
-        out = bilinear_warp(img, zero, zero)
-        assert out.a.tobytes() == img.a.tobytes()
+        img = rng.normals(6 * 5).reshape(6, 5)
+        zero = np.zeros((6, 5))
+        out = warp_array(img, zero, zero)
+        assert out.tobytes() == img.tobytes()
 
     def test_constant_image_is_invariant(self):
-        img = Grid.full(4, 4, 3.25)
+        img = np.full((4, 4), 3.25)
         rng = RandomStream(8)
-        fx = Grid(4.0 * rng.uniforms(16).reshape(4, 4) - 2.0)
-        fy = Grid(4.0 * rng.uniforms(16).reshape(4, 4) - 2.0)
-        out = bilinear_warp(img, fx, fy)
-        assert np.allclose(out.a, 3.25, rtol=0, atol=1e-15)
+        fx = 4.0 * rng.uniforms(16).reshape(4, 4) - 2.0
+        fy = 4.0 * rng.uniforms(16).reshape(4, 4) - 2.0
+        out = warp_array(img, fx, fy)
+        assert np.allclose(out, 3.25, rtol=0, atol=1e-15)
 
     def test_half_pixel_sample(self):
-        img = Grid([[0.0, 1.0]])
-        fx = Grid([[0.5, 0.0]])
-        fy = Grid.zeros(1, 2)
-        out = bilinear_warp(img, fx, fy)
-        assert out.a[0, 0] == 0.5
+        img = np.array([[0.0, 1.0]])
+        fx = np.array([[0.5, 0.0]])
+        fy = np.zeros((1, 2))
+        out = warp_array(img, fx, fy)
+        assert out[0, 0] == 0.5
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(GridError):
-            bilinear_warp(Grid.zeros(2, 2), Grid.zeros(2, 3), Grid.zeros(2, 2))
+            warp_array(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
         with pytest.raises(GridError):
-            bilinear_warp(Grid.zeros(2, 2), Grid.zeros(2, 2), Grid.zeros(3, 2))
+            warp_array(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)))
 
     @given(seed=st.integers(0, 10_000), h=st.integers(1, 6), w=st.integers(1, 6))
     @settings(max_examples=60)
@@ -221,16 +252,16 @@ class TestBilinearWarp:
         a = rng.normals(h * w).reshape(h, w)
         fx = 6.0 * rng.uniforms(h * w).reshape(h, w) - 3.0
         fy = 6.0 * rng.uniforms(h * w).reshape(h, w) - 3.0
-        out = bilinear_warp(Grid(a), Grid(fx), Grid(fy))
+        out = warp_array(a, fx, fy)
         want = bilinear_oracle(a, fx, fy)
-        assert np.allclose(out.a, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
 
     def test_clamps_out_of_bounds_sources(self):
-        img = Grid([[1.0, 2.0], [3.0, 4.0]])
-        fx = Grid.full(2, 2, -10.0)
-        fy = Grid.full(2, 2, -10.0)
-        out = bilinear_warp(img, fx, fy)
-        assert np.array_equal(out.a, np.full((2, 2), 1.0))
+        img = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fx = np.full((2, 2), -10.0)
+        fy = np.full((2, 2), -10.0)
+        out = warp_array(img, fx, fy)
+        assert np.array_equal(out, np.full((2, 2), 1.0))
 
 
 # --------------------------------------------------------------- file IO
@@ -311,7 +342,7 @@ class TestGridIO:
     def test_mask_read_roundtrip_and_validation(self, tmp_path):
         m = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
         p = tmp_path / "m.f64grid"
-        grid_write(p, m.grid)
+        grid_write(p, m)
         assert mask_read(p) == m
         grid_write(p, Grid([[0.5, 0.0]]))
         with pytest.raises(GridError):

@@ -12,7 +12,6 @@ from tryonlab.sampler import CSV_HEADER
 from tryonlab import (
     BinaryMask,
     Condition,
-    Grid,
     LinearGaussianModel,
     RandomStream,
     SamplerConfig,
@@ -251,7 +250,7 @@ class TestSampleLoop:
         "region, branch",
         [
             pytest.param(rect_mask(16, 12, 4, 4, 8, 4), "outer|outer", id="rect"),
-            pytest.param(BinaryMask.ones(16, 12), "inner|inner", id="full"),
+            pytest.param(BinaryMask(np.ones((16, 12))), "inner|inner", id="full"),
         ],
     )
     def test_disabled_equals_zero_rho(self, toy, schedule, region, branch):
@@ -365,7 +364,7 @@ class TestSampleLoop:
         "empty_at, bad_mask",
         [
             pytest.param("'half' (8x6)", rect_mask(16, 12, 5, 5, 1, 1), id="single-pixel"),
-            pytest.param("'full' (16x12)", BinaryMask(Grid.zeros(16, 12)), id="empty"),
+            pytest.param("'full' (16x12)", BinaryMask(np.zeros((16, 12))), id="empty"),
         ],
     )
     def test_mask_vanishing_at_a_layer_raises(self, toy, schedule, empty_at, bad_mask):

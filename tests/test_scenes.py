@@ -190,24 +190,24 @@ class TestCompositeReference:
         spec = make_spec()
         rng = RandomStream(1).child("s")
         s = gen_scene(rng, spec)
-        zero = Grid.zeros(16, 12)
+        zero = Grid(np.zeros((16, 12)))
         out = composite_reference(
-            s.person, s.garment, BinaryMask.zeros(16, 12), zero, zero
+            s.person, s.garment, BinaryMask(np.zeros((16, 12))), zero, zero
         )
         assert out.stack().tobytes() == s.person.stack().tobytes()
 
     def test_full_mask_zero_flow_returns_garment(self):
         spec = make_spec()
         s = gen_scene(RandomStream(2).child("s"), spec)
-        zero = Grid.zeros(16, 12)
-        out = composite_reference(s.person, s.garment, BinaryMask.ones(16, 12), zero, zero)
+        zero = Grid(np.zeros((16, 12)))
+        out = composite_reference(s.person, s.garment, BinaryMask(np.ones((16, 12))), zero, zero)
         assert out.stack().tobytes() == s.garment.stack().tobytes()
 
     def test_matches_per_pixel_selection_for_all_box_masks(self):
         rng = RandomStream(3).child("s")
-        person = SceneImage.from_stack(rng.uniforms(3 * 64).reshape(3, 8, 8))
-        garment = SceneImage.from_stack(rng.uniforms(3 * 64).reshape(3, 8, 8))
-        zero = Grid.zeros(8, 8)
+        person = SceneImage(rng.uniforms(3 * 64).reshape(3, 8, 8))
+        garment = SceneImage(rng.uniforms(3 * 64).reshape(3, 8, 8))
+        zero = Grid(np.zeros((8, 8)))
         for top in range(8):
             for height in range(1, 8 - top + 1):
                 for left in range(8):
@@ -225,8 +225,8 @@ class TestCompositeReference:
 
     def test_respects_nonzero_flow(self):
         rng = RandomStream(4).child("s")
-        person = SceneImage.from_stack(rng.uniforms(3 * 64).reshape(3, 8, 8))
-        garment = SceneImage.from_stack(rng.uniforms(3 * 64).reshape(3, 8, 8))
+        person = SceneImage(rng.uniforms(3 * 64).reshape(3, 8, 8))
+        garment = SceneImage(rng.uniforms(3 * 64).reshape(3, 8, 8))
         fx = Grid(rng.uniforms(64).reshape(8, 8) * 2.0 - 1.0)
         fy = Grid(rng.uniforms(64).reshape(8, 8) * 2.0 - 1.0)
         mask = BinaryMask(Grid(np.indices((8, 8)).sum(axis=0) % 2.0))
@@ -238,12 +238,12 @@ class TestCompositeReference:
 
     def test_rejects_shape_mismatches(self):
         s = gen_scene(RandomStream(5).child("s"), make_spec())
-        zero = Grid.zeros(16, 12)
-        small = SceneImage.gray(Grid.zeros(8, 8))
+        zero = Grid(np.zeros((16, 12)))
+        small = SceneImage.gray(Grid(np.zeros((8, 8))))
         with pytest.raises(SceneError):
             composite_reference(s.person, small, s.mask, zero, zero)
         with pytest.raises(SceneError):
-            composite_reference(s.person, s.garment, BinaryMask.zeros(8, 8), zero, zero)
+            composite_reference(s.person, s.garment, BinaryMask(np.zeros((8, 8))), zero, zero)
 
 
 class TestGenScene:
