@@ -118,6 +118,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# The per-sample scores that vtid.json and vtid.csv report, in column order.
+_VTID_SCORES = ("human_dist", "clothing_dist", "vtid")
+
+
 def cmd_vtid(args) -> int:
     samples = load_dataset(args.manifest)
     if args.features == "pixel":
@@ -144,32 +148,20 @@ def cmd_vtid(args) -> int:
     outdir = Path(args.out) if args.out else Path(args.manifest).parent
     outdir.mkdir(parents=True, exist_ok=True)
     n = len(reports)
-    mean = {
-        "human_dist": sum(r.human_dist for r in reports) / n,
-        "clothing_dist": sum(r.clothing_dist for r in reports) / n,
-        "vtid": sum(r.vtid for r in reports) / n,
-    }
+    scores = [{k: getattr(r, k) for k in _VTID_SCORES} for r in reports]
+    mean = {k: sum(sc[k] for sc in scores) / n for k in _VTID_SCORES}
     doc = {
         "n": n,
         "features": args.features,
-        "samples": [
-            {
-                "index": i,
-                "human_dist": r.human_dist,
-                "clothing_dist": r.clothing_dist,
-                "vtid": r.vtid,
-            }
-            for i, r in enumerate(reports)
-        ],
+        "samples": [{"index": i, **sc} for i, sc in enumerate(scores)],
         "mean": mean,
     }
     _write_json(outdir / "vtid.json", doc)
     with open(outdir / "vtid.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(("sample", "human_dist", "clothing_dist", "vtid"))
-        for i, r in enumerate(reports):
-            writer.writerow([str(i), repr(r.human_dist), repr(r.clothing_dist), repr(r.vtid)])
-        writer.writerow(["mean", repr(mean["human_dist"]), repr(mean["clothing_dist"]), repr(mean["vtid"])])
+        writer.writerow(("sample",) + _VTID_SCORES)
+        for label, sc in [*enumerate(scores), ("mean", mean)]:
+            writer.writerow([str(label)] + [repr(sc[k]) for k in _VTID_SCORES])
     print(f"{outdir / 'vtid.json'}\nmean vtid over {n} samples: {mean['vtid']:.6f}")
     return 0
 

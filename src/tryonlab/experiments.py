@@ -2,10 +2,10 @@
 
 A config fully determines every output byte: model seed and dims, noise
 schedule, sampler and energy settings, dataset manifest, trial count.
-Runs execute paired corrected/baseline trajectories per trial with shared
-seeds; sweeps run every trial at each point of a fixed ablation grid, on
-one noise block per trial with all grid points in lockstep, and reduce
-each grid point to mean final metrics.
+Runs and sweeps share one trial loop. Runs make a corrected pass, then a
+baseline pass, with shared per-trial seeds; sweeps run every grid point
+of a fixed ablation on one noise block per trial, in lockstep, and
+reduce each grid point to mean final metrics.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from math import nan
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_m
 from .rng import RandomStream
 from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
 from .sampler import sample_points as run_sampler
+from .scenes import DATASET_ROLES
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
 
@@ -38,7 +39,6 @@ __all__ = [
     "config_to_dict",
     "DatasetSample",
     "load_dataset",
-    "run_trials",
     "paired_run",
     "run_summary",
     "SCALE_GRID",
@@ -279,17 +279,14 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
         raise ConfigError(f"dataset: {manifest_path}: invalid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise ConfigError(f"dataset: {manifest_path}: expected a JSON object")
-    roles = ("person", "garment", "flow_x", "flow_y", "generated", "mask", "gen_mask")
-    lists = {}
-    for role in roles:
-        v = manifest.get(role)
+    lists = {role: manifest.get(role) for role in DATASET_ROLES}
+    for role, v in lists.items():
         if not isinstance(v, list) or not all(isinstance(p, str) for p in v):
             raise ConfigError(f"dataset: manifest field {role!r} must be a list of paths")
-        lists[role] = v
     n = len(lists["person"])
     if n == 0:
         raise ConfigError("dataset: manifest lists no samples")
-    if any(len(lists[r]) != n for r in roles):
+    if any(len(lists[r]) != n for r in DATASET_ROLES):
         raise ConfigError("dataset: manifest role lists have differing lengths")
     root = manifest_path.parent
     samples = []
@@ -342,45 +339,30 @@ def _toy_vtid(sample: DatasetSample, final_x: Grid, fx: FeatureExtractor) -> flo
     return report.vtid
 
 
-def _trial_inputs(
+def _trials(
     model,
     schedule: NoiseSchedule,
-    samp_cfg: SamplerConfig,
-    dataset: list[DatasetSample],
-    seed: int,
-    i: int,
-) -> tuple[DatasetSample, BinaryMask, np.ndarray]:
-    """Trial i's dataset sample (i mod n), its mask resampled to the model's
-    latent resolution (model.h, model.w), and its noise block, drawn from
-    child "trial-{i}" of the seed."""
-    if not dataset:
-        raise ConfigError("dataset: no samples")
-    sample_i = dataset[i % len(dataset)]
-    mask = resample_mask(sample_i.mask, model.h, model.w)
-    noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, samp_cfg, schedule)
-    return sample_i, mask, noise
-
-
-def run_trials(
-    model,
-    schedule: NoiseSchedule,
-    samp_cfg: SamplerConfig,
+    cfgs: list[SamplerConfig],
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-) -> list[TrajectoryRecord]:
-    """Run `trials` independent trajectories, one noise block per trial.
+) -> Iterator[tuple[DatasetSample, list[tuple[Grid, TrajectoryRecord]]]]:
+    """Yield (sample, [(final latent, record) per config]) for each trial.
 
-    The block depends only on (seed, i), so two arms at the same seed run
-    on the same noise. Each trial's block is drawn just before its
-    trajectory, so only one is held at a time.
+    Trial i reads sample i mod n with its mask resampled to the model's
+    latent resolution (model.h, model.w), and runs every config in
+    lockstep on one noise block from child "trial-{i}" of the seed. The
+    block depends only on (seed, i), so two passes at the same seed run
+    on the same noise. It is drawn just before its call, so only one is
+    held at a time.
     """
-    records = []
+    if not dataset:
+        raise ConfigError("dataset: no samples")
     for i in range(trials):
-        _, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
-        [(_, record)] = run_sampler(model, mask, [samp_cfg], schedule, noise)
-        records.append(record)
-    return records
+        sample_i = dataset[i % len(dataset)]
+        mask = resample_mask(sample_i.mask, model.h, model.w)
+        noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, cfgs[0], schedule)
+        yield sample_i, run_sampler(model, mask, cfgs, schedule, noise)
 
 
 # Readers of each final metric off the energy breakdown at a trial's final
@@ -392,10 +374,6 @@ FINAL_METRICS = {
     "final_in_mask_fraction_full": lambda final: final.in_mask_fraction.get(LAYER_FULL, nan),
     "final_in_mask_fraction_half": lambda final: final.in_mask_fraction.get(LAYER_HALF, nan),
 }
-
-
-def _final_values(records: list[TrajectoryRecord], name: str) -> list[float]:
-    return [FINAL_METRICS[name](r.final) for r in records]
 
 
 def paired_run(
@@ -412,9 +390,12 @@ def paired_run(
     draws its own noise blocks: sharing them would hold every block of
     the corrected arm until its baseline twin runs.
     """
-    csc = run_trials(model, schedule, replace(samp_cfg, csc_enabled=True), dataset, trials, seed)
-    base = run_trials(model, schedule, replace(samp_cfg, csc_enabled=False), dataset, trials, seed)
-    return csc, base
+
+    def arm(csc_enabled: bool) -> list[TrajectoryRecord]:
+        cfgs = [replace(samp_cfg, csc_enabled=csc_enabled)]
+        return [r for _, [(_, r)] in _trials(model, schedule, cfgs, dataset, trials, seed)]
+
+    return arm(True), arm(False)
 
 
 def _paired_effect_size(deltas: np.ndarray) -> float:
@@ -437,7 +418,7 @@ def run_summary(
     """
     out: dict = {"trials": len(csc), "arms": {}, "delta": {}, "effect_size": {}}
     values = {
-        arm: {m: np.array(_final_values(results, m)) for m in FINAL_METRICS}
+        arm: {m: np.array([FINAL_METRICS[m](r.final) for r in results]) for m in FINAL_METRICS}
         for arm, results in (("csc", csc), ("baseline", base))
     }
     for arm in ("csc", "baseline"):
@@ -472,26 +453,23 @@ def sweep_rows(
     sweep = SWEEPS[kind]
     cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
     fx = pixel_extractor()
-    finals = [[] for _ in cfgs]  # per grid point: one final breakdown per trial
-    vtids = [[] for _ in cfgs]
-    for i in range(trials):
-        sample_i, mask, noise = _trial_inputs(model, schedule, samp_cfg, dataset, seed, i)
-        try:
-            points = run_sampler(model, mask, cfgs, schedule, noise)
-        except SamplerError as e:
-            if not e.configs:
-                raise
-            named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in e.configs)
-            raise SamplerError(f"{named}: {e}", e.configs) from e
-        for (x, record), point_finals, point_vtids in zip(points, finals, vtids):
-            point_finals.append(record.final)
-            point_vtids.append(_toy_vtid(sample_i, x, fx))
+    try:  # per trial: (final breakdown, toy vtid) per grid point
+        per_trial = [
+            [(record.final, _toy_vtid(sample_i, x, fx)) for x, record in points]
+            for sample_i, points in _trials(model, schedule, cfgs, dataset, trials, seed)
+        ]
+    except SamplerError as e:
+        if not e.configs:
+            raise
+        named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in e.configs)
+        raise SamplerError(f"{named}: {e}", e.configs) from e
     rows = []
-    for value, point_finals, point_vtids in zip(sweep.grid, finals, vtids):
+    for value, point in zip(sweep.grid, zip(*per_trial)):
+        finals, vtids = zip(*point)
         row = {sweep.column: value}
         for m in _SWEPT_METRICS:
-            row[f"mean_{m}"] = float(np.mean([FINAL_METRICS[m](f) for f in point_finals]))
-        row["mean_toy_vtid_vs_reference"] = float(np.mean(point_vtids))
+            row[f"mean_{m}"] = float(np.mean([FINAL_METRICS[m](f) for f in finals]))
+        row["mean_toy_vtid_vs_reference"] = float(np.mean(vtids))
         rows.append(row)
     return rows
 

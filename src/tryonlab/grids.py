@@ -46,12 +46,12 @@ class Grid:
     __slots__ = ("a",)
 
     def __init__(self, values):
-        a = np.asarray(values, dtype=np.float64)
+        # a private copy: freezing it leaves the caller's array writeable
+        a = np.array(values, dtype=np.float64, order="C")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise GridError(f"grid must be 2-D and non-empty, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise GridError("grid contains non-finite values")
-        a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 

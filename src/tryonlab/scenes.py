@@ -208,8 +208,8 @@ def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
     """Render one paired sample, deterministic per (stream state, spec).
 
     The person's clothing region is filled by warping the scene's own
-    garment through the scene's flow, so the paired ground truth equals
-    the person image exactly.
+    garment through the scene's flow, so the paired ground truth is the
+    person image itself.
     """
     h, w = spec.canvas_h, spec.canvas_w
     noise = spec.noise_amp * (rng.uniforms(h * w).reshape(h, w) - 0.5)
@@ -234,7 +234,7 @@ def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
         flow_x=flow_x,
         flow_y=flow_y,
         paired=True,
-        reference=composite_reference(person, garment, mask, flow_x, flow_y),
+        reference=person,
     )
 
 

@@ -51,7 +51,8 @@ class SceneImage:
     __slots__ = ("_a",)
 
     def __init__(self, stack: np.ndarray):
-        a = np.asarray(stack, dtype=np.float64)
+        # a private copy, so clamping and freezing it leave the caller's alone
+        a = np.array(stack, dtype=np.float64, order="C")
         if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
             raise VtidError(f"expected a non-empty (3, h, w) stack, got {a.shape}")
         if not np.isfinite(a).all():
@@ -60,8 +61,7 @@ class SceneImage:
         # clamping the whole stack equals clamping each channel that needs
         # it; C order keeps the feature convolutions' summation order
         if a.min() < 0.0 or a.max() > 1.0:
-            a = np.clip(a, 0.0, 1.0)
-        a = np.ascontiguousarray(a)
+            np.clip(a, 0.0, 1.0, out=a)
         a.flags.writeable = False
         object.__setattr__(self, "_a", a)
 

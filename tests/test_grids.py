@@ -13,6 +13,7 @@ from tryonlab import (
     GridError,
     GridFormatError,
     RandomStream,
+    SceneImage,
     grid_read,
     grid_write,
     mask_read,
@@ -93,6 +94,24 @@ class TestGrid:
             g.a = np.ones((2, 3))
         with pytest.raises(ValueError):
             g.a[0, 0] = 1.0
+
+    def test_constructors_copy_and_leave_the_callers_array_writeable(self):
+        builds = {
+            "Grid": (Grid, np.zeros((2, 3))),
+            "BinaryMask": (BinaryMask, np.zeros((2, 3))),
+            "BinaryMask of a Grid": (lambda x: BinaryMask(Grid(x)), np.zeros((2, 3))),
+            "SceneImage": (SceneImage, np.zeros((3, 2, 3))),
+            "SceneImage, clamped": (SceneImage, np.full((3, 2, 3), 2.0)),
+        }
+        for name, (build, x) in builds.items():
+            given_values = x.copy()
+            wrapped = build(x)
+            values = wrapped.stack() if isinstance(wrapped, SceneImage) else wrapped.a
+            held = values.copy()
+            assert x.flags.writeable, name
+            assert np.array_equal(x, given_values), name
+            x[...] = 1.0 - x
+            assert np.array_equal(values, held), name
 
     def test_equality_by_value(self):
         assert Grid.full(2, 2, 0.5) == Grid.full(2, 2, 0.5)

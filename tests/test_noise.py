@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import tryonlab.experiments as experiments
 import tryonlab.sampler as sampler
 from helpers import rect_mask, sample_per_step, sweep_rows_grid_major
 from tryonlab import (
@@ -128,3 +129,30 @@ class TestDrawCounts:
         paired_run(toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
                    self.TRIALS, 42)
         assert shapes == [(6, 16, 12)] * (2 * self.TRIALS)
+
+
+def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, monkeypatch):
+    """One lone-config call per (trial, arm): every corrected trial in trial
+    order, then the same trials uncorrected, on the same samples and blocks.
+    The benchmark's checks count the calls in this order; with one trial a
+    trial-major order would look the same."""
+    schedule, cfg, trials = make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), 3
+    calls = []
+    run = experiments.run_sampler
+
+    def recording(model, mask, cfgs, sched, noise):
+        calls.append((mask, cfgs, noise.tobytes()))
+        return run(model, mask, cfgs, sched, noise)
+
+    monkeypatch.setattr(experiments, "run_sampler", recording)
+    paired_run(toy, schedule, cfg, bench, trials, 42)
+    assert [len(cfgs) for _, cfgs, _ in calls] == [1] * (2 * trials)
+    assert [cfgs[0].csc_enabled for _, cfgs, _ in calls] == [True] * trials + [False] * trials
+    masks = [bench[i % len(bench)].mask for i in range(trials)]
+    assert [mask for mask, _, _ in calls] == masks * 2
+    blocks = [
+        draw_noise(RandomStream(42).child(f"trial-{i}"), masks[i], cfg, schedule).tobytes()
+        for i in range(trials)
+    ]
+    assert len(set(blocks)) == trials
+    assert [noise for _, _, noise in calls] == blocks * 2

@@ -257,6 +257,10 @@ class TestGenScene:
         s = gen_scene(RandomStream(7).child("s"), make_spec("stripes"))
         assert s.paired is True
         assert s.reference.stack().tobytes() == s.person.stack().tobytes()
+        # gen_scene returns the person as the reference; compositing the
+        # scene's garment onto it again must change no bit
+        again = composite_reference(s.person, s.garment, s.mask, s.flow_x, s.flow_y)
+        assert again.stack().tobytes() == s.person.stack().tobytes()
 
     def test_clothing_region_carries_warped_garment(self):
         spec = make_spec("solid")
