@@ -140,17 +140,22 @@ def warp_array(a: np.ndarray, flow_x: np.ndarray, flow_y: np.ndarray) -> np.ndar
     h, w = a.shape[-2:]
     if flow_x.shape != (h, w) or flow_y.shape != (h, w):
         raise GridError(f"flow shape {flow_x.shape}/{flow_y.shape} != image shape {(h, w)}")
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    sy = np.clip(ii + flow_y, 0.0, h - 1.0)
-    sx = np.clip(jj + flow_x, 0.0, w - 1.0)
+    # minimum(maximum(.)) gives np.clip's bits: an index plus a flow is
+    # never -0.0, the one input on which the two could differ
+    sy = np.minimum(np.maximum(np.arange(h)[:, None] + flow_y, 0.0), h - 1.0)
+    sx = np.minimum(np.maximum(np.arange(w) + flow_x, 0.0), w - 1.0)
     y0 = np.floor(sy).astype(np.intp)
     x0 = np.floor(sx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
     fy = sy - y0
     fx = sx - x0
-    top = a[..., y0, x0] * (1.0 - fx) + a[..., y0, x1] * fx
-    bot = a[..., y1, x0] * (1.0 - fx) + a[..., y1, x1] * fx
+    gx = 1.0 - fx
+    # one-axis gathers from the flattened canvas, at row offset + column
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
+    x1 = np.minimum(x0 + 1, w - 1)
+    flat = a.reshape(*a.shape[:-2], h * w)
+    top = np.take(flat, row0 + x0, axis=-1) * gx + np.take(flat, row0 + x1, axis=-1) * fx
+    bot = np.take(flat, row1 + x0, axis=-1) * gx + np.take(flat, row1 + x1, axis=-1) * fx
     return top * (1.0 - fy) + bot * fy
 
 

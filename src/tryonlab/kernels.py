@@ -87,12 +87,27 @@ def avg_pool2_adjoint(g: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25
 
 
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """e^-|z|, which never overflows, in one new buffer; z is not written."""
+    out = np.abs(z)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
 def softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + e^z), in a form that neither overflows nor loses small values."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    """log(1 + e^z) as log1p(e^-|z|) + max(z, 0), a form that neither
+    overflows nor loses small values, built in one output buffer."""
+    out = _exp_neg_abs(z)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) from e = e^-|z|, which never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + e^-z) from e = e^-|z|: 1 / (1 + e) where z >= 0 and
+    e / (1 + e) elsewhere, built in one output buffer."""
+    out = _exp_neg_abs(z)
+    den = out + 1.0
+    np.copyto(out, 1.0, where=z >= 0)
+    out /= den
+    return out

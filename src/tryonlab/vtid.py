@@ -6,6 +6,12 @@ and compare the remainders (human preservation), warp the garment onto
 the region and compare with the generated clothing (garment fidelity).
 Feature extractors are pluggable; seeded random convolutional features
 stand in for a pretrained perceptual backbone.
+
+SceneImage is the boundary type: the inputs to vtid_score and the public
+extract/warp helpers. Inside, vtid_score carries its four derived images
+as plain (3, h, w) float64 arrays, an extractor maps one such array to
+one (C, h_s, w_s) stack of feature maps per scale, and the distance
+reduces each stack in one pass.
 """
 
 from __future__ import annotations
@@ -51,18 +57,14 @@ class SceneImage:
     __slots__ = ("_a",)
 
     def __init__(self, stack: np.ndarray):
-        # a private copy, so clamping and freezing it leave the caller's alone
+        # a private copy, so clamping and freezing it leave the caller's alone;
+        # C order keeps the feature convolutions' summation order
         a = np.array(stack, dtype=np.float64, order="C")
         if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
             raise VtidError(f"expected a non-empty (3, h, w) stack, got {a.shape}")
         if not np.isfinite(a).all():
             raise GridError("scene contains non-finite values")
-        # clip leaves in-range values, -0.0 included, bit for bit, so
-        # clamping the whole stack equals clamping each channel that needs
-        # it; C order keeps the feature convolutions' summation order
-        if a.min() < 0.0 or a.max() > 1.0:
-            np.clip(a, 0.0, 1.0, out=a)
-        a.flags.writeable = False
+        _clamp01(a).flags.writeable = False
         object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
@@ -94,8 +96,20 @@ class SceneImage:
         return f"SceneImage({h}x{w})"
 
 
+def _clamp01(a: np.ndarray) -> np.ndarray:
+    """Clamp a to [0, 1] in place if it holds a value outside; clip leaves
+    in-range values, -0.0 included, bit for bit, so clamping a whole stack
+    equals clamping each channel that needs it."""
+    if a.min() < 0.0 or a.max() > 1.0:
+        np.clip(a, 0.0, 1.0, out=a)
+    return a
+
+
 class FeatureExtractor(Protocol):
-    def features(self, image: SceneImage) -> list[np.ndarray]: ...
+    def features(self, stack: np.ndarray) -> list[np.ndarray]:
+        """One (C, h_s, w_s) stack of feature maps per scale, coarsening
+        scale by scale, from one C-order (3, h, w) image array."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -111,17 +125,20 @@ class VtidReport:
         return self.human_dist + self.clothing_dist
 
 
-def extract_agnostic(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
-    """Person with the clothing region blacked out: channels times (1 - M)."""
+def _check_mask(image: SceneImage, clothing_mask: BinaryMask) -> None:
     if clothing_mask.shape != image.shape:
         raise VtidError(f"mask shape {clothing_mask.shape} != image shape {image.shape}")
+
+
+def extract_agnostic(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
+    """Person with the clothing region blacked out: channels times (1 - M)."""
+    _check_mask(image, clothing_mask)
     return SceneImage(image.stack() * (1.0 - clothing_mask.a))
 
 
 def extract_clothing(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
     """Clothing region only: channels times M (complement of extract_agnostic)."""
-    if clothing_mask.shape != image.shape:
-        raise VtidError(f"mask shape {clothing_mask.shape} != image shape {image.shape}")
+    _check_mask(image, clothing_mask)
     return SceneImage(image.stack() * clothing_mask.a)
 
 
@@ -138,17 +155,30 @@ def perceptual_l2(a: SceneImage, b: SceneImage, fx: FeatureExtractor) -> float:
     """
     if a.shape != b.shape:
         raise VtidError(f"image shapes differ: {a.shape} vs {b.shape}")
+    return _distance(a.stack(), b.stack(), fx)
+
+
+def _distance(a: np.ndarray, b: np.ndarray, fx: FeatureExtractor) -> float:
+    """perceptual_l2 of two (3, h, w) arrays. One sum over the last two
+    axes per scale sums each map as that map's own .mean() does, and the
+    per-map MSEs are added in map order, so the result is bit-equal to
+    adding float((d * d).mean()) map by map."""
     fa = fx.features(a)
     fb = fx.features(b)
     if len(fa) != len(fb):
         raise VtidError("extractor returned differing feature counts")
     total = 0.0
-    for ma, mb in zip(fa, fb):
-        if ma.shape != mb.shape:
+    n_maps = 0
+    for sa, sb in zip(fa, fb):
+        if sa.shape != sb.shape:
             raise VtidError("extractor returned differing feature shapes")
-        d = ma - mb
-        total += float((d * d).mean())
-    return math.sqrt(total / len(fa))
+        d = sa - sb
+        d *= d
+        h, w = d.shape[-2:]
+        for mse in (d.sum(axis=(-2, -1)) / (h * w)).tolist():
+            total += mse
+        n_maps += len(d)
+    return math.sqrt(total / n_maps)
 
 
 def vtid_score(
@@ -167,31 +197,34 @@ def vtid_score(
     clothing region); clothing_dist compares the warped garment with the
     generated clothing region, both masked by the generated image's mask
     for a like-for-like comparison.
+
+    The derived images are plain (3, h, w) arrays with the bytes that
+    extract_agnostic, warp_scene and extract_clothing would give; no
+    input is written.
     """
     if garment.shape != person.shape or generated.shape != person.shape:
         raise VtidError(
             f"image shapes differ: person {person.shape}, garment {garment.shape}, "
             f"generated {generated.shape}"
         )
-    human = perceptual_l2(
-        extract_agnostic(person, clothing_mask),
-        extract_agnostic(generated, gen_clothing_mask),
-        fx,
+    _check_mask(person, clothing_mask)
+    _check_mask(generated, gen_clothing_mask)
+    gen = generated.stack()
+    human = _distance(
+        person.stack() * (1.0 - clothing_mask.a), gen * (1.0 - gen_clothing_mask.a), fx
     )
-    warped = warp_scene(garment, flow_x, flow_y)
-    clothing = perceptual_l2(
-        extract_clothing(warped, gen_clothing_mask),
-        extract_clothing(generated, gen_clothing_mask),
-        fx,
-    )
+    # clamped as SceneImage clamps, so the bytes stay those of warp_scene
+    warped = _clamp01(warp_array(garment.stack(), flow_x.a, flow_y.a))
+    warped *= gen_clothing_mask.a
+    clothing = _distance(warped, gen * gen_clothing_mask.a, fx)
     return VtidReport(human_dist=human, clothing_dist=clothing)
 
 
 class _PixelExtractor:
-    """Identity features: the three channel arrays themselves, one scale."""
+    """Identity features: the (3, h, w) image itself, one scale."""
 
-    def features(self, image: SceneImage) -> list[np.ndarray]:
-        return list(image.stack())
+    def features(self, stack: np.ndarray) -> list[np.ndarray]:
+        return [stack]
 
 
 class _RandomFeatureExtractor:
@@ -223,18 +256,15 @@ class _RandomFeatureExtractor:
         w = stack.shape[2] - stack.shape[2] % 2
         return avg_pool2(stack[:, :h, :w])
 
-    def features(self, image: SceneImage) -> list[np.ndarray]:
-        stack = image.stack()
+    def features(self, stack: np.ndarray) -> list[np.ndarray]:
+        shape = stack.shape[1:]
         out: list[np.ndarray] = []
         for s, bank in enumerate(self._banks):
             if s > 0:
                 if stack.shape[1] < 2 or stack.shape[2] < 2:
-                    raise VtidError(
-                        f"image {image.shape} too small for {self.n_scales} scales"
-                    )
+                    raise VtidError(f"image {shape} too small for {self.n_scales} scales")
                 stack = self._pool(stack)
-            maps = softplus(correlate3x3_multi(stack, bank))
-            out.extend(maps)
+            out.append(softplus(correlate3x3_multi(stack, bank)))
         return out
 
 

@@ -20,6 +20,7 @@ from tryonlab import (
     ModelError,
     RandomStream,
     SceneImage,
+    VtidReport,
     draw_noise,
     e_total,
     eps_to_score,
@@ -243,6 +244,54 @@ def sweep_rows_grid_major(kind: str, model, schedule, samp_cfg, dataset, trials,
 def warp_scene_per_channel(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
     """warp_scene as three separate warp_array calls, one per channel."""
     return SceneImage(np.stack([warp_array(ch, flow_x.a, flow_y.a) for ch in image.stack()]))
+
+
+def warp_array_meshgrid(a: np.ndarray, flow_x: np.ndarray, flow_y: np.ndarray) -> np.ndarray:
+    """warp_array by a meshgrid of source indices, np.clip and two-index
+    fancy gathers from the (..., h, w) array."""
+    h, w = a.shape[-2:]
+    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    sy = np.clip(ii + flow_y, 0.0, h - 1.0)
+    sx = np.clip(jj + flow_x, 0.0, w - 1.0)
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = sy - y0
+    fx = sx - x0
+    top = a[..., y0, x0] * (1.0 - fx) + a[..., y0, x1] * fx
+    bot = a[..., y1, x0] * (1.0 - fx) + a[..., y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def perceptual_l2_per_map(a: SceneImage, b: SceneImage, fx) -> float:
+    """perceptual_l2 as a loop over single feature maps: the square root of
+    the running sum of float((d * d).mean()), map by map, over the map count."""
+    maps_a = [m for stack in fx.features(a.stack()) for m in stack]
+    maps_b = [m for stack in fx.features(b.stack()) for m in stack]
+    total = 0.0
+    for ma, mb in zip(maps_a, maps_b, strict=True):
+        d = ma - mb
+        total += float((d * d).mean())
+    return math.sqrt(total / len(maps_a))
+
+
+def vtid_score_scene_images(person, garment, flow_x, flow_y, generated, clothing_mask,
+                            gen_clothing_mask, fx) -> VtidReport:
+    """vtid_score with a SceneImage built for each of its four derived
+    images, the meshgrid warp and the per-map distance loop."""
+    human = perceptual_l2_per_map(
+        SceneImage(person.stack() * (1.0 - clothing_mask.a)),
+        SceneImage(generated.stack() * (1.0 - gen_clothing_mask.a)),
+        fx,
+    )
+    warped = SceneImage(warp_array_meshgrid(garment.stack(), flow_x.a, flow_y.a))
+    clothing = perceptual_l2_per_map(
+        SceneImage(warped.stack() * gen_clothing_mask.a),
+        SceneImage(generated.stack() * gen_clothing_mask.a),
+        fx,
+    )
+    return VtidReport(human_dist=human, clothing_dist=clothing)
 
 
 def clamp_per_channel(stack: np.ndarray) -> np.ndarray:

@@ -151,6 +151,15 @@ class TestZeroQueryShortcut:
 
 
 class TestToyVjp:
+    def test_tape_keeps_the_convolution_output(self, toy):
+        x = rand_x(7)
+        _, _, tape = toy.predict(x, 5, Condition.GARMENT)
+        want = correlate3x3(x, toy.kernel).tobytes()
+        assert tape.z.tobytes() == want  # softplus left z alone
+        cots = [rand_x(8), rand_x(9, H // 2, W // 2)]
+        toy.attention_vjp(tape, 5, Condition.GARMENT, cots)
+        assert tape.z.tobytes() == want  # and so did sigmoid
+
     def test_zero_cotangents_give_zero_gradient(self, toy):
         zeros = [np.zeros((H, W)), np.zeros((H // 2, W // 2))]
         _, _, tape = toy.predict(rand_x(4), 5, Condition.GARMENT)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import warp_array_meshgrid
 from tryonlab import (
     BinaryMask,
     Grid,
@@ -274,6 +275,29 @@ class TestBilinearWarp:
         out = warp_array(a, fx, fy)
         want = bilinear_oracle(a, fx, fy)
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 6)),
+            st.tuples(st.integers(1, 6), st.just(1)),
+            st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        ),
+        lead=st.lists(st.integers(1, 3), max_size=3),
+        reach=st.sampled_from([0.5, 3.0, 1e6]),
+    )
+    @settings(max_examples=80)
+    def test_bit_equal_to_meshgrid_gather(self, seed, shape, lead, reach):
+        """Flows of up to reach canvas sizes each way, on stacks with up to
+        three leading axes, give the two-index gather's bytes."""
+        h, w = shape
+        rng = RandomStream(seed)
+        a = rng.normals(int(np.prod(lead)) * h * w).reshape(*lead, h, w)
+        fx = reach * w * (2.0 * rng.uniforms(h * w).reshape(h, w) - 1.0)
+        fy = reach * h * (2.0 * rng.uniforms(h * w).reshape(h, w) - 1.0)
+        out = warp_array(a, fx, fy)
+        assert out.shape == a.shape
+        assert out.tobytes() == warp_array_meshgrid(a, fx, fy).tobytes()
 
     def test_clamps_out_of_bounds_sources(self):
         img = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -107,6 +107,16 @@ def test_sigmoid_bit_equal_to_boolean_mask_form():
     assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
 
+@pytest.mark.parametrize("kernel", [softplus, sigmoid], ids=lambda kernel: kernel.__name__)
+def test_never_writes_its_input(kernel):
+    z = np.concatenate([EXTREMES, 40.0 * normals("z", 4096)])
+    before = z.tobytes()
+    want = kernel(z)
+    assert z.tobytes() == before
+    z.flags.writeable = False  # a write into z would now raise
+    assert kernel(z).tobytes() == want.tobytes()
+
+
 # How each convolution's matmul sees its bank: one row per output
 # channel, columns in _im2col's row order.
 BANK_ROWS = {

@@ -1,11 +1,18 @@
 """Try-on fidelity metric: extractions, distances, scoring, extractors, IO."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import clamp_per_channel, rect_mask, warp_scene_per_channel
+from helpers import (
+    clamp_per_channel,
+    random_mask,
+    rect_mask,
+    vtid_score_scene_images,
+    warp_scene_per_channel,
+)
 from tryonlab import (
     BinaryMask,
     Grid,
@@ -261,26 +268,33 @@ class TestVtidScore:
 
 class TestRandomFeatureExtractor:
     def test_same_seed_identical_features(self):
-        img = rand_scene(17)
+        img = rand_scene(17).stack()
         fa = random_feature_extractor(5, 2, 3).features(img)
         fb = random_feature_extractor(5, 2, 3).features(img)
-        assert len(fa) == len(fb) == 6  # 3 maps at each of 2 scales
+        # 3 maps at each of 2 scales, one stack per scale
+        assert [len(s) for s in fa] == [len(s) for s in fb] == [3, 3]
         for a, b in zip(fa, fb):
             assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        img = rand_scene(18)
+        img = rand_scene(18).stack()
         fa = random_feature_extractor(5, 1, 3).features(img)
         fb = random_feature_extractor(6, 1, 3).features(img)
-        assert not np.array_equal(fa[0], fb[0])
+        assert not np.array_equal(fa[0][0], fb[0][0])
 
     def test_scales_halve_resolution(self):
-        maps = random_feature_extractor(7, 3, 2).features(rand_scene(19, 16, 12))
-        assert [m.shape for m in maps] == [(16, 12)] * 2 + [(8, 6)] * 2 + [(4, 3)] * 2
+        stacks = random_feature_extractor(7, 3, 2).features(rand_scene(19, 16, 12).stack())
+        assert [s.shape for s in stacks] == [(2, 16, 12), (2, 8, 6), (2, 4, 3)]
 
     def test_odd_dims_crop_before_pooling(self):
-        maps = random_feature_extractor(7, 2, 2).features(rand_scene(20, 9, 7))
-        assert [m.shape for m in maps] == [(9, 7)] * 2 + [(4, 3)] * 2
+        stacks = random_feature_extractor(7, 2, 2).features(rand_scene(20, 9, 7).stack())
+        assert [s.shape for s in stacks] == [(2, 9, 7), (2, 4, 3)]
+
+    def test_pixel_extractor_is_the_image_itself(self):
+        img = rand_scene(24).stack()
+        (stack,) = pixel_extractor().features(img)
+        assert stack.shape == (3, 12, 10)
+        assert stack.tobytes() == img.tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(VtidError):
@@ -291,20 +305,20 @@ class TestRandomFeatureExtractor:
     def test_rejects_image_too_small_for_scales(self):
         fx = random_feature_extractor(8, 3, 2)
         with pytest.raises(VtidError):
-            fx.features(rand_scene(21, 2, 2))
+            fx.features(rand_scene(21, 2, 2).stack())
 
     def test_distinct_images_have_positive_pairwise_distance(self):
         """Random features separate a corpus of 100 distinct images.
 
         Features are computed once per image; pairwise distances reuse a
-        per-map-weighted flattening whose Euclidean norm equals the
-        root-mean-over-maps MSE combination.
+        flattening that weights each map by 1 / sqrt(n_maps * map size), whose
+        Euclidean norm equals the root-mean-over-maps MSE combination.
         """
         fx = random_feature_extractor(9, 2, 3)
         imgs = [rand_scene(s, 16, 16) for s in range(100)]
         vecs = []
         for img in imgs:
-            maps = fx.features(img)
+            maps = [m for stack in fx.features(img.stack()) for m in stack]
             n = len(maps)
             vecs.append(
                 np.concatenate([m.ravel() / math.sqrt(n * m.size) for m in maps])
@@ -373,9 +387,109 @@ class TestWarpScene:
         # equal values must also give equal features: the convolutions sum
         # in memory order, so the warped stack must be laid out like any other
         extractor = random_feature_extractor(seed, 2, 3)
-        for a, b in zip(extractor.features(got), extractor.features(want)):
+        for a, b in zip(extractor.features(got.stack()), extractor.features(want.stack())):
             assert a.tobytes() == b.tobytes()
 
     def test_rejects_flow_shape_mismatch(self):
         with pytest.raises(GridError):
             warp_scene(rand_scene(23), Grid(np.zeros((12, 9))), Grid(np.zeros((12, 10))))
+
+
+def corrupted_case(seed: int, h: int, w: int) -> dict:
+    """vtid_score's keyword inputs: the generated image is the person plus
+    seeded noise of a seeded level, clamped, and its mask differs from the
+    person's. At 48x36 the person, garment, flows and mask are a generated
+    scene; at other sizes they are seeded random arrays, with flows of up
+    to two canvas sizes each way."""
+    rng = RandomStream(seed).child("case")
+    if (h, w) == (48, 36):
+        sample = gen_scene(rng, random_spec(rng, h, w))
+        person, garment = sample.person, sample.garment
+        flow_x, flow_y, mask = sample.flow_x, sample.flow_y, sample.mask
+    else:
+        person, garment = rand_scene(100 + seed, h, w), rand_scene(200 + seed, h, w)
+        flow_x = Grid(4.0 * w * rng.uniforms(h * w).reshape(h, w) - 2.0 * w)
+        flow_y = Grid(4.0 * h * rng.uniforms(h * w).reshape(h, w) - 2.0 * h)
+        mask = random_mask(rng, h, w)
+    level = (0.01, 0.03, 0.1, 0.3)[seed % 4]
+    noise = rng.normals(3 * h * w).reshape(3, h, w)
+    return dict(
+        person=person,
+        garment=garment,
+        flow_x=flow_x,
+        flow_y=flow_y,
+        generated=SceneImage(np.clip(person.stack() + level * noise, 0.0, 1.0)),
+        clothing_mask=mask,
+        gen_clothing_mask=random_mask(rng, h, w, p=0.3),
+    )
+
+
+def gray_latent_case(seed: int) -> dict:
+    """A 48x36 scene scored against a gray latent with values far outside
+    [0, 1], as the sampler's try-on proxy metric scores its final latents."""
+    rng = RandomStream(seed).child("latent")
+    sample = gen_scene(rng, random_spec(rng, 48, 36))
+    latent = Grid(3.0 * rng.normals(48 * 36).reshape(48, 36))
+    assert latent.a.min() < 0.0 and latent.a.max() > 1.0
+    return dict(
+        person=sample.person,
+        garment=sample.garment,
+        flow_x=sample.flow_x,
+        flow_y=sample.flow_y,
+        generated=SceneImage.gray(latent),
+        clothing_mask=sample.mask,
+        gen_clothing_mask=sample.mask,
+    )
+
+
+EXTRACTORS = {
+    "pixel": pixel_extractor,
+    "random": lambda: random_feature_extractor(0, 2, 8),
+}
+CASES = [
+    *(pytest.param(partial(corrupted_case, s, 48, 36), id=f"corrupt-48x36-{s}") for s in range(4)),
+    *(pytest.param(partial(corrupted_case, s, 9, 7), id=f"corrupt-9x7-{s}") for s in range(4)),
+    *(pytest.param(partial(gray_latent_case, s), id=f"gray-{s}") for s in range(2)),
+]
+
+
+class TestArrayPass:
+    """vtid_score as one array pass against the scene-image path it replaced."""
+
+    @pytest.mark.parametrize("fx_name", sorted(EXTRACTORS))
+    @pytest.mark.parametrize("make", CASES)
+    def test_bit_equal_to_scene_image_path(self, make, fx_name):
+        case = make()
+        fx = EXTRACTORS[fx_name]()
+        got = vtid_score(**case, fx=fx)
+        want = vtid_score_scene_images(**case, fx=fx)
+        assert got.human_dist.hex() == want.human_dist.hex()
+        assert got.clothing_dist.hex() == want.clothing_dist.hex()
+        assert got.human_dist > 0.0 and got.clothing_dist > 0.0
+
+    def test_builds_no_scene_image_or_grid(self, monkeypatch):
+        case = corrupted_case(3, 48, 36)
+        before = {k: v.stack().tobytes() if isinstance(v, SceneImage) else v.a.tobytes()
+                  for k, v in case.items()}
+        built = []
+        for cls in (SceneImage, Grid):
+            init = cls.__init__
+
+            def counted(obj, *args, _init=init, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for fx in EXTRACTORS.values():
+            vtid_score(**case, fx=fx())
+        assert built == []
+        for k, v in case.items():
+            after = v.stack().tobytes() if isinstance(v, SceneImage) else v.a.tobytes()
+            assert after == before[k], k
+
+    def test_mask_shape_checks_kept(self):
+        case = corrupted_case(0, 48, 36)
+        for field in ("clothing_mask", "gen_clothing_mask"):
+            bad = dict(case, **{field: BinaryMask(np.zeros((48, 35)))})
+            with pytest.raises(VtidError, match="mask shape"):
+                vtid_score(**bad, fx=pixel_extractor())
