@@ -11,8 +11,16 @@ Gradients treat the support set, the pair count, and a clamped
 denominator as constants: they are discontinuous in the map, so only the
 smooth factors are differentiated.
 
-The sampler reaches every energy through one per-layer pass,
-_evaluate_layers, at each step; e_total reads it without gradients.
+Every energy comes from one pass, _evaluate_stack, over (K, h_l, w_l)
+map stacks with one config per item. numpy takes every sum and maximum
+over the whole stack; a Python loop over the items derives each item's
+few scalars from those reductions, runs the inner hinge for the items on
+that branch and builds the breakdowns; one np.where per layer spreads
+the gradients, which are constant on and off the mask but for the hinge
+cells. Each item is bit-equal
+to a pass on it alone. The sampler calls it once per step for a lockstep
+stack; _evaluate_layers is its K = 1 adapter over validated layers, and
+e_total reads that without gradients.
 
 The inner hinge never forms the n x n pair matrix. It sorts the n
 in-support values and reads the active pairs off searchsorted cuts, in
@@ -134,15 +142,6 @@ def _support_raw(a: np.ndarray, tau: float) -> np.ndarray:
     return a > tau * a.max()
 
 
-class _LayerEval(NamedTuple):
-    e_attract: float
-    e_repel: float
-    branch: str
-    in_mask_mass: float
-    grad_attract: np.ndarray | None
-    grad_repel: np.ndarray | None
-
-
 def _inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     """Mean hinge over the ordered distinct pairs of pts (n > 1), and each
     point's sign sum: its active partners below it minus those above it.
@@ -198,82 +197,165 @@ def _inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     return 2.0 * float(hinge.sum()) / n, sign_sum
 
 
-def _evaluate(a: np.ndarray, m: np.ndarray, cfg: EnergyConfig, with_grads: bool) -> _LayerEval:
-    """Both energies of one map, its branch, its in-mask mass and, when
-    asked, both gradients; every shared quantity is computed once."""
-    if a.shape != m.shape:
-        raise EnergyError(f"attention shape {a.shape} != mask shape {m.shape}")
-    eps = cfg.epsilon_den
-    s_in = float((a * m).sum())
-    s_out = float(a.sum()) - s_in
-    e_att = s_out / max(s_in, eps)
-    grad_att = grad_rep = None
-    if with_grads:
-        if s_in < eps:
-            # clamped denominator is a constant: only the numerator varies
-            grad_att = (1.0 - m) / eps
-        else:
-            grad_att = (1.0 - m) / s_in - (s_out / (s_in * s_in)) * m
+class _LayerTerms(NamedTuple):
+    """One layer's terms, one list entry per item of a stack. An item's
+    attract gradient is d_in on its mask and d_off off it. Its repel
+    gradient is -1 on the mask on the outer branch; on the inner branch it
+    is 0 but at the support cells that hinge maps the item to, if any."""
 
-    sup = _support_raw(a, cfg.support_tau)
-    inside = m > 0.0
-    sel = sup & inside
-    if (sup & ~inside).any() or not sel.any():
-        if with_grads:
-            grad_rep = -m
-        return _LayerEval(e_att, -s_in, BRANCH_OUTER, s_in, grad_att, grad_rep)
+    e_attract: list[float]
+    e_repel: list[float]
+    inner: list[bool]
+    in_mask_mass: list[float]
+    d_in: list[float]
+    d_off: list[float]
+    hinge: dict[int, tuple[np.ndarray, np.ndarray]]
 
-    # inner: mean hinge over ordered distinct pairs of in-support values
-    pts = a[sel]
-    n = pts.size
-    e_rep = 0.0
-    if with_grads:
-        grad_rep = np.zeros_like(a)
-    if n > 1:
-        e_rep, sign_sum = _inner_repel(pts, cfg.delta)
+
+def _layer_terms(
+    layer_id: str, a: np.ndarray, m: np.ndarray, cfgs: list[EnergyConfig], with_grads: bool
+) -> _LayerTerms:
+    """Both energies, the branch, the in-mask mass and the gradient terms
+    of each item of one layer's (K, h, w) map stack under its own config;
+    the hinge gradients only when asked. A stack that does not fit the
+    mask, or holds a non-finite or negative value, is rejected naming the
+    layer.
+
+    Each item's sums run over its h w values as one flat run, the order
+    numpy sums a lone map in, and its few scalars are Python floats, as
+    in a pass on the item alone (they also cost less than numpy calls on
+    (K,) arrays). The branch test reads maxima, not the support set: with
+    thr = tau max(a), an item is inner iff its largest off-mask value is
+    at most thr and thr < max(a), so that the maximum lies in the mask.
+    """
+    if a.ndim != 3 or a.shape[1:] != m.shape:
+        raise EnergyError(f"layer {layer_id}: attention shape {a.shape} != mask shape {m.shape}")
+    a, m = a.reshape(len(a), -1), m.reshape(1, -1)
+    a_max = a.max(axis=1).tolist()
+    lo = float(a.min())
+    if not (math.isfinite(lo) and all(map(math.isfinite, a_max))):
+        raise EnergyError(f"layer {layer_id}: attention map is not finite")
+    if lo < 0.0:
+        raise EnergyError(f"layer {layer_id}: attention map has negative values")
+    am = a * m
+    s_in = am.sum(axis=1).tolist()
+    s_tot = a.sum(axis=1).tolist()
+    off = np.subtract(a, am, out=am)  # the off-mask values, 0 in the mask
+    off_max = off.max(axis=1).tolist()
+    e_att, e_rep, inner, d_in, d_off = [], [], [], [], []
+    for c, s, tot, top, off_top in zip(cfgs, s_in, s_tot, a_max, off_max):
+        s_out = tot - s
+        e_att.append(s_out / max(s, c.epsilon_den))
+        e_rep.append(-s)
+        inner.append(off_top <= c.support_tau * top < top)
+        # the attract gradient (1 - m) / S_in - S_out / S_in^2 m is, bit for
+        # bit while S_out / S_in^2 is finite (see EnergyConfig), 1 / S_in off
+        # the mask and 0 - S_out / S_in^2 on it; a clamped denominator is a
+        # constant, so there only the numerator varies
+        d_off.append(1.0 / max(s, c.epsilon_den))
+        d_in.append(0.0 if s < c.epsilon_den else 0.0 - s_out / (s * s))
+    hinge = {}
+    # inner rows: the mean hinge over ordered distinct pairs of in-support
+    # values, all of which lie in the mask
+    for i, on in enumerate(inner):
+        if not on:
+            continue
+        sel = _support_raw(a[i], cfgs[i].support_tau)
+        pts = a[i][sel]
+        n = pts.size
+        e_rep[i] = 0.0
+        if n > 1:
+            e_rep[i], sign_sum = _inner_repel(pts, cfgs[i].delta)
+            if with_grads:
+                # an active pair (p, q) enters in both orders, each adding
+                # -sign(p - q) / n at p
+                hinge[i] = (sel, -2.0 * sign_sum / n)
+    return _LayerTerms(e_att, e_rep, inner, s_in, d_in, d_off, hinge)
+
+
+def _layer_gradient(
+    t: _LayerTerms, m: np.ndarray, cfgs: list[EnergyConfig], picked: list[bool], n_sel: list[int]
+) -> np.ndarray:
+    """The gradient of each item's aggregate with respect to one layer's
+    (K, h, w) map stack: (attract + lam * repel) / n_sel where the item
+    selects the layer, else 0.
+
+    Away from the hinge cells both gradients are one constant on the mask
+    and one off it, so each item's two values are computed once, with the
+    cell-by-cell arithmetic, and spread by one np.where.
+    """
+    g_in, g_off = [], []
+    for c, d_in, d_off, inner, on, n in zip(cfgs, t.d_in, t.d_off, t.inner, picked, n_sel):
+        r_in, r_off = (0.0, 0.0) if inner else (-1.0, -0.0)  # repel: 0, or -m
+        g_in.append((d_in + c.lam * r_in) / n if on else 0.0)
+        g_off.append((d_off + c.lam * r_off) / n if on else 0.0)
+    g_in, g_off = np.array(g_in + g_off).reshape(2, -1, 1)
+    g = np.where(m.reshape(1, -1) > 0.0, g_in, g_off)
+    for i, (sel, rep) in t.hinge.items():
+        if picked[i]:
+            g[i][sel] = (t.d_in[i] + cfgs[i].lam * rep) / n_sel[i]
+    return g.reshape(len(g), *m.shape)
+
+
+def _evaluate_stack(
+    maps: dict[str, np.ndarray],
+    masks: list[BinaryMask],
+    cfgs: list[EnergyConfig],
+    with_grads: bool,
+) -> tuple[list[EnergyBreakdown], list[np.ndarray] | None]:
+    """The energy of K items at once: maps holds one (K, h_l, w_l) stack
+    per layer, masks one mask per layer at its resolution, in map order,
+    and cfgs one config per item. Returns K breakdowns and, when asked,
+    one (K, h_l, w_l) stack per layer of the gradient of each item's
+    aggregate with respect to its map (zeros where an item does not
+    select the layer).
+    """
+    if len(maps) != len(masks):
+        raise EnergyError(f"{len(maps)} layers but {len(masks)} masks")
+    flags = [[c.selects(layer_id) for layer_id in maps] for c in cfgs]
+    n_sel = [sum(f) for f in flags]
+    if 0 in n_sel:
+        raise EnergyError(
+            f"layer selection is empty: config {n_sel.index(0)} selects none of "
+            f"the layers {', '.join(maps)}"
+        )
+    terms: list[_LayerTerms] = []
+    grads: list[np.ndarray] | None = [] if with_grads else None
+    for j, ((layer_id, a), mask) in enumerate(zip(maps.items(), masks)):
+        t = _layer_terms(layer_id, a, mask.a, cfgs, with_grads)
+        terms.append(t)
         if with_grads:
-            # an active pair (p, q) enters in both orders, each adding
-            # -sign(p - q) / n at p
-            grad_rep[sel] = -2.0 * sign_sum / n
-    return _LayerEval(e_att, e_rep, BRANCH_INNER, s_in, grad_att, grad_rep)
+            grads.append(_layer_gradient(t, mask.a, cfgs, [f[j] for f in flags], n_sel))
+    breakdowns = []
+    for i, (cfg, f, n) in enumerate(zip(cfgs, flags, n_sel)):
+        per_layer: dict[str, LayerEnergy] = {}
+        att_sum = rep_sum = 0.0
+        for layer_id, t, selected in zip(maps, terms, f):
+            branch = BRANCH_INNER if t.inner[i] else BRANCH_OUTER
+            per_layer[layer_id] = LayerEnergy(
+                t.e_attract[i], t.e_repel[i], branch, t.in_mask_mass[i], selected
+            )
+            if selected:
+                att_sum += t.e_attract[i]
+                rep_sum += t.e_repel[i]
+        breakdowns.append(
+            EnergyBreakdown(
+                per_layer=per_layer,
+                total=(att_sum + cfg.lam * rep_sum) / n,
+                e_attract=att_sum / n,
+                e_repel=rep_sum / n,
+            )
+        )
+    return breakdowns, grads
 
 
 def _evaluate_layers(layers, masks, cfg, with_grads: bool):
-    """Shared per-layer evaluation; returns (breakdown, grads or None).
-
-    grads holds one ndarray per layer, the gradient of the aggregate with
-    respect to that layer's map (zeros for an unselected layer).
-    """
-    if len(layers) != len(masks):
-        raise EnergyError(f"{len(layers)} layers but {len(masks)} masks")
-    flags = [cfg.selects(layer.layer_id) for layer in layers]
-    n_sel = sum(flags)
-    if n_sel == 0:
-        raise EnergyError("layer selection is empty")
-    per_layer: dict[str, LayerEnergy] = {}
-    grads: list[np.ndarray] | None = [] if with_grads else None
-    att_sum = rep_sum = 0.0
-    for layer, mask, selected in zip(layers, masks, flags):
-        ev = _evaluate(layer.map.a, mask.a, cfg, with_grads and selected)
-        per_layer[layer.layer_id] = LayerEnergy(
-            ev.e_attract, ev.e_repel, ev.branch, ev.in_mask_mass, selected
-        )
-        if selected:
-            att_sum += ev.e_attract
-            rep_sum += ev.e_repel
-        if with_grads:
-            if selected:
-                g = ev.grad_attract + cfg.lam * ev.grad_repel
-                grads.append(g / n_sel)
-            else:
-                grads.append(np.zeros(layer.resolution))
-    breakdown = EnergyBreakdown(
-        per_layer=per_layer,
-        total=(att_sum + cfg.lam * rep_sum) / n_sel,
-        e_attract=att_sum / n_sel,
-        e_repel=rep_sum / n_sel,
-    )
-    return breakdown, grads
+    """The stacked pass on one item given as validated layers; returns
+    (breakdown, grads or None), grads holding one (h_l, w_l) gradient per
+    layer (zeros for an unselected layer)."""
+    maps = {layer.layer_id: layer.map.a[None] for layer in layers}
+    (breakdown,), grads = _evaluate_stack(maps, masks, [cfg], with_grads)
+    return breakdown, None if grads is None else [g[0] for g in grads]
 
 
 def e_total(

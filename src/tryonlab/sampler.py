@@ -9,9 +9,11 @@ Every step is recorded so attention containment can be plotted over time.
 
 `sample_points` runs K configs that share their steps and correction
 switch in lockstep, as one (K, h, w) latent stack on one noise block: one
-null predict, one garment predict, one ancestral update and one VJP per
-step serve all K. Only the energy is evaluated item by item, since its
-branch and layer selection differ per config. `sample` is the K = 1 case.
+null predict, one garment predict, one energy pass, one ancestral update
+and one VJP per step serve all K. The energy pass reads each item under
+its own config's energy settings; its arrays span the whole stack, and
+only per-item scalars, the inner hinge and the breakdown records are
+built item by item. `sample` is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoiser import LAYER_FULL, LAYER_HALF, Condition
-from .energy import AttentionLayer, EnergyBreakdown, EnergyConfig, _evaluate_layers, e_total
+from .energy import (
+    AttentionLayer,
+    EnergyBreakdown,
+    EnergyConfig,
+    _evaluate_layers,
+    _evaluate_stack,
+    e_total,
+)
 from .grids import BinaryMask, Grid, resample_mask
 from .rng import RandomStream, gaussian_field
 from .schedule import NoiseSchedule
@@ -280,10 +289,19 @@ def _per_item(values: list[float]):
     return values[0] if len(values) == 1 else np.array(values).reshape(-1, 1, 1)
 
 
-def _stack(items: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The items as one (n, ...) stack; a lone item is viewed, not copied."""
-    # K = 1 forks stay: together they cut a 48x36 trajectory from 8.3 to 8.0 ms (2-core Xeon)
-    return items[0][None] if len(items) == 1 else np.stack(items)
+def _energies(
+    maps: dict[str, np.ndarray],
+    layer_masks: list[BinaryMask],
+    cfgs: list[EnergyConfig],
+    with_grads: bool,
+) -> tuple[list[EnergyBreakdown], list[np.ndarray] | None]:
+    """Each config's energy breakdown of its item of the map stacks and,
+    when asked, one cotangent stack per layer, from one stacked pass."""
+    if len(cfgs) > 1:
+        return _evaluate_stack(maps, layer_masks, cfgs, with_grads)
+    # K = 1 goes through this module's _evaluate_layers: perfbench's capture and tracer patch it
+    breakdown, grads = _evaluate_layers(_item_layers(maps, 0), layer_masks, cfgs[0], with_grads)
+    return [breakdown], None if grads is None else [g[None] for g in grads]
 
 
 def _require_finite(a: np.ndarray, what: str, k: int, t: int) -> None:
@@ -340,7 +358,7 @@ def sample_points(
     The mask defines the latent resolution; it must keep at least one
     cell at every attention layer's resolution. Energies are always
     measured on the conditional (garment-token) attention maps at the
-    pre-update latent, item by item under each config's energy settings;
+    pre-update latent, each item under its config's energy settings;
     the correction additionally needs their gradients and the model's
     VJP of that same forward, so those are computed only when enabled. A
     step that leaves a latent or an energy gradient non-finite (overflow
@@ -362,6 +380,7 @@ def sample_points(
     masks = _MaskCache(mask)
     scales = _per_item([c.guidance_scale for c in configs])
     rhos = _per_item([c.rho for c in configs])
+    cfgs = [c.energy_cfg for c in configs]
     x = np.broadcast_to(noise[0], (len(configs), *noise.shape[1:]))
     entries: list[list[StepEntry]] = [[] for _ in configs]
     for k, t in enumerate(_stride_ts(schedule.T, steps)):
@@ -371,13 +390,8 @@ def sample_points(
         z = noise[k + 1] if t > 1 else None
         m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
 
-        layer_masks = masks.of(maps)
-        evals = [
-            _evaluate_layers(_item_layers(maps, i), layer_masks, c.energy_cfg, with_grads=csc)
-            for i, c in enumerate(configs)
-        ]
+        breakdowns, cotangents = _energies(maps, masks.of(maps), cfgs, csc)
         if csc:
-            cotangents = [_stack(layer) for layer in zip(*(grads for _, grads in evals))]
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
             grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
             try:
@@ -389,18 +403,16 @@ def sample_points(
             grad_norms = np.zeros(len(configs))
             x = m_t
         _require_finite(x, "the latent", k, t)
-        for record, (breakdown, _), grad_norm in zip(entries, evals, grad_norms):
+        for record, breakdown, grad_norm in zip(entries, breakdowns, grad_norms):
             record.append(StepEntry(k, t, breakdown, float(grad_norm)))
 
     _, final_maps, _ = model.predict(x, 1, Condition.GARMENT)
     final_masks = masks.of(final_maps)
+    if len(cfgs) > 1:
+        finals, _ = _evaluate_stack(final_maps, final_masks, cfgs, False)
+    else:  # through e_total, which perfbench's tracer wraps and its capture skips
+        finals = [e_total(_item_layers(final_maps, 0), final_masks, cfgs[0])]
     return [
-        (
-            Grid(x[i]),
-            TrajectoryRecord(
-                entries=record,
-                final=e_total(_item_layers(final_maps, i), final_masks, c.energy_cfg),
-            ),
-        )
-        for i, (c, record) in enumerate(zip(configs, entries))
+        (Grid(x[i]), TrajectoryRecord(entries=record, final=final))
+        for i, (record, final) in enumerate(zip(entries, finals))
     ]

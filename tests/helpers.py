@@ -11,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 import math
+from typing import NamedTuple
 
 from tryonlab import (
     AttentionLayer,
@@ -22,14 +23,21 @@ from tryonlab import (
     SceneImage,
     VtidReport,
     draw_noise,
-    e_total,
     eps_to_score,
     gaussian_field,
     pixel_extractor,
     resample_mask,
     sample,
 )
-from tryonlab.energy import _evaluate_layers
+from tryonlab.energy import (
+    BRANCH_INNER,
+    BRANCH_OUTER,
+    EnergyBreakdown,
+    EnergyError,
+    LayerEnergy,
+    _inner_repel,
+    _layer_terms,
+)
 from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, _toy_vtid
 from tryonlab.grids import warp_array
 from tryonlab.sampler import StepEntry, TrajectoryRecord, _MaskCache, _stride_ts
@@ -123,6 +131,106 @@ def dense_inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]
     return float(h[active].sum()) / n, grad
 
 
+class LayerEval(NamedTuple):
+    e_attract: float
+    e_repel: float
+    branch: str
+    in_mask_mass: float
+    grad_attract: np.ndarray | None
+    grad_repel: np.ndarray | None
+
+
+def energy_of(a: np.ndarray, m: np.ndarray, cfg, with_grads: bool) -> LayerEval:
+    """The library's stacked layer pass run on the lone (h, w) map a, with
+    its validation, as one LayerEval: the attract gradient spread from its
+    in-mask and off-mask values, the repel gradient -m on the outer branch
+    and the pass's hinge values on the inner one."""
+    t = _layer_terms("test", a[None], m, [cfg], with_grads)
+    branch = BRANCH_INNER if t.inner[0] else BRANCH_OUTER
+    grad_att = grad_rep = None
+    if with_grads:
+        grad_att = np.where(m > 0.0, t.d_in[0], t.d_off[0])
+        grad_rep = np.zeros(a.shape) if t.inner[0] else -m
+        if 0 in t.hinge:
+            sel, rep = t.hinge[0]
+            grad_rep.reshape(-1)[sel] = rep
+    return LayerEval(
+        t.e_attract[0], t.e_repel[0], branch, t.in_mask_mass[0], grad_att, grad_rep
+    )
+
+
+def evaluate_item(a: np.ndarray, m: np.ndarray, cfg, with_grads: bool) -> LayerEval:
+    """Both energies of one (h, w) map, its branch, its in-mask mass and,
+    when asked, both gradients, with scalar arithmetic on the lone map:
+    the per-item oracle of energy._evaluate_stack. Its inner hinge is the
+    library's _inner_repel, which has its own dense oracle."""
+    if a.shape != m.shape:
+        raise EnergyError(f"attention shape {a.shape} != mask shape {m.shape}")
+    eps = cfg.epsilon_den
+    s_in = float((a * m).sum())
+    s_out = float(a.sum()) - s_in
+    e_att = s_out / max(s_in, eps)
+    grad_att = grad_rep = None
+    if with_grads:
+        if s_in < eps:
+            grad_att = (1.0 - m) / eps
+        else:
+            grad_att = (1.0 - m) / s_in - (s_out / (s_in * s_in)) * m
+
+    sup = a > cfg.support_tau * a.max()
+    inside = m > 0.0
+    sel = sup & inside
+    if (sup & ~inside).any() or not sel.any():
+        if with_grads:
+            grad_rep = -m
+        return LayerEval(e_att, -s_in, BRANCH_OUTER, s_in, grad_att, grad_rep)
+
+    pts = a[sel]
+    n = pts.size
+    e_rep = 0.0
+    if with_grads:
+        grad_rep = np.zeros_like(a)
+    if n > 1:
+        e_rep, sign_sum = _inner_repel(pts, cfg.delta)
+        if with_grads:
+            grad_rep[sel] = -2.0 * sign_sum / n
+    return LayerEval(e_att, e_rep, BRANCH_INNER, s_in, grad_att, grad_rep)
+
+
+def evaluate_layers_per_item(layers, masks, cfg, with_grads: bool):
+    """(breakdown, grads or None) of one item's layers, one evaluate_item
+    call per layer: the per-item oracle of energy._evaluate_layers."""
+    if len(layers) != len(masks):
+        raise EnergyError(f"{len(layers)} layers but {len(masks)} masks")
+    flags = [cfg.selects(layer.layer_id) for layer in layers]
+    n_sel = sum(flags)
+    if n_sel == 0:
+        raise EnergyError("layer selection is empty")
+    per_layer = {}
+    grads = [] if with_grads else None
+    att_sum = rep_sum = 0.0
+    for layer, mask, selected in zip(layers, masks, flags):
+        ev = evaluate_item(layer.map.a, mask.a, cfg, with_grads and selected)
+        per_layer[layer.layer_id] = LayerEnergy(
+            ev.e_attract, ev.e_repel, ev.branch, ev.in_mask_mass, selected
+        )
+        if selected:
+            att_sum += ev.e_attract
+            rep_sum += ev.e_repel
+        if with_grads:
+            if selected:
+                grads.append((ev.grad_attract + cfg.lam * ev.grad_repel) / n_sel)
+            else:
+                grads.append(np.zeros(layer.resolution))
+    breakdown = EnergyBreakdown(
+        per_layer=per_layer,
+        total=(att_sum + cfg.lam * rep_sum) / n_sel,
+        e_attract=att_sum / n_sel,
+        e_repel=rep_sum / n_sel,
+    )
+    return breakdown, grads
+
+
 def correlate3x3_windows(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """(h, w) input, (C, 3, 3) bank -> (C, h, w), by sliding windows over
     the zero-padded input and one einsum."""
@@ -193,7 +301,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
             m_t = m_t + math.sqrt(beta) * gaussian_field(rng, *x.shape)
         layers = layers_of(maps)
         layer_masks = [masks.at(layer.layer_id, layer.resolution) for layer in layers]
-        breakdown, grads = _evaluate_layers(
+        breakdown, grads = evaluate_layers_per_item(
             layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
         )
         if config.csc_enabled:
@@ -206,7 +314,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
         entries.append(StepEntry(k, t, breakdown, grad_norm))
     final_layers = layers_of(model.predict(x, 1, Condition.GARMENT)[1])
     final_masks = [masks.at(layer.layer_id, layer.resolution) for layer in final_layers]
-    final = e_total(final_layers, final_masks, config.energy_cfg)
+    final, _ = evaluate_layers_per_item(final_layers, final_masks, config.energy_cfg, False)
     return Grid(x), TrajectoryRecord(entries=entries, final=final)
 
 

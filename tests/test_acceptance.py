@@ -22,6 +22,7 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    energy_of,
     fd_rel_err,
     fd_vjp_check,
     fd_scalar,
@@ -58,7 +59,7 @@ from tryonlab import (
     write_dataset,
 )
 from tryonlab.cli import main as cli_main
-from tryonlab.energy import _evaluate, _support_raw
+from tryonlab.energy import _support_raw
 from tryonlab.experiments import (
     FINAL_METRICS,
     GUIDANCE_GRID,
@@ -110,15 +111,15 @@ def test_criterion_01_energy_gradients_match_finite_differences():
     for i in range(50):
         A = softmax_map(root.child(f"a-{i}"), 16, 12)
         M = random_mask(root.child(f"m-{i}"), 16, 12)
-        ev = _evaluate(A.a, M.a, cfg, True)
+        ev = energy_of(A.a, M.a, cfg, True)
         ga, gr, branch = ev.grad_attract, ev.grad_repel, ev.branch
         outer_pairs += branch == "outer"
         for r in range(16):
             for c in range(12):
-                fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_attract, A, r, c, h)
+                fd = fd_scalar(lambda G: energy_of(G.a, M.a, cfg, False).e_attract, A, r, c, h)
                 worst["attract"] = max(worst["attract"], fd_rel_err(ga[r, c], fd))
                 if branch == "outer":
-                    fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
+                    fd = fd_scalar(lambda G: energy_of(G.a, M.a, cfg, False).e_repel, A, r, c, h)
                     worst["repel_outer"] = max(worst["repel_outer"], fd_rel_err(gr[r, c], fd))
     assert outer_pairs >= 45
 
@@ -127,7 +128,7 @@ def test_criterion_01_energy_gradients_match_finite_differences():
     # kink are excluded (the subgradient there is one-sided).
     for i in range(50):
         A, M = inner_case(root.child(f"i-{i}"), 16, 12)
-        ev = _evaluate(A.a, M.a, cfg, True)
+        ev = energy_of(A.a, M.a, cfg, True)
         assert ev.branch == "inner"
         gr = ev.grad_repel
         pts = _support_raw(A.a, cfg.support_tau) & (M.a > 0)
@@ -136,11 +137,11 @@ def test_criterion_01_energy_gradients_match_finite_differences():
             if not hinge_safe(vals, k, cfg.delta, h):
                 inner_skipped += 1
                 continue
-            fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
+            fd = fd_scalar(lambda G: energy_of(G.a, M.a, cfg, False).e_repel, A, r, c, h)
             worst["repel_inner"] = max(worst["repel_inner"], fd_rel_err(gr[r, c], fd))
             inner_checked += 1
         for r, c in ((0, 0), (15, 11)):  # off-support: the energy is flat
-            fd = fd_scalar(lambda G: _evaluate(G.a, M.a, cfg, False).e_repel, A, r, c, h)
+            fd = fd_scalar(lambda G: energy_of(G.a, M.a, cfg, False).e_repel, A, r, c, h)
             worst["repel_inner"] = max(worst["repel_inner"], fd_rel_err(gr[r, c], fd))
     assert inner_checked >= 300
 
@@ -161,10 +162,10 @@ def test_criterion_02_attract_energy_is_scale_invariant():
     for i in range(25):
         A = softmax_map(root.child(f"a-{i}"), 16, 12)
         M = random_mask(root.child(f"m-{i}"), 16, 12)
-        base = _evaluate(A.a, M.a, EnergyConfig(), False).e_attract
+        base = energy_of(A.a, M.a, EnergyConfig(), False).e_attract
         for c in (1e-3, 1.0, 1e3):
             assert float((c * A.a * M.a).sum()) >= 1e-6  # in-mask mass precondition
-            scaled = _evaluate(c * A.a, M.a, EnergyConfig(), False).e_attract
+            scaled = energy_of(c * A.a, M.a, EnergyConfig(), False).e_attract
             worst = max(worst, abs(scaled - base) / abs(base))
     assert worst < 1e-12
     print(
@@ -190,7 +191,7 @@ def test_criterion_03_repel_branch_matches_brute_force_enumeration():
         for M, pm in zip(masks, patterns):
             m = pm.ravel()
             want = "inner" if sup and all(m[k] == 1.0 for k in sup) else "outer"
-            got = _evaluate(A.a, M.a, cfg, False).branch
+            got = energy_of(A.a, M.a, cfg, False).branch
             assert got == want, f"A={a.tolist()} M={m.tolist()}: got {got}, want {want}"
             checked += 1
     assert checked == 512 * 512

@@ -20,9 +20,11 @@ from tryonlab import (
     RandomStream,
     e_total,
 )
-from tryonlab.energy import _evaluate, _evaluate_layers, _support_raw
+from tryonlab.energy import _evaluate_layers, _evaluate_stack, _support_raw
 from helpers import (
     dense_inner_repel,
+    energy_of,
+    evaluate_layers_per_item,
     fd_rel_err,
     fd_scalar,
     hinge_safe,
@@ -73,27 +75,27 @@ class TestEAttract:
     def test_fully_contained_attention_is_zero(self):
         A = Grid([[0.0, 0.0], [0.7, 0.3]])
         M = BinaryMask(Grid([[0.0, 0.0], [1.0, 1.0]]))
-        assert _evaluate(A.a, M.a, CFG, False).e_attract == 0.0
+        assert energy_of(A.a, M.a, CFG, False).e_attract == 0.0
 
     def test_uniform_split(self):
         A = Grid.full(2, 2, 1.0)
         M = BinaryMask(Grid([[1.0, 1.0], [0.0, 0.0]]))
-        assert _evaluate(A.a, M.a, CFG, False).e_attract == 1.0
+        assert energy_of(A.a, M.a, CFG, False).e_attract == 1.0
 
     def test_hand_summed_ratio(self):
         A = Grid([[0.2, 0.4], [0.1, 0.3]])
         M = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
         # out = 0.4 + 0.1, in = 0.2 + 0.3
-        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0, rel=1e-15)
+        assert energy_of(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0, rel=1e-15)
 
     def test_clamped_denominator(self):
         A = Grid([[0.0, 1.0]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
-        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0 / CFG.epsilon_den)
+        assert energy_of(A.a, M.a, CFG, False).e_attract == pytest.approx(1.0 / CFG.epsilon_den)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(EnergyError):
-            _evaluate(np.zeros((2, 2)), np.ones((2, 3)), CFG, False)
+            energy_of(np.zeros((2, 2)), np.ones((2, 3)), CFG, False)
 
     @given(seed=st.integers(0, 10_000), c=st.sampled_from([1e-3, 1.0, 1e3]))
     @settings(max_examples=60)
@@ -103,8 +105,8 @@ class TestEAttract:
         M = random_mask(rng, 6, 5)
         if float((A.a * M.a).sum()) < 1e-6:
             return
-        base = _evaluate(A.a, M.a, CFG, False).e_attract
-        scaled = _evaluate(c * A.a, M.a, CFG, False).e_attract
+        base = energy_of(A.a, M.a, CFG, False).e_attract
+        scaled = energy_of(c * A.a, M.a, CFG, False).e_attract
         assert abs(scaled - base) <= 1e-12 * abs(base)
 
     @given(seed=st.integers(0, 10_000))
@@ -113,7 +115,7 @@ class TestEAttract:
         rng = RandomStream(seed)
         A = softmax_map(rng, 5, 4)
         M = random_mask(rng, 5, 4)
-        value = _evaluate(A.a, M.a, CFG, False).e_attract
+        value = energy_of(A.a, M.a, CFG, False).e_attract
         assert value >= 0.0
         s_out = float((A.a * (1.0 - M.a)).sum())
         assert (value == 0.0) == (s_out == 0.0)
@@ -131,14 +133,14 @@ class TestEAttract:
             A.a[i, j] for i in range(5) for j in range(4) if M.a[i, j] == 0.0
         )
         want = s_out / max(s_in, CFG.epsilon_den)
-        assert _evaluate(A.a, M.a, CFG, False).e_attract == pytest.approx(want, rel=1e-12)
+        assert energy_of(A.a, M.a, CFG, False).e_attract == pytest.approx(want, rel=1e-12)
 
 
 class TestGradEAttract:
     def test_hand_values_on_2x2(self):
         A = Grid([[0.2, 0.4], [0.1, 0.3]])
         M = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
-        g = _evaluate(A.a, M.a, CFG, True).grad_attract
+        g = energy_of(A.a, M.a, CFG, True).grad_attract
         # in-mask: -S_out / S_in^2 = -0.5 / 0.25; out-mask: 1 / S_in
         assert g[0, 0] == pytest.approx(-2.0, rel=1e-12)
         assert g[1, 1] == pytest.approx(-2.0, rel=1e-12)
@@ -146,7 +148,7 @@ class TestGradEAttract:
         assert g[1, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_full_mask_gives_zero_gradient(self):
-        g = _evaluate(np.array([[0.2, 0.8]]), np.ones((1, 2)), CFG, True).grad_attract
+        g = energy_of(np.array([[0.2, 0.8]]), np.ones((1, 2)), CFG, True).grad_attract
         assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_matches_central_differences(self):
@@ -156,10 +158,10 @@ class TestGradEAttract:
             rng = RandomStream(1000 + seed)
             A = softmax_map(rng, 6, 5)
             M = random_mask(rng, 6, 5)
-            g = _evaluate(A.a, M.a, CFG, True).grad_attract
+            g = energy_of(A.a, M.a, CFG, True).grad_attract
             for i in range(6):
                 for j in range(5):
-                    fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_attract, A, i, j, h)
+                    fd = fd_scalar(lambda x: energy_of(x.a, M.a, CFG, False).e_attract, A, i, j, h)
                     worst = max(worst, fd_rel_err(g[i, j], fd))
         assert worst < 1e-5
 
@@ -167,10 +169,10 @@ class TestGradEAttract:
         # no attention mass in the mask: denominator is the constant clamp
         A = Grid([[0.0, 0.6], [0.0, 0.4]])
         M = BinaryMask(Grid([[1.0, 0.0], [1.0, 0.0]]))
-        g = _evaluate(A.a, M.a, CFG, True).grad_attract
+        g = energy_of(A.a, M.a, CFG, True).grad_attract
         assert np.array_equal(g, (1.0 - M.a) / CFG.epsilon_den)
         # out-mask finite difference agrees exactly: energy is linear there
-        fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_attract, A, 0, 1, 1e-6)
+        fd = fd_scalar(lambda x: energy_of(x.a, M.a, CFG, False).e_attract, A, 0, 1, 1e-6)
         assert fd == pytest.approx(1.0 / CFG.epsilon_den, rel=1e-9)
 
 
@@ -179,7 +181,7 @@ class TestGradEAttract:
 
 def repel_on(branch: str, A: Grid, M: BinaryMask) -> float:
     """The repel energy, after checking that (A, M) takes the expected branch."""
-    layer = _evaluate(A.a, M.a, CFG, False)
+    layer = energy_of(A.a, M.a, CFG, False)
     assert layer.branch == branch
     return layer.e_repel
 
@@ -265,7 +267,7 @@ class TestInnerRepelAgainstDense:
     @staticmethod
     def check(pts: np.ndarray, delta: float):
         cfg = EnergyConfig(delta=delta, support_tau=1e-12)
-        ev = _evaluate(pts[None, :], np.ones((1, pts.size)), cfg, True)
+        ev = energy_of(pts[None, :], np.ones((1, pts.size)), cfg, True)
         assert ev.branch == "inner"
         want_e, want_g = dense_inner_repel(pts, delta)
         got_g = ev.grad_repel[0]
@@ -344,7 +346,7 @@ class TestERepelOuter:
 class TestBranchSelection:
     def test_support_inside_mask_selects_inner(self):
         A, M = inner_case(RandomStream(5), 6, 6)
-        ev = _evaluate(A.a, M.a, CFG, False)
+        ev = energy_of(A.a, M.a, CFG, False)
         assert ev.branch == "inner"
         want = repel_inner_oracle(in_support_in_mask(A, M), CFG.delta)
         assert ev.e_repel == pytest.approx(want, rel=1e-12, abs=1e-18)
@@ -352,12 +354,12 @@ class TestBranchSelection:
     def test_supported_point_outside_mask_selects_outer(self):
         A = Grid([[0.5, 0.5]])
         M = BinaryMask(Grid([[1.0, 0.0]]))
-        ev = _evaluate(A.a, M.a, CFG, False)
+        ev = energy_of(A.a, M.a, CFG, False)
         assert ev.branch == "outer"
         assert ev.e_repel == -0.5
 
     def test_all_zero_attention_is_outer_zero(self):
-        ev = _evaluate(np.zeros((2, 2)), np.ones((2, 2)), CFG, False)
+        ev = energy_of(np.zeros((2, 2)), np.ones((2, 2)), CFG, False)
         assert ev.branch == "outer"
         assert ev.e_repel == 0.0
 
@@ -383,7 +385,7 @@ class TestBranchSelection:
                 none_outside = not any(s and not m for s, m in zip(sup, m_bits))
                 some_inside = any(s and m for s, m in zip(sup, m_bits))
                 want = "inner" if (none_outside and some_inside) else "outer"
-                got = _evaluate(grids[ai].a, masks[mi].a, CFG, False).branch
+                got = energy_of(grids[ai].a, masks[mi].a, CFG, False).branch
                 assert got == want, f"A bits {ai:09b}, M bits {mi:09b}"
 
 
@@ -392,26 +394,26 @@ class TestGradERepel:
         rng = RandomStream(17)
         A = softmax_map(rng, 5, 4)
         M = random_mask(rng, 5, 4)
-        ev = _evaluate(A.a, M.a, CFG, True)
+        ev = energy_of(A.a, M.a, CFG, True)
         assert ev.branch == "outer"
         assert ev.grad_repel.tobytes() == (-M.a).tobytes()
 
     def test_inner_equal_values_cancel(self):
         A = Grid([[0.25, 0.25], [0.25, 0.25]])
         M = BinaryMask(np.ones((2, 2)))
-        g = _evaluate(A.a, M.a, CFG, True).grad_repel
+        g = energy_of(A.a, M.a, CFG, True).grad_repel
         assert np.array_equal(g, np.zeros((2, 2)))
 
     def test_two_close_values_match_finite_differences(self):
         A = Grid([[0.50, 0.51]])
         M = BinaryMask(np.ones((1, 2)))
-        g = _evaluate(A.a, M.a, CFG, True).grad_repel
+        g = energy_of(A.a, M.a, CFG, True).grad_repel
         # both orderings of the single pair are active, so each point gets
         # twice the one-sided 1/N contribution
         assert g[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert g[0, 1] == pytest.approx(-1.0, rel=1e-12)
         for j in range(2):
-            fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_repel, A, 0, j, 1e-6)
+            fd = fd_scalar(lambda x: energy_of(x.a, M.a, CFG, False).e_repel, A, 0, j, 1e-6)
             assert fd_rel_err(g[0, j], fd) < 1e-7
 
     def test_inner_branch_matches_finite_differences(self):
@@ -421,7 +423,7 @@ class TestGradERepel:
         for seed in range(12):
             rng = RandomStream(4000 + seed)
             A, M = inner_case(rng, 6, 6)
-            ev = _evaluate(A.a, M.a, CFG, True)
+            ev = energy_of(A.a, M.a, CFG, True)
             assert ev.branch == "inner"
             g = ev.grad_repel
             sel = (M.a == 1.0) & (A.a > CFG.support_tau * A.a.max())
@@ -430,7 +432,7 @@ class TestGradERepel:
             for idx, (i, j) in enumerate(coords):
                 if not hinge_safe(vals, idx, CFG.delta, h):
                     continue
-                fd = fd_scalar(lambda x: _evaluate(x.a, M.a, CFG, False).e_repel, A, i, j, h)
+                fd = fd_scalar(lambda x: energy_of(x.a, M.a, CFG, False).e_repel, A, i, j, h)
                 worst = max(worst, fd_rel_err(g[i, j], fd))
                 checked += 1
         assert checked > 100
@@ -438,7 +440,7 @@ class TestGradERepel:
 
     def test_out_of_support_points_have_zero_gradient(self):
         A, M = inner_case(RandomStream(77), 6, 6)
-        g = _evaluate(A.a, M.a, CFG, True).grad_repel
+        g = energy_of(A.a, M.a, CFG, True).grad_repel
         outside = ~((M.a == 1.0) & (A.a > CFG.support_tau * A.a.max()))
         assert np.array_equal(g[outside], np.zeros(int(outside.sum())))
 
@@ -461,7 +463,7 @@ class TestETotal:
         layers, masks = _two_layer_fixture()
         cfg = EnergyConfig(layer_select=frozenset({"full"}))
         bd = e_total(layers, masks, cfg)
-        ev = _evaluate(layers[0].map.a, masks[0].a, cfg, False)
+        ev = energy_of(layers[0].map.a, masks[0].a, cfg, False)
         want = ev.e_attract + cfg.lam * ev.e_repel
         assert bd.total == pytest.approx(want, rel=1e-12)
         assert bd.per_layer["full"].selected
@@ -472,14 +474,14 @@ class TestETotal:
         cfg = EnergyConfig(lam=0.0)
         bd = e_total(layers, masks, cfg)
         want = 0.5 * (
-            _evaluate(layers[0].map.a, masks[0].a, cfg, False).e_attract
-            + _evaluate(layers[1].map.a, masks[1].a, cfg, False).e_attract
+            energy_of(layers[0].map.a, masks[0].a, cfg, False).e_attract
+            + energy_of(layers[1].map.a, masks[1].a, cfg, False).e_attract
         )
         assert bd.total == pytest.approx(want, rel=1e-12)
 
     def test_mean_of_two_hand_computed_layers(self):
         layers, masks = _two_layer_fixture()
-        evs = [_evaluate(l.map.a, m.a, CFG, False) for l, m in zip(layers, masks)]
+        evs = [energy_of(l.map.a, m.a, CFG, False) for l, m in zip(layers, masks)]
         per = [ev.e_attract + CFG.lam * ev.e_repel for ev in evs]
         bd = e_total(layers, masks, CFG)
         assert bd.total == pytest.approx(0.5 * (per[0] + per[1]), rel=1e-12)
@@ -490,7 +492,7 @@ class TestETotal:
         cfg = EnergyConfig(layer_select=frozenset({"half"}))
         bd = e_total(layers, masks, cfg)
         assert set(bd.per_layer) == {"full", "half"}
-        ev = _evaluate(layers[1].map.a, masks[1].a, cfg, False)
+        ev = energy_of(layers[1].map.a, masks[1].a, cfg, False)
         assert bd.total == pytest.approx(ev.e_attract + cfg.lam * ev.e_repel, rel=1e-12)
 
     def test_empty_selection_is_an_error(self):
@@ -517,7 +519,7 @@ class TestGradETotal:
         layers, masks = _two_layer_fixture()
         _, grads = _evaluate_layers(layers, masks, CFG, True)
         for layer, mask, g in zip(layers, masks, grads):
-            ev = _evaluate(layer.map.a, mask.a, CFG, True)
+            ev = energy_of(layer.map.a, mask.a, CFG, True)
             want = (ev.grad_attract + CFG.lam * ev.grad_repel) / 2.0
             assert np.array_equal(g, want)
 
@@ -596,7 +598,7 @@ class TestConfigValidation:
         # S_in = eps takes the unclamped branch; S_out = 1
         a = np.array([[eps, 0.5], [0.5, 0.0]])
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
-        got = _evaluate(a, m, EnergyConfig(epsilon_den=eps), True)
+        got = energy_of(a, m, EnergyConfig(epsilon_den=eps), True)
         assert got.in_mask_mass == eps
         assert np.isfinite(got.grad_attract).all()
         assert got.grad_attract[0, 0] < 0.0 < got.grad_attract[0, 1]
@@ -608,3 +610,164 @@ class TestConfigValidation:
     def test_attention_layer_resolution(self):
         layer = AttentionLayer("full", Grid(np.zeros((4, 6))))
         assert layer.resolution == (4, 6)
+
+
+# ------------------------------------------------------------ stacked pass
+
+FULL_MASK = np.zeros((8, 6))
+FULL_MASK[2:6, 1:4] = 1.0
+HALF_MASK = np.zeros((4, 3))
+HALF_MASK[1:3, 0:2] = 1.0
+STACK_MASKS = [BinaryMask(FULL_MASK), BinaryMask(HALF_MASK)]
+LAYER_SELECTS = [None, frozenset({"full"}), frozenset({"half"}), frozenset({"full", "half"})]
+# outer: support on both sides of the mask; inner: support inside it only;
+# clamp: in-mask mass far below epsilon_den; empty: no in-mask mass at all;
+# one: a single in-support value, the inner branch with no pair
+KINDS = ["outer", "inner", "clamp", "empty", "one"]
+
+
+def stack_item(rng: RandomStream, kind: str, m: np.ndarray) -> np.ndarray:
+    """One map over mask m with the branch or clamp that kind names."""
+    inside = m > 0.0
+    a = 0.1 + rng.uniforms(m.size).reshape(m.shape)
+    if kind == "inner":
+        a[~inside] *= 1e-4  # below every support_tau drawn here
+    elif kind == "clamp":
+        a[inside] *= 1e-12
+    elif kind == "empty":
+        a[inside] = 0.0
+    elif kind == "one":
+        a[:] = 0.0
+        a.flat[np.argmax(inside)] = 0.5
+    return a / a.sum()
+
+
+def configs_from(draws) -> list[EnergyConfig]:
+    return [
+        EnergyConfig(lam=lam, delta=delta, support_tau=tau, epsilon_den=eps, layer_select=sel)
+        for lam, delta, tau, eps, sel in draws
+    ]
+
+
+def breakdown_hex(bd) -> tuple:
+    layers = tuple(
+        (lid, le.e_attract.hex(), le.e_repel.hex(), le.branch, le.in_mask_mass.hex(), le.selected)
+        for lid, le in bd.per_layer.items()
+    )
+    return bd.total.hex(), bd.e_attract.hex(), bd.e_repel.hex(), layers
+
+
+def assert_items_match_oracle(maps, cfgs, with_grads):
+    got, grads = _evaluate_stack(maps, STACK_MASKS, cfgs, with_grads)
+    assert len(got) == len(cfgs)
+    for i, cfg in enumerate(cfgs):
+        layers = [AttentionLayer(lid, Grid(a[i])) for lid, a in maps.items()]
+        want, want_grads = evaluate_layers_per_item(layers, STACK_MASKS, cfg, with_grads)
+        assert breakdown_hex(got[i]) == breakdown_hex(want), f"item {i}"
+        if with_grads:
+            for g, w in zip(grads, want_grads):
+                assert g[i].tobytes() == w.tobytes(), f"item {i}"
+        else:
+            assert grads is None
+
+
+class TestStackedPass:
+    """_evaluate_stack against the per-item oracle in helpers.py: every item
+    of a stack, bit for bit, under its own config."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 3, 7]),
+        data=st.data(),
+        with_grads=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_item_equals_the_oracle(self, seed, k, data, with_grads):
+        rng = RandomStream(seed)
+        kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=2 * k, max_size=2 * k))
+        maps = {
+            lid: np.stack([stack_item(rng, kinds[2 * i + j], m.a) for i in range(k)])
+            for j, (lid, m) in enumerate(zip(("full", "half"), STACK_MASKS))
+        }
+        draws = data.draw(st.lists(st.tuples(
+            st.sampled_from([0.0, 0.01, 0.5]),
+            st.sampled_from([0.0, 0.02, 0.3]),
+            st.sampled_from([0.01, 0.05, 0.2]),
+            st.sampled_from([1e-8, 1e-3, 0.05]),
+            st.sampled_from(LAYER_SELECTS),
+        ), min_size=k, max_size=k))
+        assert_items_match_oracle(maps, configs_from(draws), with_grads)
+
+    def test_a_mixed_stack_covers_both_branches_and_the_clamp(self):
+        rng = RandomStream(11)
+        rows = [("outer", "inner"), ("inner", "outer"), ("clamp", "clamp"), ("empty", "one"),
+                ("inner", "inner"), ("outer", "clamp"), ("one", "empty")]
+        maps = {
+            lid: np.stack([stack_item(rng, row[j], m.a) for row in rows])
+            for j, (lid, m) in enumerate(zip(("full", "half"), STACK_MASKS))
+        }
+        cfgs = configs_from([
+            (0.01, 0.02, 0.01, 1e-8, None),
+            (0.5, 0.3, 0.05, 1e-3, frozenset({"full"})),
+            (0.0, 0.0, 0.2, 0.05, frozenset({"half"})),
+            (0.01, 0.02, 0.01, 1e-8, frozenset({"full", "half"})),
+            (0.01, 0.3, 0.2, 1e-3, None),
+            (0.5, 0.02, 0.01, 0.05, None),
+            (0.0, 0.02, 0.05, 1e-8, frozenset({"half"})),
+        ])
+        got, _ = _evaluate_stack(maps, STACK_MASKS, cfgs, False)
+        branches = {(lid, le.branch) for bd in got for lid, le in bd.per_layer.items()}
+        assert branches == {(lid, b) for lid in ("full", "half") for b in ("inner", "outer")}
+        clamped = [bd.per_layer[lid].in_mask_mass < cfg.epsilon_den
+                   for bd, cfg in zip(got, cfgs) for lid in ("full", "half")]
+        assert any(clamped) and not all(clamped)
+        for with_grads in (False, True):
+            assert_items_match_oracle(maps, cfgs, with_grads)
+
+    def test_an_off_mask_value_at_the_threshold_keeps_the_inner_branch(self):
+        """tau * max(a) itself is not support, so the maxima-based branch
+        test must compare the largest off-mask value with <=."""
+        a = np.array([[[1.0, 0.01], [0.5, 0.0]], [[1.0, 0.0101], [0.5, 0.0]]])
+        m = BinaryMask(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        got, _ = _evaluate_stack({"full": a}, [m], [CFG, CFG], False)
+        assert [bd.per_layer["full"].branch for bd in got] == ["inner", "outer"]
+
+    def test_unselected_layer_gets_zero_rows(self):
+        rng = RandomStream(12)
+        maps = {lid: np.stack([stack_item(rng, "outer", m.a) for _ in range(3)])
+                for lid, m in zip(("full", "half"), STACK_MASKS)}
+        cfgs = configs_from([(0.01, 0.02, 0.01, 1e-8, s) for s in LAYER_SELECTS[:3]])
+        _, (g_full, g_half) = _evaluate_stack(maps, STACK_MASKS, cfgs, True)
+        assert not g_full[2].any() and not g_half[1].any()
+        assert g_full[0].any() and g_full[1].any() and g_half[0].any() and g_half[2].any()
+
+    def bad_maps(self, layer_id: str, value: float) -> dict:
+        rng = RandomStream(13)
+        maps = {lid: np.stack([stack_item(rng, "outer", m.a) for _ in range(3)])
+                for lid, m in zip(("full", "half"), STACK_MASKS)}
+        maps[layer_id][1, 0, 0] = value
+        return maps
+
+    @pytest.mark.parametrize("layer_id", ["full", "half"])
+    def test_a_negative_map_is_rejected_naming_the_layer(self, layer_id):
+        with pytest.raises(EnergyError, match=f"layer {layer_id}: attention map has negative"):
+            _evaluate_stack(self.bad_maps(layer_id, -1e-9), STACK_MASKS, [CFG] * 3, True)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("layer_id", ["full", "half"])
+    def test_a_non_finite_map_is_rejected_naming_the_layer(self, layer_id, value):
+        with pytest.raises(EnergyError, match=f"layer {layer_id}: attention map is not finite"):
+            _evaluate_stack(self.bad_maps(layer_id, value), STACK_MASKS, [CFG] * 3, False)
+
+    def test_a_shape_mismatch_is_rejected_naming_the_layer(self):
+        maps = self.bad_maps("full", 0.0)
+        maps["half"] = maps["half"][:, :, :2]
+        with pytest.raises(EnergyError, match="layer half: attention shape"):
+            _evaluate_stack(maps, STACK_MASKS, [CFG] * 3, False)
+
+    def test_an_empty_selection_is_rejected_naming_the_layers(self):
+        cfgs = [CFG, EnergyConfig(layer_select=frozenset({"quarter"})), CFG]
+        want = "layer selection is empty: config 1 selects none of the layers full, half"
+        with pytest.raises(EnergyError, match=want):
+            _evaluate_stack(self.bad_maps("full", 0.0), STACK_MASKS, cfgs, True)
+

@@ -19,8 +19,10 @@ from helpers import (
     sigmoid_masked,
     softplus_logaddexp,
 )
+import tryonlab.kernels as kernels
 from tryonlab import RandomStream
 from tryonlab.kernels import (
+    _adjoint_chunk,
     _im2col,
     avg_pool2,
     correlate3x3,
@@ -174,6 +176,31 @@ class TestBitStability:
             want = apply(kernel, item, bank).tobytes()
             assert blocks[i].tobytes() == want, f"item {i}"
             assert batched[i].tobytes() == want, f"item {i} of the batched call"
+
+
+class TestAdjointChunks:
+    """correlate3x3_adjoint contracts a stack in chunks of _adjoint_chunk
+    items, one product each; every chunking gives each item the bits of a
+    call on that item alone."""
+
+    def test_chunks_at_the_lab_canvases(self):
+        # all seven points of a 24x18 sweep in one product, two items per
+        # product at 48x36, one at 128x96
+        assert _adjoint_chunk(4, 24, 18) == 8
+        assert _adjoint_chunk(4, 48, 36) == 2
+        assert _adjoint_chunk(4, 128, 96) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 9])
+    def test_every_chunking_equals_single_items(self, monkeypatch, chunk):
+        h, w, k = 24, 18, 7
+        dz, bank = normals("chunk", C, k, h, w), normals("bank", C, 3, 3)
+        singles = [correlate3x3_adjoint(dz[:, i], bank).tobytes() for i in range(k)]
+        monkeypatch.setattr(kernels, "_ADJOINT_IM2COL_BYTES", chunk * 9 * C * h * w * 8)
+        assert _adjoint_chunk(C, h, w) == chunk
+        got = correlate3x3_adjoint(dz, bank)
+        assert got.shape == (k, h, w)
+        for i in range(k):
+            assert got[i].tobytes() == singles[i], f"item {i}"
 
 
 # Values that stress a 2x2 sum: signed zeros, subnormals, the smallest

@@ -174,9 +174,11 @@ MODELS = {
 }
 
 
+# The adjoint of the VJP takes all items in one product at 16x12 and
+# 24x18, two per product at 48x36 and one at 128x96 (kernels._adjoint_chunk).
 @pytest.mark.parametrize("cond", list(Condition), ids=lambda c: c.value)
-@pytest.mark.parametrize("k", [3, 7])
-@pytest.mark.parametrize("h,w", [(16, 12)] + SIZES)
+@pytest.mark.parametrize("k", [3, 7, 8])
+@pytest.mark.parametrize("h,w", [(16, 12)] + SIZES + [(128, 96)])
 @pytest.mark.parametrize("name", list(MODELS))
 class TestStackEqualsSingleCalls:
     def stack(self, k, h, w):

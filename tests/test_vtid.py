@@ -354,6 +354,44 @@ class TestSceneIO:
         with pytest.raises(GridError, match="not divisible by 3"):
             scene_read(path)
 
+    def test_reads_without_a_grid_and_equals_the_grid_path(self, tmp_path, monkeypatch):
+        import tryonlab.grids as grids
+        from tryonlab import grid_read
+
+        # out-of-range values and a -0.0, so that the clamp has work to do
+        values = RandomStream(23).normals(3 * 6 * 5).reshape(3 * 6, 5)
+        values[0, 0] = -0.0
+        path = tmp_path / "scene.f64grid"
+        grid_write(path, Grid(values))
+        want = SceneImage(grid_read(path).a.reshape(3, 6, 5)).stack().tobytes()
+        built = []
+        grid_init = grids.Grid.__init__
+        monkeypatch.setattr(
+            grids.Grid, "__init__", lambda obj, v: (built.append(1), grid_init(obj, v))[1]
+        )
+        got = scene_read(path)
+        assert built == []
+        assert got.stack().tobytes() == want
+
+    def test_rejects_a_non_finite_payload(self, tmp_path):
+        import struct
+
+        path = tmp_path / "nan.f64grid"
+        payload = np.zeros((6, 4))
+        payload[4, 1] = np.nan
+        path.write_bytes(struct.pack("<4sII", b"F64G", 6, 4) + payload.astype("<f8").tobytes())
+        with pytest.raises(GridError, match="non-finite"):
+            scene_read(path)
+
+    def test_rejects_a_truncated_file(self, tmp_path):
+        from tryonlab import GridFormatError
+
+        path = tmp_path / "short.f64grid"
+        grid_write(path, Grid(np.zeros((6, 4))))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(GridFormatError, match="truncated payload"):
+            scene_read(path)
+
 
 class TestWarpScene:
     def test_zero_flow_identity(self):
