@@ -65,8 +65,6 @@ from .vtid import (
     SceneImage,
     VtidError,
     VtidReport,
-    extract_agnostic,
-    extract_clothing,
     perceptual_l2,
     pixel_extractor,
     random_feature_extractor,

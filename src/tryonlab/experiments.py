@@ -76,9 +76,7 @@ def _select_layers(cfg: SamplerConfig, value: str) -> SamplerConfig:
 
 
 SWEEPS = {
-    "scale_factor": SweepKind(
-        "rho", SCALE_GRID, lambda cfg, v: replace(cfg, rho=v, csc_enabled=True)
-    ),
+    "scale_factor": SweepKind("rho", SCALE_GRID, lambda cfg, v: replace(cfg, rho=v)),
     "guidance": SweepKind(
         "guidance_scale", GUIDANCE_GRID, lambda cfg, v: replace(cfg, guidance_scale=v)
     ),
@@ -152,7 +150,6 @@ def _is_id_list(v) -> bool:
 _READERS = {
     "int": (_is_int, None, "an integer"),
     "float": (_is_num, float, "a number"),
-    "bool": (lambda v: isinstance(v, bool), None, "true/false"),
     "str": (lambda v: isinstance(v, str), None, "a path string"),
     "str | None": (lambda v: v is None or isinstance(v, str), None, "a manifest path string"),
     "frozenset[str] | None": (_is_id_list, None, "null or a non-empty list of 'full', 'half'"),
@@ -384,18 +381,18 @@ def paired_run(
     trials: int,
     seed: int,
 ) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord]]:
-    """(corrected, baseline) trial lists with shared per-trial seeds.
+    """(corrected, baseline) trial lists with shared per-trial seeds; the
+    baseline arm is samp_cfg at rho = 0, so it takes no gradient.
 
     Every corrected trial runs before the first baseline one, and each arm
     draws its own noise blocks: sharing them would hold every block of
     the corrected arm until its baseline twin runs.
     """
 
-    def arm(csc_enabled: bool) -> list[TrajectoryRecord]:
-        cfgs = [replace(samp_cfg, csc_enabled=csc_enabled)]
-        return [r for _, [(_, r)] in _trials(model, schedule, cfgs, dataset, trials, seed)]
+    def arm(cfg: SamplerConfig) -> list[TrajectoryRecord]:
+        return [r for _, [(_, r)] in _trials(model, schedule, [cfg], dataset, trials, seed)]
 
-    return arm(True), arm(False)
+    return arm(samp_cfg), arm(replace(samp_cfg, rho=0.0))
 
 
 def _paired_effect_size(deltas: np.ndarray) -> float:

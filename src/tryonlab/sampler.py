@@ -2,15 +2,15 @@
 
 One step: predict noise under the garment and null tokens, mix them with
 classifier-free guidance, convert to a score, take the ancestral update
-m_t = (1 + beta/2) x_t + beta * score + sqrt(beta) * noise, then (when the
-correction is enabled) pull the region-energy gradient back to the
-latent through the tape of the garment forward and subtract rho times it.
-Every step is recorded so attention containment can be plotted over time.
+m_t = (1 + beta/2) x_t + beta * score + sqrt(beta) * noise, then (when
+rho > 0) pull the region-energy gradient back to the latent through the
+tape of the garment forward and subtract rho times it. Every step is
+recorded so attention containment can be plotted over time.
 
-`sample_points` runs K configs that share their steps and correction
-switch in lockstep, as one (K, h, w) latent stack on one noise block: one
-null predict, one garment predict, one energy pass, one ancestral update
-and one VJP per step serve all K. The energy pass reads each item under
+`sample_points` runs K configs that share their steps in lockstep, as
+one (K, h, w) latent stack on one noise block: one null predict, one
+garment predict, one energy pass, one ancestral update and, when any
+config has rho > 0, one VJP per step serve all K. The energy pass reads each item under
 its own config's energy settings; its arrays span the whole stack, and
 only per-item scalars, the inner hinge and the breakdown records are
 built item by item. `sample` is the K = 1 case.
@@ -80,16 +80,15 @@ class SamplerError(ValueError):
 class SamplerConfig:
     """Knobs of one sampling run.
 
-    rho scales the correction, guidance_scale mixes the two noise
-    predictions, steps is the number of executed reverse steps (stride-
-    subsampled from the schedule when smaller than T), and csc_enabled
-    applies the correction at every one of them.
+    rho scales the correction applied at every executed step; rho = 0
+    turns it off. guidance_scale mixes the two noise predictions, and
+    steps is the number of executed reverse steps (stride-subsampled from
+    the schedule when smaller than T).
     """
 
     rho: float = 0.2
     guidance_scale: float = 2.0
     steps: int = 20
-    csc_enabled: bool = True
     energy_cfg: EnergyConfig = field(default_factory=EnergyConfig)
 
     def __post_init__(self):
@@ -106,8 +105,7 @@ class StepEntry:
     """Observables of one executed step, measured at the pre-update latent.
 
     grad_norm is the L2 norm of the latent-space energy gradient; it is
-    recorded as 0 when the correction is disabled (the gradient is not
-    computed then).
+    recorded as 0 when rho = 0 (the correction takes no gradient then).
     """
 
     step: int
@@ -352,26 +350,27 @@ def sample_points(
     executed step k, for every step with t > 1. Every config runs on the
     same block. The sampler draws nothing itself and never writes the
     block, so equal inputs give equal outputs. The configs must share
-    steps and csc_enabled; each config's result is bit-equal to a run of
-    that config alone.
+    steps; each config's result is bit-equal to a run of that config
+    alone.
 
     The mask defines the latent resolution; it must keep at least one
     cell at every attention layer's resolution. Energies are always
     measured on the conditional (garment-token) attention maps at the
     pre-update latent, each item under its config's energy settings;
     the correction additionally needs their gradients and the model's
-    VJP of that same forward, so those are computed only when enabled. A
-    step that leaves a latent or an energy gradient non-finite (overflow
-    under extreme guidance, say) raises SamplerError naming the step and
-    the failing configs. Identical noise gives bit-identical runs whether
-    the correction is disabled or enabled with rho = 0. Latents are a
-    plain ndarray stack inside the loop and become Grids only when they
-    are returned.
+    VJP of that same forward, so those are computed only when some
+    config has rho > 0. A rho = 0 item takes no gradient even then: its
+    rows of the latent gradient are zeroed, so it records grad_norm 0,
+    is never named for a non-finite gradient, and stays bit-equal to its
+    run alone. A step that leaves a latent or an energy gradient
+    non-finite (overflow under extreme guidance, say) raises SamplerError
+    naming the step and the failing configs. Latents are a plain ndarray
+    stack inside the loop and become Grids only when they are returned.
     """
     if not configs:
         raise SamplerError("no configs to sample")
     steps = _lockstep_field(configs, "steps")
-    csc = _lockstep_field(configs, "csc_enabled")
+    csc = any(c.rho > 0.0 for c in configs)
     if schedule.T < steps:
         raise SamplerError(f"schedule T={schedule.T} shorter than steps={steps}")
     want = _noise_shape(mask, configs[0], schedule)
@@ -393,6 +392,8 @@ def sample_points(
         breakdowns, cotangents = _energies(maps, masks.of(maps), cfgs, csc)
         if csc:
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
+            if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
+                grad_x = np.where(rhos == 0.0, 0.0, grad_x)
             grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
             try:
                 x = csc_correct(m_t, grad_x, rhos)

@@ -7,8 +7,8 @@ the region and compare with the generated clothing (garment fidelity).
 Feature extractors are pluggable; seeded random convolutional features
 stand in for a pretrained perceptual backbone.
 
-SceneImage is the boundary type: the inputs to vtid_score and the public
-extract/warp helpers. Inside, vtid_score carries its four derived images
+SceneImage is the boundary type: the inputs to vtid_score and to the
+public warp_scene. Inside, vtid_score carries its four derived images
 as plain (3, h, w) float64 arrays, an extractor maps one such array to
 one (C, h_s, w_s) stack of feature maps per scale, and the distance
 reduces each stack in one pass.
@@ -32,8 +32,6 @@ __all__ = [
     "FeatureExtractor",
     "VtidReport",
     "VtidError",
-    "extract_agnostic",
-    "extract_clothing",
     "warp_scene",
     "perceptual_l2",
     "vtid_score",
@@ -131,18 +129,6 @@ def _check_mask(image: SceneImage, clothing_mask: BinaryMask) -> None:
         raise VtidError(f"mask shape {clothing_mask.shape} != image shape {image.shape}")
 
 
-def extract_agnostic(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
-    """Person with the clothing region blacked out: channels times (1 - M)."""
-    _check_mask(image, clothing_mask)
-    return SceneImage(image.stack() * (1.0 - clothing_mask.a))
-
-
-def extract_clothing(image: SceneImage, clothing_mask: BinaryMask) -> SceneImage:
-    """Clothing region only: channels times M (complement of extract_agnostic)."""
-    _check_mask(image, clothing_mask)
-    return SceneImage(image.stack() * clothing_mask.a)
-
-
 def warp_scene(image: SceneImage, flow_x: Grid, flow_y: Grid) -> SceneImage:
     """Bilinear warp of all three channels by the (flow_x, flow_y) field,
     in one pass; each channel equals warp_array of it alone, bit for bit."""
@@ -199,9 +185,9 @@ def vtid_score(
     generated clothing region, both masked by the generated image's mask
     for a like-for-like comparison.
 
-    The derived images are plain (3, h, w) arrays with the bytes that
-    extract_agnostic, warp_scene and extract_clothing would give; no
-    input is written.
+    The derived images are plain (3, h, w) arrays: each image times
+    (1 - M) or M, and the garment with the bytes warp_scene would give;
+    no input is written.
     """
     if garment.shape != person.shape or generated.shape != person.shape:
         raise VtidError(

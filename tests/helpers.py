@@ -302,12 +302,12 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
         layers = layers_of(maps)
         layer_masks = [masks.at(layer.layer_id, layer.resolution) for layer in layers]
         breakdown, grads = evaluate_layers_per_item(
-            layers, layer_masks, config.energy_cfg, with_grads=config.csc_enabled
+            layers, layer_masks, config.energy_cfg, with_grads=config.rho > 0.0
         )
-        if config.csc_enabled:
+        if config.rho > 0.0:
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, grads)
             grad_norm = float(np.sqrt((grad_x * grad_x).sum()))
-            x = m_t - config.rho * grad_x if config.rho else m_t
+            x = m_t - config.rho * grad_x
         else:
             grad_norm = 0.0
             x = m_t

@@ -72,7 +72,7 @@ class TestParseConfig:
             ({"schedule": {"beta_T": True}}, "schedule.beta_T: expected a number"),
             ({"sampler": {"guidance_scale": [2]}}, "sampler.guidance_scale: expected a number"),
             ({"sampler": {"steps": 20.0}}, "sampler.steps: expected an integer"),
-            ({"sampler": {"csc_enabled": 1}}, "sampler.csc_enabled: expected true/false"),
+            ({"sampler": {"csc_enabled": True}}, "sampler.csc_enabled: unknown field"),
             ({"sampler": {"record_snapshots": False}}, "sampler.record_snapshots: unknown field"),
             ({"energy": {"lam": "small"}}, "energy.lam: expected a number"),
             ({"energy": {"delta": None}}, "energy.delta: expected a number"),
@@ -103,7 +103,6 @@ class TestParseConfig:
                     "rho": 0.5,
                     "guidance_scale": 1.5,
                     "steps": 6,
-                    "csc_enabled": False,
                 },
                 "energy": {
                     "lam": 0.1,
@@ -260,6 +259,19 @@ class TestRunCommand:
         assert all(v == 0.0 for v in summary["delta"].values())
         assert all(v == 0.0 for v in summary["effect_size"].values())
 
+    def test_zero_rho_arms_write_equal_rows(self, dataset_dir, tmp_path):
+        """At rho = 0 neither arm takes a gradient: the rows differ only in
+        their arm cell, and grad_norm reads 0."""
+        cfg = write_config(tmp_path / "config.json", dataset_dir, sampler={"steps": 6, "rho": 0.0})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "trajectories.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        arms = {arm: [{k: v for k, v in r.items() if k != "arm"} for r in rows if r["arm"] == arm]
+                for arm in ("csc", "baseline")}
+        assert arms["csc"] == arms["baseline"]
+        assert {r["grad_norm"] for r in rows} == {"0.0"}
+
     def test_seed_override_changes_output(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "config.json", dataset_dir)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -316,9 +328,9 @@ class TestRunCommand:
         ],
         ids=["run", "sweep"],
     )
-    @pytest.mark.parametrize("csc_enabled", [True, False])
-    def test_non_finite_latent(self, dataset_dir, tmp_path, capsys, verb, named, csc_enabled):
-        sampler = {"steps": 6, "guidance_scale": 1e300, "csc_enabled": csc_enabled}
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_non_finite_latent(self, dataset_dir, tmp_path, capsys, verb, named, corrected):
+        sampler = {"steps": 6, "guidance_scale": 1e300, "rho": 0.2 if corrected else 0.0}
         cfg = write_config(tmp_path / "config.json", dataset_dir, sampler=sampler)
         assert main(verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -6,7 +6,6 @@ each item of a stack what a call on that item alone gives.
 """
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,12 +50,12 @@ def schedule():
     return make_schedule(20, 0.05, 0.3)
 
 
-def configs(k: int, csc_enabled: bool) -> list[SamplerConfig]:
+def configs(k: int, corrected: bool) -> list[SamplerConfig]:
+    """The first k points; uncorrected, every rho is set to 0."""
     return [
         SamplerConfig(
-            rho=rho,
+            rho=rho if corrected else 0.0,
             guidance_scale=s,
-            csc_enabled=csc_enabled,
             energy_cfg=EnergyConfig(layer_select=layers),
         )
         for rho, s, layers in POINTS[:k]
@@ -67,13 +66,13 @@ def outputs(x, record):
     return x.a.tobytes(), record.csv_rows(), record.final
 
 
-@pytest.mark.parametrize("csc_enabled", [True, False])
+@pytest.mark.parametrize("corrected", [True, False])
 @pytest.mark.parametrize("k", [1, 3, 7])
 @pytest.mark.parametrize("h,w", SIZES)
-def test_each_point_equals_the_per_step_oracle(schedule, h, w, k, csc_enabled):
+def test_each_point_equals_the_per_step_oracle(schedule, h, w, k, corrected):
     model = toy_init(7, h, w, 4)
     mask = rect_mask(h, w, h // 4, w // 4, h // 2, w // 2)
-    cfgs = configs(k, csc_enabled)
+    cfgs = configs(k, corrected)
     noise = draw_noise(RandomStream(9).child("trial-0"), mask, cfgs[0], schedule)
     got = sample_points(model, mask, cfgs, schedule, noise)
     assert len(got) == k
@@ -82,15 +81,11 @@ def test_each_point_equals_the_per_step_oracle(schedule, h, w, k, csc_enabled):
         assert outputs(*point) == outputs(*want), f"config {i}"
 
 
-@pytest.mark.parametrize(
-    "field, other",
-    [("steps", {"steps": 7}), ("csc_enabled", {"csc_enabled": False})],
-)
-def test_configs_must_share_steps_and_correction(schedule, field, other):
+def test_configs_must_share_steps(schedule):
     model, mask = toy_init(7, 16, 12, 4), rect_mask(16, 12, 4, 3, 8, 5)
-    cfgs = [SamplerConfig(), replace(SamplerConfig(), **other)]
+    cfgs = [SamplerConfig(), SamplerConfig(steps=7)]
     noise = draw_noise(RandomStream(1), mask, cfgs[0], schedule)
-    with pytest.raises(SamplerError, match=f"must share {field}"):
+    with pytest.raises(SamplerError, match=re.escape("must share steps, got [7, 20]")):
         sample_points(model, mask, cfgs, schedule, noise)
 
 
@@ -111,12 +106,13 @@ def test_leaves_the_noise_block_unwritten(schedule):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-@pytest.mark.parametrize("csc_enabled", [True, False])
-def test_a_diverging_config_is_named_alone(schedule, csc_enabled):
+@pytest.mark.parametrize("corrected", [True, False])
+def test_a_diverging_config_is_named_alone(schedule, corrected):
     model, mask = toy_init(7, 16, 12, 4), rect_mask(16, 12, 4, 3, 8, 5)
+    rho = 0.2 if corrected else 0.0
     cfgs = [
-        SamplerConfig(guidance_scale=2.0, csc_enabled=csc_enabled),
-        SamplerConfig(guidance_scale=1e300, csc_enabled=csc_enabled),
+        SamplerConfig(rho=rho, guidance_scale=2.0),
+        SamplerConfig(rho=rho, guidance_scale=1e300),
     ]
     noise = draw_noise(RandomStream(3), mask, cfgs[0], schedule)
     want = r"step \d+ \(t=\d+\): the latent is no longer finite \(config 1\)"

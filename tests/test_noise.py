@@ -54,10 +54,10 @@ def trajectory_outputs(x, record):
     return x.a.tobytes(), record.csv_rows(), record.final
 
 
-@pytest.mark.parametrize("csc_enabled", [True, False])
+@pytest.mark.parametrize("corrected", [True, False])
 @pytest.mark.parametrize("steps", [1, 7, 20])
-def test_sample_on_a_block_equals_per_step_draws(toy, mask, schedule, steps, csc_enabled):
-    cfg = SamplerConfig(steps=steps, csc_enabled=csc_enabled)
+def test_sample_on_a_block_equals_per_step_draws(toy, mask, schedule, steps, corrected):
+    cfg = SamplerConfig(steps=steps, rho=0.2 if corrected else 0.0)
     noise = draw_noise(RandomStream(5).child("run"), mask, cfg, schedule)
     got = sample(toy, mask, cfg, schedule, noise)
     want = sample_per_step(toy, mask, cfg, schedule, RandomStream(5).child("run"))
@@ -147,7 +147,7 @@ def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, mo
     monkeypatch.setattr(experiments, "run_sampler", recording)
     paired_run(toy, schedule, cfg, bench, trials, 42)
     assert [len(cfgs) for _, cfgs, _ in calls] == [1] * (2 * trials)
-    assert [cfgs[0].csc_enabled for _, cfgs, _ in calls] == [True] * trials + [False] * trials
+    assert [cfgs[0].rho for _, cfgs, _ in calls] == [0.2] * trials + [0.0] * trials
     masks = [bench[i % len(bench)].mask for i in range(trials)]
     assert [mask for mask, _, _ in calls] == masks * 2
     blocks = [
@@ -156,3 +156,13 @@ def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, mo
     ]
     assert len(set(blocks)) == trials
     assert [noise for _, _, noise in calls] == blocks * 2
+
+
+def test_paired_run_at_zero_rho_gives_equal_arms(toy, bench):
+    """At rho = 0 neither arm takes a gradient, so the corrected arm is the
+    baseline, grad_norm column included."""
+    csc, base = paired_run(toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6, rho=0.0),
+                           bench, 3, 42)
+    assert [r.csv_rows() for r in csc] == [r.csv_rows() for r in base]
+    assert [r.final for r in csc] == [r.final for r in base]
+    assert {row[-1] for r in csc for row in r.csv_rows()} == {"0.0"}

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from tryonlab import (
     gaussian_field,
     make_schedule,
     resample_mask,
+    sample,
+    sample_points,
     toy_init,
 )
 
@@ -220,7 +223,8 @@ class TestSamplerConfig:
         assert cfg.rho == 0.2
         assert cfg.guidance_scale == 2.0
         assert cfg.steps == 20
-        assert cfg.csc_enabled is True
+        # rho = 0 is the one way to turn the correction off
+        assert [f.name for f in fields(cfg)] == ["rho", "guidance_scale", "steps", "energy_cfg"]
 
     def test_rejects_negative_rho(self):
         with pytest.raises(SamplerError):
@@ -242,7 +246,7 @@ class TestSamplerConfig:
 
 
 def base_cfg(**kw):
-    return SamplerConfig(**{"csc_enabled": False, **kw})
+    return SamplerConfig(**{"rho": 0.0, **kw})
 
 
 class TestSampleLoop:
@@ -254,16 +258,20 @@ class TestSampleLoop:
         ],
     )
     def test_disabled_equals_zero_rho(self, toy, schedule, region, branch):
-        """Energies are bit-equal whether or not their gradients are computed."""
-        run = lambda cfg: sample_seeded(toy, region, cfg, schedule, RandomStream(42).child("run"))
-        x_off, rec_off = run(base_cfg())
-        x_rho0, rec_rho0 = run(SamplerConfig(rho=0.0))
+        """A rho = 0 run alone computes no energy gradient; as the rho = 0
+        item of a stack that does, it is bit-equal, grad_norm 0 included."""
+        noise = draw_noise(RandomStream(42).child("run"), region, base_cfg(), schedule)
+        x_off, rec_off = sample(toy, region, base_cfg(), schedule, noise)
+        (x_rho0, rec_rho0), (_, rec_on) = sample_points(
+            toy, region, [base_cfg(), SamplerConfig()], schedule, noise
+        )
         assert x_off.a.tobytes() == x_rho0.a.tobytes()
         for a, b in zip(rec_off.entries, rec_rho0.entries):
-            assert (a.step, a.t) == (b.step, b.t)
-            assert a.energy == b.energy
+            assert a == b
             assert a.energy.branch_label == branch
+            assert a.grad_norm == 0.0
         assert rec_off.final == rec_rho0.final
+        assert all(e.grad_norm > 0.0 for e in rec_on.entries)
 
     def test_same_seed_bit_identical(self, toy, mask, schedule):
         a, _ = sample_seeded(toy, mask, SamplerConfig(), schedule, RandomStream(6).child("run"))
@@ -373,22 +381,23 @@ class TestSampleLoop:
             sample_seeded(toy, bad_mask, SamplerConfig(steps=2), schedule, RandomStream(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-    @pytest.mark.parametrize("csc_enabled", [True, False])
-    def test_non_finite_latent_names_the_step(self, toy, mask, schedule, csc_enabled):
-        cfg = SamplerConfig(guidance_scale=1e20, csc_enabled=csc_enabled)
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_non_finite_latent_names_the_step(self, toy, mask, schedule, corrected):
+        cfg = SamplerConfig(guidance_scale=1e20, rho=0.2 if corrected else 0.0)
         want = re.escape("step 16 (t=4): the latent is no longer finite")
         with pytest.raises(SamplerError, match=want):
             sample_seeded(toy, mask, cfg, schedule, RandomStream(0).child("run"))
 
 
 class TestKernelCalls:
-    """One conv forward per step plus the final one; the VJP reuses it."""
+    """One conv forward per step plus the final one; the VJP reuses it, and
+    runs only when some config has rho > 0."""
 
     STEPS = 7
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"conv": 0, "adjoint": 0}
+        counts = {"conv": 0, "adjoint": 0, "vjp": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -403,15 +412,69 @@ class TestKernelCalls:
             "correlate3x3_adjoint",
             counted("adjoint", denoiser.correlate3x3_adjoint),
         )
+        vjp = denoiser.ToyAttentionDenoiser.attention_vjp
+        monkeypatch.setattr(denoiser.ToyAttentionDenoiser, "attention_vjp", counted("vjp", vjp))
         return counts
 
-    @pytest.mark.parametrize("csc_enabled, adjoint_calls", [(True, STEPS), (False, 0)])
+    @pytest.mark.parametrize("corrected, adjoint_calls", [(True, STEPS), (False, 0)])
     def test_one_forward_per_step(
-        self, toy, mask, schedule, counts, csc_enabled, adjoint_calls
+        self, toy, mask, schedule, counts, corrected, adjoint_calls
     ):
-        cfg = SamplerConfig(steps=self.STEPS, csc_enabled=csc_enabled)
+        cfg = SamplerConfig(steps=self.STEPS, rho=0.2 if corrected else 0.0)
         sample_seeded(toy, mask, cfg, schedule, RandomStream(24).child("run"))
-        assert counts == {"conv": self.STEPS + 1, "adjoint": adjoint_calls}
+        assert counts == {"conv": self.STEPS + 1, "adjoint": adjoint_calls, "vjp": adjoint_calls}
+
+    @pytest.mark.parametrize(
+        "rhos, vjp_calls",
+        [((0.0, 0.0, 0.0), 0), ((0.0, 0.2, 0.0), STEPS), ((0.1, 0.2, 0.3), STEPS)],
+        ids=["all-zero", "mixed", "all-positive"],
+    )
+    def test_a_stack_takes_one_vjp_per_step_iff_a_rho_is_positive(
+        self, toy, mask, schedule, counts, rhos, vjp_calls
+    ):
+        cfgs = [SamplerConfig(steps=self.STEPS, rho=rho) for rho in rhos]
+        noise = draw_noise(RandomStream(24).child("run"), mask, cfgs[0], schedule)
+        sample_points(toy, mask, cfgs, schedule, noise)
+        assert (counts["conv"], counts["vjp"]) == (self.STEPS + 1, vjp_calls)
+
+
+class _NonFiniteVjpRow:
+    """The toy model, except that item `row` of every VJP stack is `value`."""
+
+    def __init__(self, model, row: int, value: float):
+        self.model, self.row, self.value = model, row, value
+
+    def predict(self, x, t, cond):
+        return self.model.predict(x, t, cond)
+
+    def attention_vjp(self, tape, t, cond, cotangents):
+        grad = self.model.attention_vjp(tape, t, cond, cotangents)
+        grad[self.row] = self.value
+        return grad
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_zero_rho_item_ignores_its_non_finite_vjp_row(toy, mask, schedule, value):
+    """The rho = 0 item of a corrected stack takes no gradient, so a
+    non-finite VJP row of it neither fails the stack nor reaches it."""
+    cfgs = [SamplerConfig(rho=0.2), SamplerConfig(rho=0.0), SamplerConfig(rho=0.5)]
+    noise = draw_noise(RandomStream(25).child("run"), mask, cfgs[0], schedule)
+    got = sample_points(_NonFiniteVjpRow(toy, 1, value), mask, cfgs, schedule, noise)
+    for cfg, (x, record) in zip(cfgs, got):
+        want_x, want = sample(toy, mask, cfg, schedule, noise)
+        assert x.a.tobytes() == want_x.a.tobytes()
+        assert record.csv_rows() == want.csv_rows()
+        assert record.final == want.final
+    assert {e.grad_norm for e in got[1][1].entries} == {0.0}
+
+
+def test_a_non_finite_vjp_row_names_its_config(toy, mask, schedule):
+    cfgs = [SamplerConfig(rho=0.2), SamplerConfig(rho=0.0), SamplerConfig(rho=0.5)]
+    noise = draw_noise(RandomStream(25).child("run"), mask, cfgs[0], schedule)
+    want = re.escape("step 0 (t=20): the energy gradient is no longer finite (config 2)")
+    with pytest.raises(SamplerError, match=want) as err:
+        sample_points(_NonFiniteVjpRow(toy, 2, math.nan), mask, cfgs, schedule, noise)
+    assert err.value.configs == (2,)
 
 
 class TestTrajectoryCsv:

@@ -1,4 +1,4 @@
-"""Try-on fidelity metric: extractions, distances, scoring, extractors, IO."""
+"""Try-on fidelity metric: distances, scoring, extractors, IO."""
 
 import math
 from functools import partial
@@ -22,8 +22,6 @@ from tryonlab import (
     VtidError,
     VtidReport,
     composite_reference,
-    extract_agnostic,
-    extract_clothing,
     gen_scene,
     grid_write,
     perceptual_l2,
@@ -101,47 +99,6 @@ class TestSceneImage:
             img.r = Grid(np.zeros((12, 10)))
         with pytest.raises(ValueError):
             img.stack()[0, 0, 0] = 0.5
-
-
-class TestExtractions:
-    def test_agnostic_zero_mask_keeps_image(self):
-        img = rand_scene(2)
-        out = extract_agnostic(img, BinaryMask(np.zeros((12, 10))))
-        assert out == img
-
-    def test_agnostic_full_mask_blacks_out(self):
-        out = extract_agnostic(rand_scene(3), BinaryMask(np.ones((12, 10))))
-        assert not out.stack().any()
-
-    def test_agnostic_half_mask_on_constant(self):
-        img = SceneImage.gray(Grid.full(4, 4, 0.8))
-        m = rect_mask(4, 4, 0, 0, 2, 4)
-        out = extract_agnostic(img, m)
-        assert np.array_equal(out.stack()[0][:2], np.zeros((2, 4)))
-        assert np.array_equal(out.stack()[0][2:], np.full((2, 4), 0.8))
-
-    def test_clothing_zero_mask_gives_zero(self):
-        out = extract_clothing(rand_scene(4), BinaryMask(np.zeros((12, 10))))
-        assert not out.stack().any()
-
-    def test_clothing_box_mask_on_constant(self):
-        img = SceneImage.gray(Grid.full(5, 5, 0.6))
-        m = rect_mask(5, 5, 1, 1, 2, 3)
-        out = extract_clothing(img, m)
-        assert np.array_equal(out.stack()[0], 0.6 * m.a)
-
-    def test_partition_reconstructs_image(self):
-        img = rand_scene(5)
-        m = rect_mask(12, 10, 3, 2, 5, 6)
-        agn = extract_agnostic(img, m)
-        clo = extract_clothing(img, m)
-        assert np.array_equal(agn.stack() + clo.stack(), img.stack())
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(VtidError):
-            extract_agnostic(rand_scene(6), BinaryMask(np.zeros((5, 5))))
-        with pytest.raises(VtidError):
-            extract_clothing(rand_scene(6), BinaryMask(np.zeros((5, 5))))
 
 
 class TestPerceptualL2:
