@@ -264,8 +264,11 @@ class DatasetSample:
 def load_dataset(manifest_path) -> list[DatasetSample]:
     """Read every sample referenced by a dataset manifest.
 
-    Paths are relative to the manifest's directory. Missing or malformed
-    files are reported with their path; an empty manifest is an error.
+    Paths are relative to the manifest's directory. A file that the
+    manifest lists more than once, in one role or in roles with the same
+    reader, is read once, and every sample that lists it shares that one
+    read-only object. Missing or malformed files are reported with their
+    sample index and path; an empty manifest is an error.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -286,29 +289,39 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
     if any(len(lists[r]) != n for r in DATASET_ROLES):
         raise ConfigError("dataset: manifest role lists have differing lengths")
     root = manifest_path.parent
-    samples = []
-    for i in range(n):
-        def _path(role: str) -> Path:
-            p = root / lists[role][i]
-            if not p.exists():
-                raise ConfigError(f"dataset: file not found: {p}")
-            return p
+    # read at call time, so that a patched module binding is the one called
+    readers = {
+        "person": scene_read,
+        "garment": scene_read,
+        "mask": mask_read,
+        "flow_x": grid_read,
+        "flow_y": grid_read,
+        "generated": scene_read,
+        "gen_mask": mask_read,
+    }
+    # (reader, file) -> what it read. A file is its device and inode, so
+    # every path that resolves to it, hard links included, shares one key;
+    # one stat costs far less than Path.resolve.
+    loaded: dict[tuple, object] = {}
 
+    def load(i: int, role: str):
+        p = root / lists[role][i]
         try:
-            samples.append(
-                DatasetSample(
-                    person=scene_read(_path("person")),
-                    garment=scene_read(_path("garment")),
-                    mask=mask_read(_path("mask")),
-                    flow_x=grid_read(_path("flow_x")),
-                    flow_y=grid_read(_path("flow_y")),
-                    generated=scene_read(_path("generated")),
-                    gen_mask=mask_read(_path("gen_mask")),
-                )
-            )
-        except GridError as e:
-            raise ConfigError(f"dataset: sample {i}: {e}") from e
-    return samples
+            st = p.stat()
+        except (FileNotFoundError, NotADirectoryError):
+            raise ConfigError(f"dataset: sample {i}: file not found: {p}") from None
+        read = readers[role]
+        key = (read, st.st_dev, st.st_ino)
+        if key not in loaded:
+            try:
+                loaded[key] = read(p)
+            except GridError as e:
+                # a format error names its file; a bad value does not
+                where = "" if str(p) in str(e) else f"{p}: "
+                raise ConfigError(f"dataset: sample {i}: {where}{e}") from e
+        return loaded[key]
+
+    return [DatasetSample(**{role: load(i, role) for role in readers}) for i in range(n)]
 
 
 def _require_canvas(model, dataset: list[DatasetSample], trials: int) -> None:

@@ -11,7 +11,9 @@ SceneImage is the boundary type: the inputs to vtid_score and to the
 public warp_scene. Inside, vtid_score carries its four derived images
 as plain (3, h, w) float64 arrays, an extractor maps one such array to
 one (C, h_s, w_s) stack of feature maps per scale, and the distance
-reduces each stack in one pass.
+reduces each stack in one pass. The reference side (the person's
+agnostic and the warped garment) is extracted once for a run of calls
+that share its inputs.
 """
 
 from __future__ import annotations
@@ -142,16 +144,14 @@ def perceptual_l2(a: SceneImage, b: SceneImage, fx: FeatureExtractor) -> float:
     """
     if a.shape != b.shape:
         raise VtidError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return _distance(a.stack(), b.stack(), fx)
+    return _distance(fx.features(a.stack()), fx.features(b.stack()))
 
 
-def _distance(a: np.ndarray, b: np.ndarray, fx: FeatureExtractor) -> float:
-    """perceptual_l2 of two (3, h, w) arrays. One sum over the last two
-    axes per scale sums each map as that map's own .mean() does, and the
-    per-map MSEs are added in map order, so the result is bit-equal to
-    adding float((d * d).mean()) map by map."""
-    fa = fx.features(a)
-    fb = fx.features(b)
+def _distance(fa: list[np.ndarray], fb: list[np.ndarray]) -> float:
+    """perceptual_l2 of two images, from their feature stacks. One sum
+    over the last two axes per scale sums each map as that map's own
+    .mean() does, and the per-map MSEs are added in map order, so the
+    result is bit-equal to adding float((d * d).mean()) map by map."""
     if len(fa) != len(fb):
         raise VtidError("extractor returned differing feature counts")
     total = 0.0
@@ -166,6 +166,12 @@ def _distance(a: np.ndarray, b: np.ndarray, fx: FeatureExtractor) -> float:
             total += mse
         n_maps += len(d)
     return math.sqrt(total / n_maps)
+
+
+# vtid_score's one-entry memo: (key, reference features) of its last call.
+# The key holds the seven inputs themselves, so no id in it can be recycled
+# while it is held.
+_last_reference: tuple = ((), ())
 
 
 def vtid_score(
@@ -187,7 +193,12 @@ def vtid_score(
 
     The derived images are plain (3, h, w) arrays: each image times
     (1 - M) or M, and the garment with the bytes warp_scene would give;
-    no input is written.
+    no input is written. The features of the reference side, person *
+    (1 - M) and the warped garment times M_gen, are reused from the
+    previous call when its person, garment, flows, both masks and fx
+    were the same objects; then only the generated side is extracted.
+    A hit relies on those inputs being immutable, as SceneImage, Grid
+    and BinaryMask are, and on fx.features depending on its input alone.
     """
     if garment.shape != person.shape or generated.shape != person.shape:
         raise VtidError(
@@ -196,15 +207,22 @@ def vtid_score(
         )
     _check_mask(person, clothing_mask)
     _check_mask(generated, gen_clothing_mask)
+
+    global _last_reference
+    key = (person, garment, flow_x, flow_y, clothing_mask, gen_clothing_mask, fx)
+    last_key, reference = _last_reference
+    if not last_key or any(a is not b for a, b in zip(key, last_key)):
+        # clamped as SceneImage clamps, so the bytes stay those of warp_scene
+        warped = _clamp01(warp_array(garment.stack(), flow_x.a, flow_y.a))
+        warped *= gen_clothing_mask.a
+        reference = fx.features(person.stack() * (1.0 - clothing_mask.a)), fx.features(warped)
+        _last_reference = key, reference
+    agnostic, clothing = reference
     gen = generated.stack()
-    human = _distance(
-        person.stack() * (1.0 - clothing_mask.a), gen * (1.0 - gen_clothing_mask.a), fx
+    return VtidReport(
+        human_dist=_distance(agnostic, fx.features(gen * (1.0 - gen_clothing_mask.a))),
+        clothing_dist=_distance(clothing, fx.features(gen * gen_clothing_mask.a)),
     )
-    # clamped as SceneImage clamps, so the bytes stay those of warp_scene
-    warped = _clamp01(warp_array(garment.stack(), flow_x.a, flow_y.a))
-    warped *= gen_clothing_mask.a
-    clothing = _distance(warped, gen * gen_clothing_mask.a, fx)
-    return VtidReport(human_dist=human, clothing_dist=clothing)
 
 
 class _PixelExtractor:

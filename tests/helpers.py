@@ -38,7 +38,7 @@ from tryonlab.energy import (
     _inner_repel,
     _layer_terms,
 )
-from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, _toy_vtid
+from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, DatasetSample, _toy_vtid
 from tryonlab.grids import warp_array
 from tryonlab.sampler import StepEntry, TrajectoryRecord, _MaskCache, _stride_ts
 
@@ -318,9 +318,21 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
     return Grid(x), TrajectoryRecord(entries=entries, final=final)
 
 
+def fresh(value):
+    """An equal copy of a SceneImage, Grid or BinaryMask, or of every field
+    of a DatasetSample: equal values in new objects, so no identity-keyed
+    reuse can serve them."""
+    if isinstance(value, DatasetSample):
+        return DatasetSample(**{f: fresh(getattr(value, f)) for f in value.__dataclass_fields__})
+    if isinstance(value, SceneImage):
+        return SceneImage(value.stack())
+    return type(value)(value.a)
+
+
 def point_metrics(model, schedule, samp_cfg, dataset, trials: int, seed: int) -> dict:
     """Mean final metrics of one sweep grid point, from its own loop over
-    the trials: noise from child "trial-{i}" of the seed, drawn per step."""
+    the trials: noise from child "trial-{i}" of the seed, drawn per step,
+    and the try-on proxy scored on fresh copies of each sample."""
     finals, vtids = [], []
     fx = pixel_extractor()
     for i in range(trials):
@@ -329,7 +341,7 @@ def point_metrics(model, schedule, samp_cfg, dataset, trials: int, seed: int) ->
         rng = RandomStream(seed).child(f"trial-{i}")
         x, record = sample_per_step(model, mask, samp_cfg, schedule, rng)
         finals.append(record.final)
-        vtids.append(_toy_vtid(sample_i, x, fx))
+        vtids.append(_toy_vtid(fresh(sample_i), x, fx))
     means = {
         f"mean_{m}": float(np.mean([FINAL_METRICS[m](f) for f in finals]))
         for m in _SWEPT_METRICS

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import xml.dom.minidom
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tryonlab
+import tryonlab.experiments as experiments
 from tryonlab import Grid, RandomStream, SceneImage, grid_write, scene_read, scene_write
 from tryonlab.cli import main
 from tryonlab.experiments import (
@@ -31,6 +33,7 @@ from tryonlab.experiments import (
 )
 from tryonlab.plotting import METRIC_COLUMNS, escape
 from tryonlab.sampler import CSV_HEADER
+from tryonlab.scenes import DATASET_ROLES
 
 
 class TestParseConfig:
@@ -498,6 +501,30 @@ class TestVtidCommand:
         assert doc["samples"][1]["vtid"] == 0.0
         assert doc["mean"]["vtid"] > 0.0
 
+    def test_a_repeated_sample_scores_as_its_first_copy(self, tmp_path):
+        d = tmp_path / "data"
+        assert main(
+            ["gen", "--seed", "5", "--n", "2", "--out", str(d), "--height", "16", "--width", "12"]
+        ) == 0
+        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+        for i, path in enumerate(manifest["generated"]):
+            rng = RandomStream(i).child("corrupt")
+            noisy = scene_read(d / path).stack() + 0.1 * rng.normals(3 * 16 * 12).reshape(3, 16, 12)
+            scene_write(d / path, SceneImage(noisy))
+        doubled = {role: [q for q in manifest[role] for _ in "ab"] for role in DATASET_ROLES}
+        (d / "doubled.json").write_text(json.dumps(doubled), encoding="utf-8")
+        rows = {}
+        for name in ("manifest", "doubled"):
+            argv = ["vtid", "--manifest", str(d / f"{name}.json"), "--features", "random",
+                    "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+            with open(tmp_path / name / "vtid.csv", newline="", encoding="utf-8") as f:
+                rows[name] = list(csv.reader(f))[1:-1]
+        assert len(rows["doubled"]) == 4
+        for j, row in enumerate(rows["doubled"]):
+            assert row[1:] == rows["manifest"][j // 2][1:]
+            assert float(row[3]) > 0.0
+
     def test_empty_manifest(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
         p.write_text(
@@ -727,3 +754,91 @@ class TestLoadDataset:
         p.write_text(json.dumps({"person": "x.f64grid"}), encoding="utf-8")
         with pytest.raises(ConfigError, match="person"):
             load_dataset(p)
+
+    def absolute_manifest(self, dataset_dir, path, edit) -> Path:
+        """Write to path a copy of the dataset's manifest with absolute paths,
+        after edit(role, paths) has replaced each role's list."""
+        with open(dataset_dir / "manifest.json", encoding="utf-8") as f:
+            manifest = json.load(f)
+        doc = {r: edit(r, [str(dataset_dir / q) for q in manifest[r]]) for r in DATASET_ROLES}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_a_path_listed_twice_is_read_once(self, dataset_dir, tmp_path, monkeypatch):
+        reads = []
+        for name in ("scene_read", "mask_read", "grid_read"):
+            read = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda p, _r=read: reads.append(p) or _r(p))
+        doubled = self.absolute_manifest(
+            dataset_dir, tmp_path / "m.json", lambda role, paths: [q for q in paths for _ in "ab"]
+        )
+        samples = load_dataset(doubled)
+        assert len(samples) == 6 and len(reads) == 3 * len(DATASET_ROLES)
+        once = load_dataset(dataset_dir / "manifest.json")
+        for k in range(3):
+            first, second = samples[2 * k], samples[2 * k + 1]
+            for role in DATASET_ROLES:
+                assert getattr(first, role) is getattr(second, role)
+                assert getattr(first, role) == getattr(once[k], role)
+            assert first.person is not samples[(2 * k + 2) % 6].person
+
+    def test_one_reader_shares_a_file_across_roles(self, dataset_dir, tmp_path):
+        shared = {"generated": "person", "gen_mask": "mask", "flow_y": "flow_x"}
+        p = self.absolute_manifest(
+            dataset_dir, tmp_path / "m.json", lambda role, paths: paths
+        )
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc.update({role: doc[source] for role, source in shared.items()})
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        s = load_dataset(p)[0]
+        for role, source in shared.items():
+            assert getattr(s, role) is getattr(s, source)
+        # another reader gives another object: the mask's file read as a flow
+        doc["flow_x"] = doc["mask"]
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        s = load_dataset(p)[0]
+        assert type(s.flow_x) is Grid and s.flow_x is not s.mask
+
+    def test_distinct_files_with_equal_bytes_are_distinct_objects(self, dataset_dir, tmp_path):
+        copy = tmp_path / "person-copy.f64grid"
+        original = dataset_dir / "dataset" / "paired" / "0000" / "person.f64grid"
+        shutil.copyfile(original, copy)
+        p = self.absolute_manifest(
+            dataset_dir,
+            tmp_path / "m.json",
+            lambda role, paths: [str(copy)] + paths[1:] if role == "person" else paths,
+        )
+        s = load_dataset(p)[0]
+        assert s.person.stack().tobytes() == scene_read(original).stack().tobytes()
+        assert s.person is not s.generated and s.person == s.generated
+        # written datasets hold each mask twice, as mask and gen_mask
+        assert s.mask is not s.gen_mask and s.mask == s.gen_mask
+
+    @pytest.mark.parametrize(
+        "role, content, reason",
+        [
+            ("person", None, "file not found"),
+            ("garment", b"F64X" + bytes(8), "bad magic"),
+            ("person", struct.pack("<4sII", b"F64G", 3, 1) + np.array([0.5, np.nan, 0.5]).tobytes(),
+             "non-finite"),
+            ("gen_mask", struct.pack("<4sII", b"F64G", 1, 2) + np.array([0.0, 0.5]).tobytes(),
+             "exactly 0 or 1"),
+        ],
+        ids=["missing", "malformed", "non-finite-scene", "non-binary-mask"],
+    )
+    def test_a_bad_file_names_its_first_sample_and_path(
+        self, dataset_dir, tmp_path, role, content, reason
+    ):
+        bad = tmp_path / "bad.f64grid"
+        if content is not None:
+            bad.write_bytes(content)
+        p = self.absolute_manifest(
+            dataset_dir,
+            tmp_path / "m.json",
+            lambda r, paths: [paths[0], str(bad), str(bad)] if r == role else paths,
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_dataset(p)
+        message = str(exc.value)
+        assert message.startswith("dataset: sample 1: ")
+        assert str(bad) in message and reason in message

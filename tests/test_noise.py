@@ -13,6 +13,7 @@ import pytest
 
 import tryonlab.experiments as experiments
 import tryonlab.sampler as sampler
+import tryonlab.vtid as vtid
 from helpers import rect_mask, sample_per_step, sweep_rows_grid_major
 from tryonlab import (
     RandomStream,
@@ -100,6 +101,18 @@ def test_trial_major_sweep_equals_grid_major_sweep(toy, bench, kind):
         {k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows
     ]
     assert as_hex(got) == as_hex(want)
+
+
+@pytest.mark.parametrize("kind", list(SWEEPS))
+def test_a_sweep_trial_warps_its_garment_once(toy, bench, kind, monkeypatch):
+    """Each trial's grid points share its sample's reference side. That
+    the rows still equal scoring each point on fresh copies of the sample
+    is test_trial_major_sweep_equals_grid_major_sweep's oracle."""
+    warps = []
+    warp = vtid.warp_array
+    monkeypatch.setattr(vtid, "warp_array", lambda *a: warps.append(a) or warp(*a))
+    sweep_rows(kind, toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench, 3, 42)
+    assert len(warps) == 3
 
 
 class TestDrawCounts:

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     clamp_per_channel,
+    fresh,
     random_mask,
     rect_mask,
     vtid_score_scene_images,
@@ -488,3 +489,86 @@ class TestArrayPass:
             bad = dict(case, **{field: BinaryMask(np.zeros((48, 35)))})
             with pytest.raises(VtidError, match="mask shape"):
                 vtid_score(**bad, fx=pixel_extractor())
+
+
+class CountingExtractor:
+    """Wraps an extractor, logging each features call to a shared list."""
+
+    def __init__(self, fx, log: list):
+        self.fx = fx
+        self.log = log
+
+    def features(self, stack):
+        self.log.append(self)
+        return self.fx.features(stack)
+
+
+# vtid_score's reference inputs: its memo keys on these and on fx
+REFERENCE_INPUTS = ("person", "garment", "flow_x", "flow_y", "clothing_mask", "gen_clothing_mask")
+
+
+def generations(case: dict, n: int, seed: int) -> list[SceneImage]:
+    """n generated images for one case: its own and seeded corruptions of it."""
+    rng = RandomStream(seed).child("generations")
+    base = case["generated"].stack()
+    return [case["generated"]] + [
+        SceneImage(base + 0.05 * rng.normals(base.size).reshape(base.shape)) for _ in range(n - 1)
+    ]
+
+
+class TestReferenceReuse:
+    """vtid_score computes the reference side once for calls that share it."""
+
+    @pytest.mark.parametrize("fx_name", sorted(EXTRACTORS))
+    def test_shared_references_score_as_fresh_copies(self, fx_name):
+        fx = EXTRACTORS[fx_name]()
+        a, b = corrupted_case(0, 48, 36), gray_latent_case(1)
+        # runs of calls on one case, a switch, and a return to the first
+        calls = [(a, g) for g in generations(a, 3, 0)]
+        calls += [(b, g) for g in generations(b, 2, 1)]
+        calls += [(a, g) for g in generations(a, 2, 2)]
+        for case, generated in calls:
+            got = vtid_score(**dict(case, generated=generated), fx=fx)
+            copies = {k: fresh(v) for k, v in case.items()}
+            alone = vtid_score(**dict(copies, generated=fresh(generated)), fx=fx)
+            want = vtid_score_scene_images(**dict(copies, generated=generated), fx=fx)
+            for r in (alone, want):
+                assert got.human_dist.hex() == r.human_dist.hex()
+                assert got.clothing_dist.hex() == r.clothing_dist.hex()
+
+    def test_a_hit_extracts_only_the_generated_side(self):
+        case = corrupted_case(1, 48, 36)
+        log = []
+        fx = CountingExtractor(random_feature_extractor(0, 2, 8), log)
+        counts = []
+        for generated in generations(case, 3, 3):
+            vtid_score(**dict(case, generated=generated), fx=fx)
+            counts.append(len(log))
+        assert counts == [4, 6, 8]
+
+    @pytest.mark.parametrize("part", REFERENCE_INPUTS + ("fx",))
+    def test_any_changed_key_part_is_a_miss(self, part):
+        case, other = corrupted_case(2, 48, 36), corrupted_case(3, 48, 36)
+        log = []
+        fx = CountingExtractor(random_feature_extractor(0, 2, 8), log)
+        vtid_score(**case, fx=fx)
+        assert len(log) == 4
+        changed = dict(case, fx=fx)
+        if part == "fx":
+            changed["fx"] = CountingExtractor(random_feature_extractor(5, 2, 8), log)
+        else:
+            changed[part] = other[part]
+        got = vtid_score(**changed)
+        assert len(log) == 8
+        want = vtid_score_scene_images(**changed)
+        assert got.human_dist.hex() == want.human_dist.hex()
+        assert got.clothing_dist.hex() == want.clothing_dist.hex()
+
+    def test_shape_checks_run_on_a_hit(self):
+        case = corrupted_case(0, 48, 36)
+        fx = pixel_extractor()
+        vtid_score(**case, fx=fx)
+        # generated is no part of the key: the call would be a hit
+        for generated in (SceneImage(np.zeros((3, 48, 35))), SceneImage(np.zeros((3, 47, 36)))):
+            with pytest.raises(VtidError, match="image shapes differ"):
+                vtid_score(**dict(case, generated=generated), fx=fx)
