@@ -250,6 +250,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc.update({name: _echo(getattr(cfg, name)) for name in ("model", "schedule", "sampler")})
     doc["energy"] = _echo(doc["sampler"].pop("energy_cfg"))
     return doc
+
+
 @dataclass(frozen=True)
 class DatasetSample:
     person: SceneImage

@@ -13,7 +13,10 @@ garment predict, one energy pass, one ancestral update and, when any
 config has rho > 0, one VJP per step serve all K. The energy pass reads each item under
 its own config's energy settings; its arrays span the whole stack, and
 only per-item scalars, the inner hinge and the breakdown records are
-built item by item. `sample` is the K = 1 case.
+built item by item. The mask is resampled to each attention layer's
+resolution once per call, at the first step, and the energy at the
+returned latent takes the same pass as the steps. `sample` is the K = 1
+case.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .energy import (
     EnergyConfig,
     _evaluate_layers,
     _evaluate_stack,
-    e_total,
 )
+from .energy import e_total  # noqa: F401 (unused: perfbench's tracer wraps sampler.e_total)
 from .grids import BinaryMask, Grid, resample_mask
 from .rng import RandomStream, gaussian_field
 from .schedule import NoiseSchedule
@@ -248,42 +251,28 @@ def draw_noise(
     return gaussian_field(rng, *_noise_shape(mask, config, schedule))
 
 
-class _MaskCache:
-    """Masks resampled to each attention resolution, computed once per run.
+def _layer_masks(mask: BinaryMask, maps: dict[str, np.ndarray]) -> list[BinaryMask]:
+    """The mask resampled to each layer's resolution, in map order.
 
     A mask with no cell at some layer's resolution would leave the attract
     term on its epsilon_den clamp, so it is rejected naming that layer.
     """
-
-    def __init__(self, mask: BinaryMask):
-        self._base = mask
-        self._by_shape: dict[tuple[int, int], BinaryMask] = {}
-
-    def at(self, layer_id: str, shape: tuple[int, int]) -> BinaryMask:
-        got = self._by_shape.get(shape)
-        if got is None:
-            got = resample_mask(self._base, *shape)
-            if not got.a.any():
-                raise SamplerError(
-                    f"mask is empty at attention layer {layer_id!r} ({shape[0]}x{shape[1]})"
-                )
-            self._by_shape[shape] = got
-        return got
-
-    def of(self, maps: dict[str, np.ndarray]) -> list[BinaryMask]:
-        """The mask at each layer's resolution, in map order."""
-        return [self.at(layer_id, a.shape[-2:]) for layer_id, a in maps.items()]
-
-
-def _item_layers(maps: dict[str, np.ndarray], i: int) -> list[AttentionLayer]:
-    """Item i of each stacked map, as the validated layers the energy reads."""
-    return [AttentionLayer(layer_id, Grid(a[i])) for layer_id, a in maps.items()]
+    layer_masks = []
+    for layer_id, a in maps.items():
+        h, w = a.shape[-2:]
+        m = resample_mask(mask, h, w)
+        if not m.a.any():
+            raise SamplerError(f"mask is empty at attention layer {layer_id!r} ({h}x{w})")
+        layer_masks.append(m)
+    return layer_masks
 
 
 def _per_item(values: list[float]):
     """A lone config's value, or an (n, 1, 1) array of one per config, as
     cfg_mix and csc_correct take them."""
-    # K = 1 forks stay: together they cut a 48x36 trajectory from 8.3 to 8.0 ms (2-core Xeon)
+    # K = 1 forks stay: with one array path a corrected trajectory ran 3.5% slower at 48x36
+    # (8.22 -> 8.52 ms) and 4.5% at 24x18, median ratios of 300 interleaved in-process
+    # rounds of `sample` (2-core Xeon); an uncorrected one ran 1.7% and 2.4% slower
     return values[0] if len(values) == 1 else np.array(values).reshape(-1, 1, 1)
 
 
@@ -298,7 +287,8 @@ def _energies(
     if len(cfgs) > 1:
         return _evaluate_stack(maps, layer_masks, cfgs, with_grads)
     # K = 1 goes through this module's _evaluate_layers: perfbench's capture and tracer patch it
-    breakdown, grads = _evaluate_layers(_item_layers(maps, 0), layer_masks, cfgs[0], with_grads)
+    layers = [AttentionLayer(layer_id, Grid(a[0])) for layer_id, a in maps.items()]
+    breakdown, grads = _evaluate_layers(layers, layer_masks, cfgs[0], with_grads)
     return [breakdown], None if grads is None else [g[None] for g in grads]
 
 
@@ -314,14 +304,6 @@ def _require_finite(a: np.ndarray, what: str, k: int, t: int) -> None:
         f"(config {', '.join(map(str, configs))})",
         configs,
     )
-
-
-def _lockstep_field(configs: list[SamplerConfig], name: str):
-    """The value of field `name` that every config shares."""
-    values = {getattr(c, name) for c in configs}
-    if len(values) != 1:
-        raise SamplerError(f"configs run in lockstep must share {name}, got {sorted(values)}")
-    return values.pop()
 
 
 def sample(
@@ -369,14 +351,16 @@ def sample_points(
     """
     if not configs:
         raise SamplerError("no configs to sample")
-    steps = _lockstep_field(configs, "steps")
+    shared = {c.steps for c in configs}
+    if len(shared) != 1:
+        raise SamplerError(f"configs run in lockstep must share steps, got {sorted(shared)}")
+    (steps,) = shared
     csc = any(c.rho > 0.0 for c in configs)
     if schedule.T < steps:
         raise SamplerError(f"schedule T={schedule.T} shorter than steps={steps}")
     want = _noise_shape(mask, configs[0], schedule)
     if noise.shape != want:
         raise SamplerError(f"noise block shape {noise.shape} != expected {want}")
-    masks = _MaskCache(mask)
     scales = _per_item([c.guidance_scale for c in configs])
     rhos = _per_item([c.rho for c in configs])
     cfgs = [c.energy_cfg for c in configs]
@@ -389,7 +373,9 @@ def sample_points(
         z = noise[k + 1] if t > 1 else None
         m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
 
-        breakdowns, cotangents = _energies(maps, masks.of(maps), cfgs, csc)
+        if k == 0:  # every forward has the first one's layer resolutions
+            layer_masks = _layer_masks(mask, maps)
+        breakdowns, cotangents = _energies(maps, layer_masks, cfgs, csc)
         if csc:
             grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
             if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
@@ -408,11 +394,7 @@ def sample_points(
             record.append(StepEntry(k, t, breakdown, float(grad_norm)))
 
     _, final_maps, _ = model.predict(x, 1, Condition.GARMENT)
-    final_masks = masks.of(final_maps)
-    if len(cfgs) > 1:
-        finals, _ = _evaluate_stack(final_maps, final_masks, cfgs, False)
-    else:  # through e_total, which perfbench's tracer wraps and its capture skips
-        finals = [e_total(_item_layers(final_maps, 0), final_masks, cfgs[0])]
+    finals, _ = _energies(final_maps, layer_masks, cfgs, False)
     return [
         (Grid(x[i]), TrajectoryRecord(entries=record, final=final))
         for i, (record, final) in enumerate(zip(entries, finals))

@@ -15,11 +15,10 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """beta/alpha/alpha_bar tables for steps t = 1..T (arrays are 0-indexed)."""
+    """beta/alpha_bar tables for steps t = 1..T (arrays are 0-indexed)."""
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     def _check_t(self, t: int) -> int:
@@ -41,6 +40,5 @@ def make_schedule(T: int, beta_1: float, beta_T: float) -> NoiseSchedule:
     if not 0.0 < beta_1 <= beta_T < 1.0:
         raise ScheduleError(f"need 0 < beta_1 <= beta_T < 1, got ({beta_1}, {beta_T})")
     beta = np.linspace(beta_1, beta_T, T)
-    alpha = 1.0 - beta
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 

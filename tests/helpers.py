@@ -40,7 +40,7 @@ from tryonlab.energy import (
 )
 from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, DatasetSample, _toy_vtid
 from tryonlab.grids import warp_array
-from tryonlab.sampler import StepEntry, TrajectoryRecord, _MaskCache, _stride_ts
+from tryonlab.sampler import StepEntry, TrajectoryRecord, _stride_ts
 
 # Central differences resolve a derivative to roughly eps_machine * |E| / h.
 # Below this floor both sides are numerical zero and the relative error is
@@ -286,8 +286,8 @@ def layers_of(maps: dict) -> list[AttentionLayer]:
 def sample_per_step(model, mask, config, schedule, rng: RandomStream):
     """The recorded sampling loop on one (h, w) latent, with the noise
     drawn from rng as it is needed: the initial field first, then one
-    field inside each step with t > 1, after the step's two predictions."""
-    masks = _MaskCache(mask)
+    field inside each step with t > 1, after the step's two predictions.
+    Every energy resamples the mask to each layer's resolution itself."""
     x = gaussian_field(rng, mask.height, mask.width)
     entries = []
     s = config.guidance_scale
@@ -300,7 +300,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
         if t > 1:
             m_t = m_t + math.sqrt(beta) * gaussian_field(rng, *x.shape)
         layers = layers_of(maps)
-        layer_masks = [masks.at(layer.layer_id, layer.resolution) for layer in layers]
+        layer_masks = [resample_mask(mask, *layer.resolution) for layer in layers]
         breakdown, grads = evaluate_layers_per_item(
             layers, layer_masks, config.energy_cfg, with_grads=config.rho > 0.0
         )
@@ -313,7 +313,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
             x = m_t
         entries.append(StepEntry(k, t, breakdown, grad_norm))
     final_layers = layers_of(model.predict(x, 1, Condition.GARMENT)[1])
-    final_masks = [masks.at(layer.layer_id, layer.resolution) for layer in final_layers]
+    final_masks = [resample_mask(mask, *layer.resolution) for layer in final_layers]
     final, _ = evaluate_layers_per_item(final_layers, final_masks, config.energy_cfg, False)
     return Grid(x), TrajectoryRecord(entries=entries, final=final)
 

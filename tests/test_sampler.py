@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tryonlab.denoiser as denoiser
+import tryonlab.sampler as sampler
 from helpers import layers_of, rect_mask, sample_seeded
 from tryonlab.sampler import CSV_HEADER
 from tryonlab import (
@@ -71,8 +72,8 @@ class TestMakeSchedule:
         s = make_schedule(1000, 1e-4, 0.02)
         assert np.all(np.diff(s.alpha_bar) < 0)
 
-    def test_alpha_is_one_minus_beta(self, schedule):
-        assert np.array_equal(schedule.alpha, 1.0 - schedule.beta)
+    def test_alpha_bar_is_cumprod_of_one_minus_beta(self, schedule):
+        assert np.array_equal(schedule.alpha_bar, np.cumprod(1.0 - schedule.beta))
 
     @pytest.mark.parametrize(
         "args",
@@ -475,6 +476,80 @@ def test_a_non_finite_vjp_row_names_its_config(toy, mask, schedule):
     with pytest.raises(SamplerError, match=want) as err:
         sample_points(_NonFiniteVjpRow(toy, 2, math.nan), mask, cfgs, schedule, noise)
     assert err.value.configs == (2,)
+
+
+class _CountedPredicts:
+    """The toy model, counting its predict calls."""
+
+    def __init__(self, model):
+        self.model, self.predicts = model, 0
+
+    def predict(self, x, t, cond):
+        self.predicts += 1
+        return self.model.predict(x, t, cond)
+
+
+class TestEnergySeam:
+    """A K = 1 call sends every energy, the final one included, through
+    sampler._evaluate_layers, which perfbench's capture and tracer patch;
+    a stack sends none through it. The layer masks are resampled once
+    per call."""
+
+    STEPS = 5
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = sampler._evaluate_layers
+
+        def recording(layers, masks, cfg, with_grads):
+            result = evaluate(layers, masks, cfg, with_grads)
+            calls.append((with_grads, result[0]))
+            return result
+
+        monkeypatch.setattr(sampler, "_evaluate_layers", recording)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.2, 0.0])
+    def test_k1_sends_steps_plus_one_evaluations(self, toy, mask, schedule, evaluations, rho):
+        cfg = SamplerConfig(steps=self.STEPS, rho=rho)
+        x, record = sample_seeded(toy, mask, cfg, schedule, RandomStream(26).child("run"))
+        assert [g for g, _ in evaluations] == [rho > 0.0] * self.STEPS + [False]
+        assert [b for _, b in evaluations[:-1]] == [e.energy for e in record.entries]
+        _, final_maps, _ = toy.predict(x.a, 1, Condition.GARMENT)
+        final_masks = [mask, resample_mask(mask, 8, 6)]
+        want = e_total(layers_of(final_maps), final_masks, cfg.energy_cfg)
+        assert evaluations[-1][1] == want == record.final
+
+    def test_a_stack_sends_none(self, toy, mask, schedule, evaluations):
+        cfgs = [SamplerConfig(steps=self.STEPS, rho=rho) for rho in (0.1, 0.0, 0.3)]
+        noise = draw_noise(RandomStream(26).child("run"), mask, cfgs[0], schedule)
+        sample_points(toy, mask, cfgs, schedule, noise)
+        assert evaluations == []
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("linear", [False, True], ids=["toy", "linear"])
+    def test_resamples_the_mask_once_per_layer(
+        self, toy, mask, schedule, monkeypatch, linear, steps, k
+    ):
+        model = LinearGaussianModel(mu0=0.5, sigma0=1.0, schedule=schedule) if linear else toy
+        sizes = []
+        resample = sampler.resample_mask
+        monkeypatch.setattr(
+            sampler, "resample_mask", lambda m, h, w: sizes.append((h, w)) or resample(m, h, w)
+        )
+        cfgs = [SamplerConfig(steps=steps, rho=0.1 * i) for i in range(k)]
+        noise = draw_noise(RandomStream(27).child("run"), mask, cfgs[0], schedule)
+        sample_points(model, mask, cfgs, schedule, noise)
+        assert sizes == ([(16, 12)] if linear else [(16, 12), (8, 6)])
+
+    def test_an_empty_layer_mask_fails_at_the_first_step(self, toy, schedule):
+        model, cfg = _CountedPredicts(toy), SamplerConfig(steps=4)
+        bad_mask = rect_mask(16, 12, 5, 5, 1, 1)
+        with pytest.raises(SamplerError, match=re.escape("attention layer 'half' (8x6)")):
+            sample_seeded(model, bad_mask, cfg, schedule, RandomStream(0))
+        assert model.predicts == 2
 
 
 class TestTrajectoryCsv:
