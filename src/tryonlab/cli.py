@@ -77,7 +77,7 @@ def _load_run_config(args):
 
 def cmd_run(args) -> int:
     cfg, echo = _load_run_config(args)
-    dataset = load_dataset(cfg.dataset)
+    dataset = load_dataset(cfg.dataset, roles=("mask",))  # all that paired_run reads
     model = build_model(cfg)
     schedule = build_schedule(cfg)
     csc, base = paired_run(model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed)

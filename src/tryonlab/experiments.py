@@ -3,7 +3,7 @@
 A config fully determines every output byte: model seed and dims, noise
 schedule, sampler and energy settings, dataset manifest, trial count.
 Runs and sweeps share one trial loop. Runs make a corrected pass, then a
-baseline pass, with shared per-trial seeds; sweeps run every grid point
+baseline pass, on one noise block per trial; sweeps run every grid point
 of a fixed ablation on one noise block per trial, in lockstep, and
 reduce each grid point to mean final metrics.
 """
@@ -60,6 +60,11 @@ LAYER_SELECTIONS = {
 }
 LAYER_GRID = tuple(LAYER_SELECTIONS)
 _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
+
+# The most bytes of noise blocks that paired_run holds from its corrected
+# arm for the baseline arm: all 8 blocks of a default 48x36 run (2.2 MB),
+# 2 at 128x96 (1.97 MB each).
+_HELD_NOISE_BYTES = 4 << 20
 
 
 class SweepKind(NamedTuple):
@@ -254,23 +259,26 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class DatasetSample:
-    person: SceneImage
-    garment: SceneImage
-    mask: BinaryMask
-    flow_x: Grid
-    flow_y: Grid
-    generated: SceneImage
-    gen_mask: BinaryMask
+    """One manifest entry; a role that load_dataset did not read is None."""
+
+    person: SceneImage | None = None
+    garment: SceneImage | None = None
+    mask: BinaryMask | None = None
+    flow_x: Grid | None = None
+    flow_y: Grid | None = None
+    generated: SceneImage | None = None
+    gen_mask: BinaryMask | None = None
 
 
-def load_dataset(manifest_path) -> list[DatasetSample]:
-    """Read every sample referenced by a dataset manifest.
+def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
+    """Read the files of `roles` for every sample of a dataset manifest.
 
-    Paths are relative to the manifest's directory. A file that the
-    manifest lists more than once, in one role or in roles with the same
-    reader, is read once, and every sample that lists it shares that one
-    read-only object. Missing or malformed files are reported with their
-    sample index and path; an empty manifest is an error.
+    Every role's list is checked, read or not. Paths are relative to the
+    manifest's directory. A file that the manifest lists more than once,
+    in one role or in roles with the same reader, is read once, and every
+    sample that lists it shares that one read-only object. Missing or
+    malformed files are reported with their sample index and path; an
+    empty manifest is an error.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -303,27 +311,32 @@ def load_dataset(manifest_path) -> list[DatasetSample]:
     }
     # (reader, file) -> what it read. A file is its device and inode, so
     # every path that resolves to it, hard links included, shares one key;
-    # one stat costs far less than Path.resolve.
-    loaded: dict[tuple, object] = {}
+    # one stat costs far less than Path.resolve. A path string listed again
+    # for the same reader skips even the stat.
+    by_file: dict[tuple, object] = {}
+    by_name: dict[tuple, object] = {}
 
     def load(i: int, role: str):
-        p = root / lists[role][i]
+        read, name = readers[role], lists[role][i]
+        if (read, name) in by_name:
+            return by_name[read, name]
+        p = root / name
         try:
             st = p.stat()
         except (FileNotFoundError, NotADirectoryError):
             raise ConfigError(f"dataset: sample {i}: file not found: {p}") from None
-        read = readers[role]
         key = (read, st.st_dev, st.st_ino)
-        if key not in loaded:
+        if key not in by_file:
             try:
-                loaded[key] = read(p)
+                by_file[key] = read(p)
             except GridError as e:
                 # a format error names its file; a bad value does not
                 where = "" if str(p) in str(e) else f"{p}: "
                 raise ConfigError(f"dataset: sample {i}: {where}{e}") from e
-        return loaded[key]
+        by_name[read, name] = by_file[key]
+        return by_file[key]
 
-    return [DatasetSample(**{role: load(i, role) for role in readers}) for i in range(n)]
+    return [DatasetSample(**{role: load(i, role) for role in roles}) for i in range(n)]
 
 
 def _require_canvas(model, dataset: list[DatasetSample], trials: int) -> None:
@@ -358,23 +371,28 @@ def _trials(
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-) -> Iterator[tuple[DatasetSample, list[tuple[Grid, TrajectoryRecord]]]]:
-    """Yield (sample, [(final latent, record) per config]) for each trial.
+    held: dict[int, np.ndarray] | None = None,
+) -> Iterator[tuple[DatasetSample, np.ndarray, list[tuple[Grid, TrajectoryRecord]]]]:
+    """Yield (sample, noise block, [(final latent, record) per config]) for
+    each trial.
 
     Trial i reads sample i mod n with its mask resampled to the model's
     latent resolution (model.h, model.w), and runs every config in
     lockstep on one noise block from child "trial-{i}" of the seed. The
-    block depends only on (seed, i), so two passes at the same seed run
-    on the same noise. It is drawn just before its call, so only one is
-    held at a time.
+    block depends only on (seed, i) and its shape, so two passes at the
+    same seed and steps run on the same noise. A trial takes its block
+    out of `held` when an earlier pass left it there (sampling never
+    writes a block), and otherwise draws it just before its call.
     """
     if not dataset:
         raise ConfigError("dataset: no samples")
     for i in range(trials):
         sample_i = dataset[i % len(dataset)]
         mask = resample_mask(sample_i.mask, model.h, model.w)
-        noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, cfgs[0], schedule)
-        yield sample_i, run_sampler(model, mask, cfgs, schedule, noise)
+        noise = held.pop(i, None) if held else None
+        if noise is None:
+            noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, cfgs[0], schedule)
+        yield sample_i, noise, run_sampler(model, mask, cfgs, schedule, noise)
 
 
 # Readers of each final metric off the energy breakdown at a trial's final
@@ -396,18 +414,25 @@ def paired_run(
     trials: int,
     seed: int,
 ) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord]]:
-    """(corrected, baseline) trial lists with shared per-trial seeds; the
+    """(corrected, baseline) trial lists on shared per-trial noise; the
     baseline arm is samp_cfg at rho = 0, so it takes no gradient.
 
-    Every corrected trial runs before the first baseline one, and each arm
-    draws its own noise blocks: sharing them would hold every block of
-    the corrected arm until its baseline twin runs.
+    Every corrected trial runs before the first baseline one. Each trial's
+    block is drawn once, in the corrected arm, and held for its baseline
+    twin while the held blocks fit in _HELD_NOISE_BYTES; a baseline trial
+    past that cap draws its block again, the same bytes from the same
+    stream. Only the samples' masks are read.
     """
-
-    def arm(cfg: SamplerConfig) -> list[TrajectoryRecord]:
-        return [r for _, [(_, r)] in _trials(model, schedule, [cfg], dataset, trials, seed)]
-
-    return arm(samp_cfg), arm(replace(samp_cfg, rho=0.0))
+    held: dict[int, np.ndarray] = {}
+    csc = []
+    for i, (_, noise, [(_, record)]) in enumerate(
+        _trials(model, schedule, [samp_cfg], dataset, trials, seed)
+    ):
+        csc.append(record)
+        if noise.nbytes + sum(b.nbytes for b in held.values()) <= _HELD_NOISE_BYTES:
+            held[i] = noise
+    baseline = _trials(model, schedule, [replace(samp_cfg, rho=0.0)], dataset, trials, seed, held)
+    return csc, [r for _, _, [(_, r)] in baseline]
 
 
 def _paired_effect_size(deltas: np.ndarray) -> float:
@@ -468,7 +493,7 @@ def sweep_rows(
     try:  # per trial: (final breakdown, toy vtid) per grid point
         per_trial = [
             [(record.final, _toy_vtid(sample_i, x, fx)) for x, record in points]
-            for sample_i, points in _trials(model, schedule, cfgs, dataset, trials, seed)
+            for sample_i, _, points in _trials(model, schedule, cfgs, dataset, trials, seed)
         ]
     except SamplerError as e:
         if not e.configs:

@@ -116,10 +116,10 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) from e = e^-|z|: 1 / (1 + e) where z >= 0 and
-    e / (1 + e) elsewhere, built in one output buffer."""
-    out = _exp_neg_abs(z)
-    den = out + 1.0
-    np.copyto(out, 1.0, where=z >= 0)
-    out /= den
+    """1 / (1 + e^-z) from e = e^-|z|: a numerator of 1 where z >= 0 and
+    e elsewhere, over 1 + e."""
+    e = _exp_neg_abs(z)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out

@@ -387,6 +387,46 @@ class TestRunCommand:
         echo = json.loads(summaries[0])["config"]
         assert (echo["dataset"], echo["out"]) == ("data/manifest.json", "run")
 
+    def mask_only_copy(self, dataset_dir, d: Path) -> Path:
+        """A copy of the dataset in d/data holding only its manifest and masks."""
+        manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
+        for rel in manifest["mask"]:
+            (d / "data" / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(dataset_dir / rel, d / "data" / rel)
+        shutil.copyfile(dataset_dir / "manifest.json", d / "data" / "manifest.json")
+        return d / "data"
+
+    def test_reads_only_the_masks(self, dataset_dir, tmp_path):
+        full, masks = tmp_path / "full", tmp_path / "masks"
+        shutil.copytree(dataset_dir, full / "data")
+        self.mask_only_copy(dataset_dir, masks)
+        outputs = []
+        for d in (full, masks):
+            cfg = write_config(d / "config.json", d, dataset="data/manifest.json", out="run")
+            assert main(["run", "--config", str(cfg)]) == 0
+            outputs.append({name: (d / "run" / name).read_bytes()
+                            for name in ("trajectories.csv", "summary.json")})
+        assert outputs[0] == outputs[1]
+
+    def test_a_missing_mask_names_its_sample_and_path(self, dataset_dir, tmp_path, capsys):
+        data = self.mask_only_copy(dataset_dir, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        (data / manifest["mask"][1]).unlink()
+        cfg = write_config(tmp_path / "config.json", data)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        want = f"error: dataset: sample 1: file not found: {data / manifest['mask'][1]}"
+        assert capsys.readouterr().err.startswith(want)
+
+    def test_redrawn_blocks_write_the_bytes_of_held_ones(self, dataset_dir, tmp_path, monkeypatch):
+        """Trajectories of a run whose baseline trials each redraw their
+        noise block equal those of the default run, which shares them."""
+        cfg = write_config(tmp_path / "config.json", dataset_dir, trials=3)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "held")]) == 0
+        monkeypatch.setattr(experiments, "_HELD_NOISE_BYTES", 0)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "redrawn")]) == 0
+        held, redrawn = (tmp_path / d / "trajectories.csv" for d in ("held", "redrawn"))
+        assert held.read_bytes() == redrawn.read_bytes()
+
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """Convolutions run through BLAS matmuls, so the run is repeated in
         fresh interpreters with one and with two OpenBLAS threads."""
@@ -755,6 +795,34 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match="person"):
             load_dataset(p)
 
+    def test_reads_only_the_roles_asked_for(self, dataset_dir, monkeypatch):
+        reads = []
+        for name in ("scene_read", "mask_read", "grid_read"):
+            read = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda p, _r=read: reads.append(p) or _r(p))
+        samples = load_dataset(dataset_dir / "manifest.json", roles=("mask",))
+        assert len(reads) == 3
+        full = load_dataset(dataset_dir / "manifest.json")
+        for s, want in zip(samples, full):
+            assert s.mask == want.mask
+            assert all(getattr(s, role) is None for role in DATASET_ROLES if role != "mask")
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda m: m.update(garment=m["garment"][:-1]), "differing lengths"),
+            (lambda m: m.update(flow_x="x.f64grid"), "'flow_x' must be a list"),
+        ],
+        ids=["length-mismatch", "non-list"],
+    )
+    def test_unread_roles_are_still_checked(self, dataset_dir, tmp_path, edit, needle):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
+        edit(manifest)
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ConfigError, match=needle):
+            load_dataset(p, roles=("mask",))
+
     def absolute_manifest(self, dataset_dir, path, edit) -> Path:
         """Write to path a copy of the dataset's manifest with absolute paths,
         after edit(role, paths) has replaced each role's list."""
@@ -781,6 +849,30 @@ class TestLoadDataset:
                 assert getattr(first, role) is getattr(second, role)
                 assert getattr(first, role) == getattr(once[k], role)
             assert first.person is not samples[(2 * k + 2) % 6].person
+
+    def test_a_listed_path_is_looked_up_once_per_reader(self, dataset_dir, tmp_path, monkeypatch):
+        stats = []
+        stat = Path.stat
+        monkeypatch.setattr(Path, "stat", lambda p, **k: stats.append(p) or stat(p, **k))
+        doubled = self.absolute_manifest(
+            dataset_dir, tmp_path / "m.json", lambda role, paths: [q for q in paths for _ in "ab"]
+        )
+        stats.clear()
+        assert len(load_dataset(doubled)) == 6
+        files = [p for p in stats if p != doubled]
+        assert len(files) == len(set(files)) == 3 * len(DATASET_ROLES)
+
+    def test_a_hard_link_shares_the_read_of_its_file(self, dataset_dir, tmp_path):
+        original = dataset_dir / "dataset" / "paired" / "0000" / "person.f64grid"
+        link = tmp_path / "person-link.f64grid"
+        os.link(original, link)
+        p = self.absolute_manifest(
+            dataset_dir,
+            tmp_path / "m.json",
+            lambda role, paths: [str(link)] + paths[1:] if role == "generated" else paths,
+        )
+        s = load_dataset(p)[0]
+        assert s.generated is s.person
 
     def test_one_reader_shares_a_file_across_roles(self, dataset_dir, tmp_path):
         shared = {"generated": "person", "gen_mask": "mask", "flow_y": "flow_x"}

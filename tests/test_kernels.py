@@ -104,7 +104,10 @@ def test_softplus_within_two_ulp_of_logaddexp():
 
 
 def test_sigmoid_bit_equal_to_boolean_mask_form():
-    special = EXTREMES + [np.inf, -np.inf, np.nan, -np.nan]
+    # EXTREMES holds +-0.0 and +-800; e^-|z| is subnormal from |z| = 708.4
+    # and 0 past 745.1
+    special = EXTREMES + [710.0, -710.0, 745.0, -745.0, 746.0, -746.0]
+    special += [np.inf, -np.inf, np.nan, -np.nan]
     z = np.concatenate([special, 40.0 * normals("z", 4096)])
     assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 

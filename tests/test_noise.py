@@ -1,5 +1,6 @@
-"""Noise as data: the sampler runs on a block drawn once per trial, and
-sweeps share it across their grid points.
+"""Noise as data: the sampler runs on a block drawn once per trial,
+sweeps share it across their grid points, and a run's baseline arm
+reuses the blocks of its corrected arm.
 
 The oracles in helpers.py draw the noise the other way, one field at a
 time inside the loop, and sweep with the grid in the outer loop; the
@@ -116,32 +117,66 @@ def test_a_sweep_trial_warps_its_garment_once(toy, bench, kind, monkeypatch):
 
 
 class TestDrawCounts:
-    """One block per trial in a sweep, and one per trial and arm in a run."""
+    """One block per trial in a sweep and in a run: a run's baseline trial
+    reuses its corrected twin's block while the held blocks fit the cap."""
 
     TRIALS = 3
+    SHAPE = (6, 16, 12)
+    BLOCK = 6 * 16 * 12 * 8  # bytes
 
     @pytest.fixture
-    def shapes(self, monkeypatch):
-        shapes = []
+    def draws(self, monkeypatch):
+        """(stream seed, block shape) of every draw."""
+        draws = []
         draw = sampler.gaussian_field
 
         def counted(rng, *shape):
-            shapes.append(shape)
+            draws.append((rng.seed, shape))
             return draw(rng, *shape)
 
         monkeypatch.setattr(sampler, "gaussian_field", counted)
-        return shapes
+        return draws
+
+    def trial(self, i):
+        return RandomStream(42).child(f"trial-{i}").seed, self.SHAPE
 
     @pytest.mark.parametrize("kind", list(SWEEPS))
-    def test_sweep_draws_one_block_per_trial(self, toy, bench, shapes, kind):
+    def test_sweep_draws_one_block_per_trial(self, toy, bench, draws, kind):
         sweep_rows(kind, toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
                    self.TRIALS, 42)
-        assert shapes == [(6, 16, 12)] * self.TRIALS
+        assert draws == [self.trial(i) for i in range(self.TRIALS)]
 
-    def test_paired_run_draws_one_block_per_trial_and_arm(self, toy, bench, shapes):
+    def test_paired_run_draws_one_block_per_trial(self, toy, bench, draws):
         paired_run(toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
                    self.TRIALS, 42)
-        assert shapes == [(6, 16, 12)] * (2 * self.TRIALS)
+        assert draws == [self.trial(i) for i in range(self.TRIALS)]
+
+    @pytest.mark.parametrize(
+        "cap, held",
+        [(0, 0), (BLOCK - 1, 0), (BLOCK, 1), (2 * BLOCK, 2)],
+        ids=["cap-0", "cap-a-byte-short", "cap-1-block", "cap-2-blocks"],
+    )
+    def test_baseline_trials_past_the_cap_redraw(self, toy, bench, draws, monkeypatch, cap, held):
+        monkeypatch.setattr(experiments, "_HELD_NOISE_BYTES", cap)
+        paired_run(toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
+                   self.TRIALS, 42)
+        trials = range(self.TRIALS)
+        assert draws == [self.trial(i) for i in [*trials, *trials[held:]]]
+
+
+@pytest.mark.parametrize("held", [0, 1], ids=["cap-0", "cap-1-block"])
+@pytest.mark.parametrize("rho", [0.2, 0.0])
+def test_redrawn_blocks_give_the_records_of_held_ones(toy, bench, monkeypatch, held, rho):
+    """The oracle for sharing: a run whose baseline trials redraw their
+    blocks, every one or all but the first, equals the default run, where
+    every baseline trial runs on its corrected twin's block."""
+    schedule, cfg = make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6, rho=rho)
+    want = paired_run(toy, schedule, cfg, bench, 3, 42)
+    monkeypatch.setattr(experiments, "_HELD_NOISE_BYTES", held * TestDrawCounts.BLOCK)
+    got = paired_run(toy, schedule, cfg, bench, 3, 42)
+    for got_arm, want_arm in zip(got, want):
+        assert [r.csv_rows() for r in got_arm] == [r.csv_rows() for r in want_arm]
+        assert [r.final for r in got_arm] == [r.final for r in want_arm]
 
 
 def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, monkeypatch):
@@ -154,7 +189,7 @@ def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, mo
     run = experiments.run_sampler
 
     def recording(model, mask, cfgs, sched, noise):
-        calls.append((mask, cfgs, noise.tobytes()))
+        calls.append((mask, cfgs, noise))
         return run(model, mask, cfgs, sched, noise)
 
     monkeypatch.setattr(experiments, "run_sampler", recording)
@@ -168,7 +203,9 @@ def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, mo
         for i in range(trials)
     ]
     assert len(set(blocks)) == trials
-    assert [noise for _, _, noise in calls] == blocks * 2
+    assert [noise.tobytes() for _, _, noise in calls] == blocks * 2
+    # each baseline trial runs on its corrected twin's block, not a copy
+    assert all(calls[trials + i][2] is calls[i][2] for i in range(trials))
 
 
 def test_paired_run_at_zero_rho_gives_equal_arms(toy, bench):
