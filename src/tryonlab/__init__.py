@@ -49,7 +49,7 @@ from .sampler import (
 )
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .scenes import (
-    BenchSample,
+    DatasetSample,
     Rect,
     SceneError,
     SceneSpec,

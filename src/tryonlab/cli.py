@@ -101,7 +101,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, _ = _load_run_config(args)
-    dataset = load_dataset(cfg.dataset)
+    # all that the canvas check and the try-on proxy read
+    dataset = load_dataset(cfg.dataset, roles=("person", "garment", "flow_x", "flow_y", "mask"))
     model = build_model(cfg)
     schedule = build_schedule(cfg)
     rows = sweep_rows(args.kind, model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed)

@@ -69,10 +69,6 @@ class AttentionLayer:
         if float(self.map.a.min()) < 0.0:
             raise EnergyError(f"layer {self.layer_id}: attention map has negative values")
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.map.shape
-
 
 @dataclass(frozen=True)
 class EnergyConfig:

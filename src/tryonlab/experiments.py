@@ -20,11 +20,11 @@ import numpy as np
 
 from .denoiser import LAYER_FULL, LAYER_HALF, ToyAttentionDenoiser, toy_init
 from .energy import EnergyConfig, EnergyError
-from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
+from .grids import Grid, GridError, grid_read, mask_read, resample_mask
 from .rng import RandomStream
 from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
 from .sampler import sample_points as run_sampler
-from .scenes import DATASET_ROLES
+from .scenes import DATASET_ROLES, DatasetSample
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
 from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
 
@@ -37,7 +37,6 @@ __all__ = [
     "read_config",
     "resolve_paths",
     "config_to_dict",
-    "DatasetSample",
     "load_dataset",
     "paired_run",
     "run_summary",
@@ -255,19 +254,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc.update({name: _echo(getattr(cfg, name)) for name in ("model", "schedule", "sampler")})
     doc["energy"] = _echo(doc["sampler"].pop("energy_cfg"))
     return doc
-
-
-@dataclass(frozen=True)
-class DatasetSample:
-    """One manifest entry; a role that load_dataset did not read is None."""
-
-    person: SceneImage | None = None
-    garment: SceneImage | None = None
-    mask: BinaryMask | None = None
-    flow_x: Grid | None = None
-    flow_y: Grid | None = None
-    generated: SceneImage | None = None
-    gen_mask: BinaryMask | None = None
 
 
 def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:

@@ -11,7 +11,7 @@ the sweep proxies are scored against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .vtid import SceneImage, scene_write, warp_scene
 __all__ = [
     "Rect",
     "SceneSpec",
-    "BenchSample",
+    "DatasetSample",
     "SceneError",
     "PATTERN_KINDS",
     "DATASET_ROLES",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 PATTERN_KINDS = ("solid", "stripes", "checker", "logo_blob")
-
-# One file per role and sample; scenes are stacked-channel grids.
-DATASET_ROLES = ("person", "garment", "flow_x", "flow_y", "generated", "mask", "gen_mask")
 
 
 class SceneError(ValueError):
@@ -116,16 +113,30 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
-class BenchSample:
-    """One benchmark case plus its exact try-on ground truth."""
+class DatasetSample:
+    """One dataset sample, one field per role, in manifest role order.
 
-    person: SceneImage
-    garment: SceneImage
-    mask: BinaryMask
-    flow_x: Grid
-    flow_y: Grid
-    paired: bool
-    reference: SceneImage
+    gen_dataset fills every role: generated is the exact try-on composite
+    and gen_mask the clothing mask. A role that load_dataset did not read
+    is None.
+    """
+
+    person: SceneImage | None = None
+    garment: SceneImage | None = None
+    flow_x: Grid | None = None
+    flow_y: Grid | None = None
+    generated: SceneImage | None = None
+    mask: BinaryMask | None = None
+    gen_mask: BinaryMask | None = None
+
+    @property
+    def reference(self) -> SceneImage | None:
+        """The generated role. It stays because perfbench/workloads.py reads it."""
+        return self.generated
+
+
+# One file per role and sample; scenes are stacked-channel grids.
+DATASET_ROLES = tuple(f.name for f in fields(DatasetSample))
 
 
 def _pattern_field(spec: SceneSpec, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
@@ -204,12 +215,12 @@ def composite_reference(
     return SceneImage(person.stack() * (1.0 - mask.a) + warped.stack() * mask.a)
 
 
-def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
+def gen_scene(rng: RandomStream, spec: SceneSpec) -> DatasetSample:
     """Render one paired sample, deterministic per (stream state, spec).
 
     The person's clothing region is filled by warping the scene's own
-    garment through the scene's flow, so the paired ground truth is the
-    person image itself.
+    garment through the scene's flow, so the paired ground truth, the
+    generated role, is the person image itself.
     """
     h, w = spec.canvas_h, spec.canvas_w
     noise = spec.noise_amp * (rng.uniforms(h * w).reshape(h, w) - 0.5)
@@ -227,15 +238,7 @@ def gen_scene(rng: RandomStream, spec: SceneSpec) -> BenchSample:
     mask = region_mask(spec)
     flow_x, flow_y = affine_flow(spec.croi, spec.garment_rect, h, w)
     person = composite_reference(person_base, garment, mask, flow_x, flow_y)
-    return BenchSample(
-        person=person,
-        garment=garment,
-        mask=mask,
-        flow_x=flow_x,
-        flow_y=flow_y,
-        paired=True,
-        reference=person,
-    )
+    return DatasetSample(person, garment, flow_x, flow_y, person, mask, mask)
 
 
 def _pick(rng: RandomStream, lo: int, hi: int) -> int:
@@ -289,7 +292,7 @@ def random_spec(rng: RandomStream, h: int = 48, w: int = 36) -> SceneSpec:
     )
 
 
-def gen_dataset(seed: int, n: int, paired: bool, h: int = 48, w: int = 36) -> list[BenchSample]:
+def gen_dataset(seed: int, n: int, paired: bool, h: int = 48, w: int = 36) -> list[DatasetSample]:
     """n samples; unpaired takes each person's garment from the next scene.
 
     Scene i draws from its own child stream "scene-{i}" of the seed, so it
@@ -313,26 +316,17 @@ def gen_dataset(seed: int, n: int, paired: bool, h: int = 48, w: int = 36) -> li
         me, donor_spec = own[i], specs[j]
         fx, fy = affine_flow(specs[i].croi, donor_spec.garment_rect, h, w)
         garment = own[j].garment
-        out.append(
-            BenchSample(
-                person=me.person,
-                garment=garment,
-                mask=me.mask,
-                flow_x=fx,
-                flow_y=fy,
-                paired=False,
-                reference=composite_reference(me.person, garment, me.mask, fx, fy),
-            )
-        )
+        generated = composite_reference(me.person, garment, me.mask, fx, fy)
+        out.append(DatasetSample(me.person, garment, fx, fy, generated, me.mask, me.mask))
     return out
 
 
-def write_dataset(outdir, samples: list[BenchSample], split: str) -> dict:
+def write_dataset(outdir, samples: list[DatasetSample], split: str) -> dict:
     """Write dataset/<split>/<index>/<role>.f64grid plus manifest.json.
 
     The manifest maps each role to an array of paths relative to outdir;
-    the generated role is the composite ground truth, so the tree is
-    directly scoreable (and scores 0 against itself).
+    gen_dataset's generated role is the composite ground truth, so its
+    tree is directly scoreable (and scores 0 against itself).
     """
     outdir = Path(outdir)
     paths: dict[str, list[str]] = {role: [] for role in DATASET_ROLES}
@@ -340,14 +334,11 @@ def write_dataset(outdir, samples: list[BenchSample], split: str) -> dict:
         rel = Path("dataset") / split / f"{i:04d}"
         d = outdir / rel
         d.mkdir(parents=True, exist_ok=True)
-        scene_write(d / "person.f64grid", s.person)
-        scene_write(d / "garment.f64grid", s.garment)
-        grid_write(d / "flow_x.f64grid", s.flow_x)
-        grid_write(d / "flow_y.f64grid", s.flow_y)
-        scene_write(d / "generated.f64grid", s.reference)
-        grid_write(d / "mask.f64grid", s.mask)
-        grid_write(d / "gen_mask.f64grid", s.mask)
         for role in DATASET_ROLES:
+            value = getattr(s, role)
+            # read at call time, so that a patched module binding is the one called
+            write = scene_write if isinstance(value, SceneImage) else grid_write
+            write(d / f"{role}.f64grid", value)
             paths[role].append((rel / f"{role}.f64grid").as_posix())
     manifest = {"split": split, "n": len(samples), **paths}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as f:

@@ -17,6 +17,7 @@ from tryonlab import (
     AttentionLayer,
     BinaryMask,
     Condition,
+    DatasetSample,
     Grid,
     ModelError,
     RandomStream,
@@ -38,7 +39,7 @@ from tryonlab.energy import (
     _inner_repel,
     _layer_terms,
 )
-from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, DatasetSample, _toy_vtid
+from tryonlab.experiments import _SWEPT_METRICS, FINAL_METRICS, SWEEPS, _toy_vtid
 from tryonlab.grids import warp_array
 from tryonlab.sampler import StepEntry, TrajectoryRecord, _stride_ts
 
@@ -221,7 +222,7 @@ def evaluate_layers_per_item(layers, masks, cfg, with_grads: bool):
             if selected:
                 grads.append((ev.grad_attract + cfg.lam * ev.grad_repel) / n_sel)
             else:
-                grads.append(np.zeros(layer.resolution))
+                grads.append(np.zeros(layer.map.shape))
     breakdown = EnergyBreakdown(
         per_layer=per_layer,
         total=(att_sum + cfg.lam * rep_sum) / n_sel,
@@ -300,7 +301,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
         if t > 1:
             m_t = m_t + math.sqrt(beta) * gaussian_field(rng, *x.shape)
         layers = layers_of(maps)
-        layer_masks = [resample_mask(mask, *layer.resolution) for layer in layers]
+        layer_masks = [resample_mask(mask, *layer.map.shape) for layer in layers]
         breakdown, grads = evaluate_layers_per_item(
             layers, layer_masks, config.energy_cfg, with_grads=config.rho > 0.0
         )
@@ -313,7 +314,7 @@ def sample_per_step(model, mask, config, schedule, rng: RandomStream):
             x = m_t
         entries.append(StepEntry(k, t, breakdown, grad_norm))
     final_layers = layers_of(model.predict(x, 1, Condition.GARMENT)[1])
-    final_masks = [resample_mask(mask, *layer.resolution) for layer in final_layers]
+    final_masks = [resample_mask(mask, *layer.map.shape) for layer in final_layers]
     final, _ = evaluate_layers_per_item(final_layers, final_masks, config.energy_cfg, False)
     return Grid(x), TrajectoryRecord(entries=entries, final=final)
 

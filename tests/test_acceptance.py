@@ -61,7 +61,7 @@ from tryonlab import (
     write_dataset,
 )
 from tryonlab.cli import main as cli_main
-from tryonlab.energy import _support_raw
+from tryonlab.energy import BRANCH_INNER, BRANCH_OUTER, _layer_terms, _support_raw
 from tryonlab.experiments import (
     FINAL_METRICS,
     GUIDANCE_GRID,
@@ -183,18 +183,22 @@ def test_criterion_03_repel_branch_matches_brute_force_enumeration():
         np.array([(bits >> k) & 1 for k in range(9)], dtype=np.float64).reshape(3, 3)
         for bits in range(512)
     ]
-    grids = [Grid(p) for p in patterns]
+    # every A pattern as one (512, 3, 3) stack, item i being pattern i
+    stack = np.stack([Grid(p).a for p in patterns])
     masks = [BinaryMask(Grid(p.copy())) for p in patterns]
-    checked = 0
-    for A, pa in zip(grids, patterns):
+    supports = []
+    for pa in patterns:
         a = pa.ravel()
         mx = a.max()
-        sup = [k for k in range(9) if a[k] > cfg.support_tau * mx]
-        for M, pm in zip(masks, patterns):
-            m = pm.ravel()
+        supports.append([k for k in range(9) if a[k] > cfg.support_tau * mx])
+    checked = 0
+    for M, pm in zip(masks, patterns):
+        m = pm.ravel().tolist()
+        inner = _layer_terms("test", stack, M.a, [cfg] * len(patterns), False).inner
+        for pa, sup, on in zip(patterns, supports, inner):
             want = "inner" if sup and all(m[k] == 1.0 for k in sup) else "outer"
-            got = energy_of(A.a, M.a, cfg, False).branch
-            assert got == want, f"A={a.tolist()} M={m.tolist()}: got {got}, want {want}"
+            got = BRANCH_INNER if on else BRANCH_OUTER
+            assert got == want, f"A={pa.ravel().tolist()} M={m}: got {got}, want {want}"
             checked += 1
     assert checked == 512 * 512
     print(
@@ -434,7 +438,7 @@ def test_criterion_09_vtid_identity_monotonicity_and_pseudometric(bench):
     # corruption level vs score: Spearman over 10 levels x 20 seeds
     ch = RandomStream(0xACC9).child("scene")
     scene = gen_scene(ch, random_spec(ch, 32, 24))
-    stack = scene.reference.stack()
+    stack = scene.generated.stack()
     noise_root = RandomStream(0xACC9).child("noise")
     levels, scores = [], []
     for si, sig in enumerate((0.01, 0.02, 0.04, 0.06, 0.09, 0.12, 0.16, 0.2, 0.25, 0.3)):

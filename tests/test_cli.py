@@ -194,6 +194,18 @@ def write_config(path, dataset_dir, **overrides):
     return path
 
 
+def copy_roles(dataset_dir, d: Path, roles) -> Path:
+    """A copy of the dataset in d/data holding only its manifest and the
+    files of roles."""
+    manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
+    for role in roles:
+        for rel in manifest[role]:
+            (d / "data" / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(dataset_dir / rel, d / "data" / rel)
+    shutil.copyfile(dataset_dir / "manifest.json", d / "data" / "manifest.json")
+    return d / "data"
+
+
 class TestGenCommand:
     def test_writes_manifest_and_samples(self, dataset_dir):
         with open(dataset_dir / "manifest.json", encoding="utf-8") as f:
@@ -387,19 +399,10 @@ class TestRunCommand:
         echo = json.loads(summaries[0])["config"]
         assert (echo["dataset"], echo["out"]) == ("data/manifest.json", "run")
 
-    def mask_only_copy(self, dataset_dir, d: Path) -> Path:
-        """A copy of the dataset in d/data holding only its manifest and masks."""
-        manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
-        for rel in manifest["mask"]:
-            (d / "data" / rel).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(dataset_dir / rel, d / "data" / rel)
-        shutil.copyfile(dataset_dir / "manifest.json", d / "data" / "manifest.json")
-        return d / "data"
-
     def test_reads_only_the_masks(self, dataset_dir, tmp_path):
         full, masks = tmp_path / "full", tmp_path / "masks"
         shutil.copytree(dataset_dir, full / "data")
-        self.mask_only_copy(dataset_dir, masks)
+        copy_roles(dataset_dir, masks, ("mask",))
         outputs = []
         for d in (full, masks):
             cfg = write_config(d / "config.json", d, dataset="data/manifest.json", out="run")
@@ -409,7 +412,7 @@ class TestRunCommand:
         assert outputs[0] == outputs[1]
 
     def test_a_missing_mask_names_its_sample_and_path(self, dataset_dir, tmp_path, capsys):
-        data = self.mask_only_copy(dataset_dir, tmp_path)
+        data = copy_roles(dataset_dir, tmp_path, ("mask",))
         manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
         (data / manifest["mask"][1]).unlink()
         cfg = write_config(tmp_path / "config.json", data)
@@ -479,6 +482,15 @@ class TestSweepCommand:
         rows = self.run_sweep("layers", dataset_dir, tmp_path)
         assert rows[0][0] == "layers"
         assert [r[0] for r in rows[1:]] == ["both", "full_only", "half_only"]
+
+    def test_reads_no_generated_files(self, dataset_dir, tmp_path):
+        """sweep scores final latents, not the generated images: a copy of
+        the dataset without its generated and gen_mask files gives the
+        same CSV."""
+        roles = [r for r in DATASET_ROLES if r not in ("generated", "gen_mask")]
+        data = copy_roles(dataset_dir, tmp_path / "part", roles)
+        full = self.run_sweep("layers", dataset_dir, tmp_path)
+        assert self.run_sweep("layers", data, tmp_path / "part") == full
 
     def test_unknown_kind_rejected_by_parser(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "config.json", dataset_dir)

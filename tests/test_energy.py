@@ -363,31 +363,6 @@ class TestBranchSelection:
         assert ev.branch == "outer"
         assert ev.e_repel == 0.0
 
-    def test_3x3_binary_patterns_match_literal_oracle(self):
-        """Every binary A pattern against a spread of binary masks.
-
-        The full 512 x 512 enumeration runs in the acceptance suite; this
-        keeps a fast cross-section for development.
-        """
-        tau = CFG.support_tau
-        patterns = [[(bits >> k) & 1 for k in range(9)] for bits in range(512)]
-        grids = [Grid(np.array(p, dtype=np.float64).reshape(3, 3)) for p in patterns]
-        mask_bits = list(range(0, 512, 7)) + [0, 511]
-        masks = {
-            mi: BinaryMask(Grid(np.array(patterns[mi], dtype=np.float64).reshape(3, 3)))
-            for mi in mask_bits
-        }
-        for ai, a_bits in enumerate(patterns):
-            mx = max(a_bits)
-            sup = [v > tau * mx for v in a_bits]
-            for mi in mask_bits:
-                m_bits = patterns[mi]
-                none_outside = not any(s and not m for s, m in zip(sup, m_bits))
-                some_inside = any(s and m for s, m in zip(sup, m_bits))
-                want = "inner" if (none_outside and some_inside) else "outer"
-                got = energy_of(grids[ai].a, masks[mi].a, CFG, False).branch
-                assert got == want, f"A bits {ai:09b}, M bits {mi:09b}"
-
 
 class TestGradERepel:
     def test_outer_branch_is_negative_mask_bit_exact(self):
@@ -606,10 +581,6 @@ class TestConfigValidation:
     def test_attention_layer_rejects_negative_map(self):
         with pytest.raises(EnergyError):
             AttentionLayer("full", Grid([[-0.1, 1.1]]))
-
-    def test_attention_layer_resolution(self):
-        layer = AttentionLayer("full", Grid(np.zeros((4, 6))))
-        assert layer.resolution == (4, 6)
 
 
 # ------------------------------------------------------------ stacked pass

@@ -16,13 +16,11 @@ from tryonlab import (
     composite_reference,
     gen_dataset,
     gen_scene,
-    mask_read,
     random_spec,
-    scene_read,
     warp_scene,
     write_dataset,
 )
-from tryonlab.grids import grid_read
+from tryonlab.experiments import load_dataset
 from tryonlab.scenes import DATASET_ROLES, PATTERN_KINDS, region_mask, render_garment
 from tryonlab.vtid import SceneImage
 
@@ -255,9 +253,10 @@ class TestGenScene:
 
     def test_paired_reference_equals_person(self):
         s = gen_scene(RandomStream(7).child("s"), make_spec("stripes"))
-        assert s.paired is True
-        assert s.reference.stack().tobytes() == s.person.stack().tobytes()
-        # gen_scene returns the person as the reference; compositing the
+        assert s.generated.stack().tobytes() == s.person.stack().tobytes()
+        assert s.reference is s.generated
+        assert s.gen_mask is s.mask
+        # gen_scene returns the person as the generated role; compositing the
         # scene's garment onto it again must change no bit
         again = composite_reference(s.person, s.garment, s.mask, s.flow_x, s.flow_y)
         assert again.stack().tobytes() == s.person.stack().tobytes()
@@ -302,15 +301,13 @@ class TestGenDataset:
         ds = gen_dataset(seed=10, n=3, paired=True, h=24, w=20)
         assert len(ds) == 3
         for s in ds:
-            assert s.paired is True
-            assert s.reference.stack().tobytes() == s.person.stack().tobytes()
+            assert s.generated.stack().tobytes() == s.person.stack().tobytes()
 
     def test_unpaired_takes_next_scenes_garment(self):
         paired = gen_dataset(seed=11, n=3, paired=True, h=24, w=20)
         unpaired = gen_dataset(seed=11, n=3, paired=False, h=24, w=20)
         for i in range(3):
             j = (i + 1) % 3
-            assert not unpaired[i].paired
             assert (
                 unpaired[i].garment.stack().tobytes()
                 == paired[j].garment.stack().tobytes()
@@ -325,7 +322,8 @@ class TestGenDataset:
         ds = gen_dataset(seed=12, n=2, paired=False, h=24, w=20)
         for s in ds:
             want = composite_reference(s.person, s.garment, s.mask, s.flow_x, s.flow_y)
-            assert s.reference.stack().tobytes() == want.stack().tobytes()
+            assert s.generated.stack().tobytes() == want.stack().tobytes()
+            assert s.gen_mask is s.mask
 
     def test_unpaired_needs_two_samples(self):
         with pytest.raises(SceneError, match="n >= 2"):
@@ -350,18 +348,16 @@ class TestWriteDataset:
             assert json.load(f) == manifest
 
     def test_files_roundtrip(self, tmp_path):
-        ds = gen_dataset(seed=16, n=2, paired=True, h=16, w=16)
-        manifest = write_dataset(tmp_path, ds, "val")
-        person = scene_read(tmp_path / manifest["person"][0])
-        assert person == ds[0].person
-        mask = mask_read(tmp_path / manifest["mask"][0])
-        assert mask == ds[0].mask
-        gen_mask = mask_read(tmp_path / manifest["gen_mask"][0])
-        assert gen_mask == ds[0].mask
-        flow_x = grid_read(tmp_path / manifest["flow_x"][0])
-        assert np.array_equal(flow_x.a, ds[0].flow_x.a)
-        generated = scene_read(tmp_path / manifest["generated"][0])
-        assert generated == ds[0].reference
+        # load_dataset gives back every role of every sample, each in its
+        # own type (Grid equality also compares types)
+        for paired in (True, False):
+            ds = gen_dataset(seed=16, n=2, paired=paired, h=16, w=16)
+            write_dataset(tmp_path / str(paired), ds, "val")
+            loaded = load_dataset(tmp_path / str(paired) / "manifest.json")
+            assert len(loaded) == len(ds)
+            for got, want in zip(loaded, ds):
+                for role in DATASET_ROLES:
+                    assert getattr(got, role) == getattr(want, role), (paired, role)
 
     def test_byte_identical_across_runs(self, tmp_path):
         for sub in ("a", "b"):

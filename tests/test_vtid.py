@@ -150,7 +150,7 @@ class TestVtidScore:
                 garment=sample.garment,
                 flow_x=sample.flow_x,
                 flow_y=sample.flow_y,
-                generated=sample.reference,
+                generated=sample.generated,
                 clothing_mask=sample.mask,
                 gen_clothing_mask=sample.mask,
                 fx=fx,
@@ -191,7 +191,7 @@ class TestVtidScore:
         for sigma in (0.05, 0.15, 0.3):
             noisy = SceneImage(
                 np.clip(
-                    sample.reference.stack()
+                    sample.generated.stack()
                     + sigma * rng.normals(3 * 24 * 20).reshape(3, 24, 20),
                     0.0,
                     1.0,
@@ -217,7 +217,7 @@ class TestVtidScore:
                 garment=rand_scene(16),
                 flow_x=sample.flow_x,
                 flow_y=sample.flow_y,
-                generated=sample.reference,
+                generated=sample.generated,
                 clothing_mask=sample.mask,
                 gen_clothing_mask=sample.mask,
                 fx=pixel_extractor(),
