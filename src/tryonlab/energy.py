@@ -12,7 +12,7 @@ denominator as constants: they are discontinuous in the map, so only the
 smooth factors are differentiated.
 
 Every energy comes from one pass, _evaluate_stack, over (K, h_l, w_l)
-map stacks with one config per item. numpy takes every sum and maximum
+map stacks with one config and one mask per item. numpy takes every sum and maximum
 over the whole stack; a Python loop over the items derives each item's
 few scalars from those reductions, runs the inner hinge for the items on
 that branch and builds the breakdowns; one np.where per layer spreads
@@ -106,7 +106,7 @@ class EnergyConfig:
         return self.layer_select is None or layer_id in self.layer_select
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per item and step: no __dict__
 class LayerEnergy:
     e_attract: float
     e_repel: float
@@ -115,7 +115,7 @@ class LayerEnergy:
     selected: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per item and step: no __dict__
 class EnergyBreakdown:
     """Per-layer energies plus the aggregate over selected layers."""
 
@@ -212,10 +212,11 @@ def _layer_terms(
     layer_id: str, a: np.ndarray, m: np.ndarray, cfgs: list[EnergyConfig], with_grads: bool
 ) -> _LayerTerms:
     """Both energies, the branch, the in-mask mass and the gradient terms
-    of each item of one layer's (K, h, w) map stack under its own config;
-    the hinge gradients only when asked. A stack that does not fit the
-    mask, or holds a non-finite or negative value, is rejected naming the
-    layer.
+    of each item of one layer's (K, h, w) map stack under its own config
+    and mask; the hinge gradients only when asked. m is a (K, h, w) stack
+    of one mask per item, or one (h, w) mask that every item shares. A
+    stack that does not fit the masks, or holds a non-finite or negative
+    value, is rejected naming the layer.
 
     Each item's sums run over its h w values as one flat run, the order
     numpy sums a lone map in, and its few scalars are Python floats, as
@@ -224,9 +225,10 @@ def _layer_terms(
     thr = tau max(a), an item is inner iff its largest off-mask value is
     at most thr and thr < max(a), so that the maximum lies in the mask.
     """
-    if a.ndim != 3 or a.shape[1:] != m.shape:
+    if a.ndim != 3 or m.shape not in (a.shape, a.shape[1:]):
         raise EnergyError(f"layer {layer_id}: attention shape {a.shape} != mask shape {m.shape}")
-    a, m = a.reshape(len(a), -1), m.reshape(1, -1)
+    a = a.reshape(len(a), -1)
+    m = m.reshape(-1, a.shape[1])  # (K, h w), or (1, h w) for a shared mask
     a_max = a.max(axis=1).tolist()
     lo = float(a.min())
     if not (math.isfinite(lo) and all(map(math.isfinite, a_max))):
@@ -274,7 +276,8 @@ def _layer_gradient(
 ) -> np.ndarray:
     """The gradient of each item's aggregate with respect to one layer's
     (K, h, w) map stack: (attract + lam * repel) / n_sel where the item
-    selects the layer, else 0.
+    selects the layer, else 0. m is the layer's masks as _layer_terms
+    takes them.
 
     Away from the hinge cells both gradients are one constant on the mask
     and one off it, so each item's two values are computed once, with the
@@ -286,22 +289,24 @@ def _layer_gradient(
         g_in.append((d_in + c.lam * r_in) / n if on else 0.0)
         g_off.append((d_off + c.lam * r_off) / n if on else 0.0)
     g_in, g_off = np.array(g_in + g_off).reshape(2, -1, 1)
-    g = np.where(m.reshape(1, -1) > 0.0, g_in, g_off)
+    h, w = m.shape[-2:]
+    g = np.where(m.reshape(-1, h * w) > 0.0, g_in, g_off)
     for i, (sel, rep) in t.hinge.items():
         if picked[i]:
             g[i][sel] = (t.d_in[i] + cfgs[i].lam * rep) / n_sel[i]
-    return g.reshape(len(g), *m.shape)
+    return g.reshape(len(g), h, w)
 
 
 def _evaluate_stack(
     maps: dict[str, np.ndarray],
-    masks: list[BinaryMask],
+    masks: list[np.ndarray],
     cfgs: list[EnergyConfig],
     with_grads: bool,
 ) -> tuple[list[EnergyBreakdown], list[np.ndarray] | None]:
     """The energy of K items at once: maps holds one (K, h_l, w_l) stack
-    per layer, masks one mask per layer at its resolution, in map order,
-    and cfgs one config per item. Returns K breakdowns and, when asked,
+    per layer, masks the masks at each layer's resolution, in map order,
+    as one (K, h_l, w_l) stack of one per item or one (h_l, w_l) array
+    that every item shares, and cfgs one config per item. Returns K breakdowns and, when asked,
     one (K, h_l, w_l) stack per layer of the gradient of each item's
     aggregate with respect to its map (zeros where an item does not
     select the layer).
@@ -318,10 +323,10 @@ def _evaluate_stack(
     terms: list[_LayerTerms] = []
     grads: list[np.ndarray] | None = [] if with_grads else None
     for j, ((layer_id, a), mask) in enumerate(zip(maps.items(), masks)):
-        t = _layer_terms(layer_id, a, mask.a, cfgs, with_grads)
+        t = _layer_terms(layer_id, a, mask, cfgs, with_grads)
         terms.append(t)
         if with_grads:
-            grads.append(_layer_gradient(t, mask.a, cfgs, [f[j] for f in flags], n_sel))
+            grads.append(_layer_gradient(t, mask, cfgs, [f[j] for f in flags], n_sel))
     breakdowns = []
     for i, (cfg, f, n) in enumerate(zip(cfgs, flags, n_sel)):
         per_layer: dict[str, LayerEnergy] = {}
@@ -350,7 +355,7 @@ def _evaluate_layers(layers, masks, cfg, with_grads: bool):
     (breakdown, grads or None), grads holding one (h_l, w_l) gradient per
     layer (zeros for an unselected layer)."""
     maps = {layer.layer_id: layer.map.a[None] for layer in layers}
-    (breakdown,), grads = _evaluate_stack(maps, masks, [cfg], with_grads)
+    (breakdown,), grads = _evaluate_stack(maps, [m.a for m in masks], [cfg], with_grads)
     return breakdown, None if grads is None else [g[0] for g in grads]
 
 

@@ -2,10 +2,12 @@
 
 A config fully determines every output byte: model seed and dims, noise
 schedule, sampler and energy settings, dataset manifest, trial count.
-Runs and sweeps share one trial loop. Runs make a corrected pass, then a
-baseline pass, on one noise block per trial; sweeps run every grid point
-of a fixed ablation on one noise block per trial, in lockstep, and
-reduce each grid point to mean final metrics.
+Runs and sweeps read each trial's sample, mask and noise block the same
+way. Runs make a corrected pass, then a baseline pass, one sampler call
+per trial and pass, on one noise block per trial. Sweeps run every
+(trial, grid point) item of a fixed ablation, trial-major, in lockstep
+chunks sized by a byte budget; each item runs on its trial's mask and
+block. Each grid point reduces to mean final metrics.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .denoiser import LAYER_FULL, LAYER_HALF, ToyAttentionDenoiser, toy_init
 from .energy import EnergyConfig, EnergyError
-from .grids import Grid, GridError, grid_read, mask_read, resample_mask
+from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
 from .rng import RandomStream
 from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
 from .sampler import sample_points as run_sampler
@@ -59,6 +61,18 @@ LAYER_SELECTIONS = {
 }
 LAYER_GRID = tuple(LAYER_SELECTIONS)
 _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
+
+# Sweep chunks. A lockstep sampler call peaks at about _STEP_FIELDS
+# latent-sized float64 arrays per item, records included (tracemalloc:
+# 1.89 MiB for 21 items at 24x18, 27 fields per item; 29 for 5 items at
+# 48x36). A chunk keeps that within _SWEEP_STEP_BYTES: 23 items at 24x18
+# (the ablation's 56-, 48- and 24-item sweeps run as calls of 19, 16 and
+# 12), 5 at 48x36 and 1 at 128x96. Peak memory sized it: over three
+# passes of the 24x18 ablation pipeline, ru_maxrss read 33.2 MB with one
+# call per trial, 34.1 MB with this budget and 34.6-35.1 MB with 28-item
+# calls, for sweeps no faster than with 21 (2-core Xeon).
+_STEP_FIELDS = 26
+_SWEEP_STEP_BYTES = 2 << 20
 
 # The most bytes of noise blocks that paired_run holds from its corrected
 # arm for the baseline arm: all 8 blocks of a default 48x36 run (2.2 MB),
@@ -350,35 +364,49 @@ def _toy_vtid(sample: DatasetSample, final_x: Grid, fx: FeatureExtractor) -> flo
     return report.vtid
 
 
-def _trials(
+def _trial_inputs(
     model,
     schedule: NoiseSchedule,
-    cfgs: list[SamplerConfig],
+    cfg: SamplerConfig,
+    dataset: list[DatasetSample],
+    i: int,
+    seed: int,
+    held: dict[int, np.ndarray] | None = None,
+) -> tuple[DatasetSample, BinaryMask, np.ndarray]:
+    """Trial i's sample, mask and noise block.
+
+    Trial i reads sample i mod n with its mask resampled to the model's
+    latent resolution (model.h, model.w). Its block comes from child
+    "trial-{i}" of the seed, so it depends only on (seed, i) and its
+    shape, and two passes at the same seed and steps run on the same
+    noise. It is taken out of `held` when an earlier pass left it there
+    (sampling never writes a block), and is otherwise drawn here.
+    """
+    if not dataset:
+        raise ConfigError("dataset: no samples")
+    sample_i = dataset[i % len(dataset)]
+    mask = resample_mask(sample_i.mask, model.h, model.w)
+    noise = held.pop(i, None) if held else None
+    if noise is None:
+        noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, cfg, schedule)
+    return sample_i, mask, noise
+
+
+def _run_trials(
+    model,
+    schedule: NoiseSchedule,
+    cfg: SamplerConfig,
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
     held: dict[int, np.ndarray] | None = None,
-) -> Iterator[tuple[DatasetSample, np.ndarray, list[tuple[Grid, TrajectoryRecord]]]]:
-    """Yield (sample, noise block, [(final latent, record) per config]) for
-    each trial.
-
-    Trial i reads sample i mod n with its mask resampled to the model's
-    latent resolution (model.h, model.w), and runs every config in
-    lockstep on one noise block from child "trial-{i}" of the seed. The
-    block depends only on (seed, i) and its shape, so two passes at the
-    same seed and steps run on the same noise. A trial takes its block
-    out of `held` when an earlier pass left it there (sampling never
-    writes a block), and otherwise draws it just before its call.
-    """
-    if not dataset:
-        raise ConfigError("dataset: no samples")
+) -> Iterator[tuple[np.ndarray, TrajectoryRecord]]:
+    """Yield (noise block, record) of each trial of one arm, one sampler
+    call per trial, in trial order."""
     for i in range(trials):
-        sample_i = dataset[i % len(dataset)]
-        mask = resample_mask(sample_i.mask, model.h, model.w)
-        noise = held.pop(i, None) if held else None
-        if noise is None:
-            noise = draw_noise(RandomStream(seed).child(f"trial-{i}"), mask, cfgs[0], schedule)
-        yield sample_i, noise, run_sampler(model, mask, cfgs, schedule, noise)
+        _, mask, noise = _trial_inputs(model, schedule, cfg, dataset, i, seed, held)
+        [(_, record)] = run_sampler(model, [mask], [cfg], schedule, [noise])
+        yield noise, record
 
 
 # Readers of each final metric off the energy breakdown at a trial's final
@@ -411,14 +439,15 @@ def paired_run(
     """
     held: dict[int, np.ndarray] = {}
     csc = []
-    for i, (_, noise, [(_, record)]) in enumerate(
-        _trials(model, schedule, [samp_cfg], dataset, trials, seed)
+    for i, (noise, record) in enumerate(
+        _run_trials(model, schedule, samp_cfg, dataset, trials, seed)
     ):
         csc.append(record)
         if noise.nbytes + sum(b.nbytes for b in held.values()) <= _HELD_NOISE_BYTES:
             held[i] = noise
-    baseline = _trials(model, schedule, [replace(samp_cfg, rho=0.0)], dataset, trials, seed, held)
-    return csc, [r for _, _, [(_, r)] in baseline]
+    baseline_cfg = replace(samp_cfg, rho=0.0)
+    baseline = _run_trials(model, schedule, baseline_cfg, dataset, trials, seed, held)
+    return csc, [record for _, record in baseline]
 
 
 def _paired_effect_size(deltas: np.ndarray) -> float:
@@ -454,6 +483,13 @@ def run_summary(
     return out
 
 
+def _sweep_chunk(model) -> int:
+    """Items per sweep sampler call: as many as keep one step's working
+    set, _STEP_FIELDS latent-sized arrays per item, within
+    _SWEEP_STEP_BYTES, and at least one."""
+    return max(1, _SWEEP_STEP_BYTES // (_STEP_FIELDS * model.h * model.w * 8))
+
+
 def sweep_rows(
     kind: str,
     model,
@@ -465,29 +501,50 @@ def sweep_rows(
 ) -> list[dict]:
     """One row per grid point, in grid order, keyed by the value column.
 
-    Trials run in the outer loop: each trial's noise block is drawn and
-    its mask resampled once, then every grid point runs on them in
-    lockstep. A row holds trial means, taken in trial order. A grid point
-    whose trajectory diverges is named by its value column.
+    The sweep's items are its (trial, grid point) pairs, trial-major.
+    They run in lockstep in chunks of _sweep_chunk items, one sampler
+    call per chunk; a trial's items pass its mask and noise block, each
+    drawn or resampled once, and a chunk may end inside a trial. Every
+    item is bit-equal to a run of its point alone, so the chunking never
+    changes a row. A row holds trial means, taken in trial order. A grid
+    point whose trajectory diverges is named by its value column.
     """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
     _require_canvas(model, dataset, trials)
     sweep = SWEEPS[kind]
     cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
+    items = [(i, j) for i in range(trials) for j in range(len(cfgs))]
+    calls = -(-len(items) // _sweep_chunk(model))
+    chunk = -(-len(items) // calls)  # the calls' items, balanced
     fx = pixel_extractor()
-    try:  # per trial: (final breakdown, toy vtid) per grid point
-        per_trial = [
-            [(record.final, _toy_vtid(sample_i, x, fx)) for x, record in points]
-            for sample_i, _, points in _trials(model, schedule, cfgs, dataset, trials, seed)
-        ]
-    except SamplerError as e:
-        if not e.configs:
-            raise
-        named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in e.configs)
-        raise SamplerError(f"{named}: {e}", e.configs) from e
+    inputs: dict[int, tuple] = {}  # trial -> (sample, mask, noise block)
+    per_point: list[list[tuple]] = [[] for _ in cfgs]  # (final breakdown, toy vtid)
+    for start in range(0, len(items), chunk):
+        part = items[start : start + chunk]
+        for i, _ in part:
+            if i not in inputs:
+                inputs[i] = _trial_inputs(model, schedule, cfgs[0], dataset, i, seed)
+        try:
+            points = run_sampler(
+                model,
+                [inputs[i][1] for i, _ in part],
+                [cfgs[j] for _, j in part],
+                schedule,
+                [inputs[i][2] for i, _ in part],
+            )
+        except SamplerError as e:
+            if not e.configs:
+                raise
+            named = dict.fromkeys(sweep.grid[part[k][1]] for k in e.configs)
+            named = ", ".join(f"{sweep.column}={v}" for v in named)
+            raise SamplerError(f"{named}: {e}", e.configs) from e
+        for (i, j), (x, record) in zip(part, points):
+            per_point[j].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
+            if j == len(cfgs) - 1:  # the trial's last item
+                del inputs[i]
     rows = []
-    for value, point in zip(sweep.grid, zip(*per_trial)):
+    for value, point in zip(sweep.grid, per_point):
         finals, vtids = zip(*point)
         row = {sweep.column: value}
         for m in _SWEPT_METRICS:

@@ -11,6 +11,7 @@ validated on construction.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,12 +95,14 @@ class BinaryMask(Grid):
             raise GridError("mask values must be exactly 0 or 1")
 
 
+@lru_cache(maxsize=64)
 def _overlap_weights(n_src: int, n_dst: int) -> np.ndarray:
     """(n_dst, n_src) matrix of fractional interval overlaps, rows sum to 1.
 
     Destination cell i covers the source interval [i*r, (i+1)*r) with
     r = n_src / n_dst; entry (i, k) is the length of its overlap with
-    source cell [k, k+1), normalised by r.
+    source cell [k, k+1), normalised by r. Built once per size pair and
+    read-only, since every caller shares it.
     """
     r = n_src / n_dst
     w = np.zeros((n_dst, n_src))
@@ -110,6 +113,7 @@ def _overlap_weights(n_src: int, n_dst: int) -> np.ndarray:
         k1 = min(int(np.ceil(hi)), n_src)
         for k in range(k0, k1):
             w[i, k] = max(0.0, min(hi, k + 1) - max(lo, k)) / r
+    w.flags.writeable = False
     return w
 
 

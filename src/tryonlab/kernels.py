@@ -3,12 +3,11 @@ random feature extractor. All convolutions are 3x3 cross-correlations with
 zero padding, done as im2col: the nine shifted copies of each input channel
 are stacked into one contiguous array and contracted with the kernel bank
 in a single matmul. The single-channel convolution and its adjoint take a
-stack of items on leading axes, (..., h, w). The convolution makes one
-matmul, whose columns run item by item; each item's block of columns is
-bit-equal to the product on that item alone. The adjoint's im2col is C
-times larger, so it makes one matmul per chunk of items, each chunk's
-im2col within a fixed byte budget; every chunking gives each item the
-bits of a product on it alone."""
+stack of items on leading axes, (..., h, w), and make one matmul per chunk
+of items, each chunk's im2col within one fixed byte budget. A product's
+columns run item by item, and each item's block of columns is bit-equal
+to the product on that item alone, so every chunking gives each item the
+same bits."""
 
 from __future__ import annotations
 
@@ -24,9 +23,12 @@ __all__ = [
     "sigmoid",
 ]
 
-# The most bytes one adjoint product's im2col may hold: with 4 channels,
-# 8 items at 24x18, 2 at 48x36 and 1 at 128x96.
-_ADJOINT_IM2COL_BYTES = 1 << 20
+# The most bytes one im2col product may hold. With 4 channels the forward
+# takes 8 items per product at 24x18, 2 at 48x36 and 1 at 128x96, and the
+# adjoint, whose im2col is 4 times larger, 2 at 24x18 and 1 from 48x36 up.
+# A 28-item sweep stack at 24x18 peaked 0.55 MB lower (ru_maxrss of the
+# ablation pipeline) than under the earlier 1 MiB adjoint-only budget.
+_IM2COL_BYTES = 1 << 18
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
@@ -49,15 +51,29 @@ def correlate3x3_multi(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     return (bank.reshape(c, -1) @ _im2col(x)).reshape(c, *x.shape[1:])
 
 
+def _chunk(k: int, h: int, w: int) -> int:
+    """Items per product of a K-channel input: as many as keep its
+    (9 K, n h w) im2col within _IM2COL_BYTES, and at least one."""
+    return max(1, _IM2COL_BYTES // (9 * k * h * w * 8))
+
+
+def _chunked(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """correlate3x3_multi of (K, n, h, w) input, n items, one product per
+    chunk of _chunk items."""
+    k, n, h, w = x.shape
+    step = _chunk(k, h, w)
+    if n <= step:
+        return correlate3x3_multi(x, bank)
+    out = np.empty((len(bank), n, h, w))
+    for i in range(0, n, step):
+        out[:, i : i + step] = correlate3x3_multi(x[:, i : i + step], bank)
+    return out
+
+
 def correlate3x3(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Cross-correlate (..., h, w) input with a (C, 3, 3) bank -> (C, ..., h, w)."""
-    return correlate3x3_multi(x[None], bank[:, None])
-
-
-def _adjoint_chunk(c: int, h: int, w: int) -> int:
-    """Items per adjoint product: as many as keep its (9 C, n h w) im2col
-    within _ADJOINT_IM2COL_BYTES, and at least one."""
-    return max(1, _ADJOINT_IM2COL_BYTES // (9 * c * h * w * 8))
+    *lead, h, w = x.shape
+    return _chunked(x.reshape(1, -1, h, w), bank[:, None]).reshape(len(bank), *lead, h, w)
 
 
 def correlate3x3_adjoint(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
@@ -65,18 +81,12 @@ def correlate3x3_adjoint(dz: np.ndarray, bank: np.ndarray) -> np.ndarray:
 
     Correlation's adjoint under zero padding is convolution, i.e.
     correlation with the spatially flipped kernels, summed over the C
-    channels: one output channel of a C-channel correlation. Its im2col
-    holds 9 C rows per item, so a stack is contracted in chunks of
-    _adjoint_chunk items, one product each.
+    channels: one output channel of a C-channel correlation, whose
+    im2col holds 9 C rows per item.
     """
-    flipped = bank[None, :, ::-1, ::-1]
     c, *lead, h, w = dz.shape
-    items = dz.reshape(c, -1, h, w)
-    n, step = items.shape[1], _adjoint_chunk(c, h, w)
-    out = np.empty((n, h, w))
-    for i in range(0, n, step):
-        out[i : i + step] = correlate3x3_multi(items[:, i : i + step], flipped)[0]
-    return out.reshape(*lead, h, w)
+    flipped = bank[None, :, ::-1, ::-1]
+    return _chunked(dz.reshape(c, -1, h, w), flipped)[0].reshape(*lead, h, w)
 
 
 def avg_pool2(f: np.ndarray) -> np.ndarray:
@@ -99,27 +109,49 @@ def avg_pool2_adjoint(g: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25
 
 
+_SIGN_BIT = np.int64(-(1 << 63))
+
+
+def _neg_abs(z: np.ndarray) -> np.ndarray:
+    """-|z|, z with its sign bit set, in one new buffer; z is not written."""
+    return np.bitwise_or(z.view(np.int64), _SIGN_BIT).view(np.float64)
+
+
 def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     """e^-|z|, which never overflows, in one new buffer; z is not written."""
-    out = np.abs(z)
-    np.negative(out, out=out)
+    out = _neg_abs(z)
     return np.exp(out, out=out)
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
+def softplus(z: np.ndarray, e_out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + e^z) as log1p(e^-|z|) + max(z, 0), a form that neither
-    overflows nor loses small values, built in one output buffer."""
-    out = _exp_neg_abs(z)
-    np.log1p(out, out=out)
-    out += np.maximum(z, 0.0)
+    overflows nor loses small values. When e_out, an array shaped as z, is
+    given, e^-|z| with the sign of z is also written into it: all that
+    sigmoid needs, so a backward pass that keeps it makes no second exp.
+    e_out may be z itself; z is not written otherwise."""
+    e = _exp_neg_abs(z)
+    positive = np.maximum(z, 0.0)
+    if e_out is not None:  # e >= 0, so OR-ing in z's sign bit is copysign(e, z)
+        signed = e_out.view(np.int64)
+        np.bitwise_and(z.view(np.int64), _SIGN_BIT, out=signed)
+        signed |= e.view(np.int64)
+    out = np.log1p(e, out=e)
+    out += positive
     return out
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) from e = e^-|z|: a numerator of 1 where z >= 0 and
-    e elsewhere, over 1 + e."""
-    e = _exp_neg_abs(z)
-    out = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    out /= e
+def sigmoid(e_signed: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) from e = e^-|z| with the sign of z, as softplus's
+    e_out holds it: a numerator of 1 where z >= 0 and e elsewhere, over
+    1 + e.
+
+    Both are computed negated, -1 or -e over -e - 1, which leaves every
+    quotient's bits as they are, and a NaN z yields exp's negative NaN,
+    as the form computed from z does. At z = +-0, e = 1, so either
+    numerator is 1.
+    """
+    e_neg = _neg_abs(e_signed)
+    out = np.where(np.signbit(e_signed), e_neg, -1.0)
+    e_neg -= 1.0
+    out /= e_neg
     return out

@@ -7,16 +7,18 @@ rho > 0) pull the region-energy gradient back to the latent through the
 tape of the garment forward and subtract rho times it. Every step is
 recorded so attention containment can be plotted over time.
 
-`sample_points` runs K configs that share their steps in lockstep, as
-one (K, h, w) latent stack on one noise block: one null predict, one
-garment predict, one energy pass, one ancestral update and, when any
-config has rho > 0, one VJP per step serve all K. The energy pass reads each item under
-its own config's energy settings; its arrays span the whole stack, and
+`sample_points` runs K items that share their steps in lockstep, as one
+(K, h, w) latent stack: one null predict, one garment predict, one
+energy pass, one ancestral update and, when any config has rho > 0, one
+VJP per step serve all K. Each item brings its own config, mask and
+noise block; items of one trial pass the same mask and block objects,
+so each distinct mask is resampled to each attention layer's resolution
+once per call, at the first step, and each distinct block is read by
+item index at every step. The energy pass reads each item under its own
+config's energy settings and mask; its arrays span the whole stack, and
 only per-item scalars, the inner hinge and the breakdown records are
-built item by item. The mask is resampled to each attention layer's
-resolution once per call, at the first step, and the energy at the
-returned latent takes the same pass as the steps. `sample` is the K = 1
-case.
+built item by item. The energy at the returned latent takes the same
+pass as the steps. `sample` is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class SamplerConfig:
             raise SamplerError("steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per item and step: no __dict__
 class StepEntry:
     """Observables of one executed step, measured at the pre-update latent.
 
@@ -193,15 +195,16 @@ def ancestral_step(
     """One reverse update: (1 + beta/2) x_t + beta * score + sqrt(beta) * noise.
 
     x_t is an (h, w) latent or a stack of them; noise is one (h, w) field,
-    added to every item. At t = 1 the noise term is omitted and `noise` is
-    ignored (it may be None), so the final step is deterministic.
+    added to every item, or a stack of one field per item, shaped as x_t.
+    At t = 1 the noise term is omitted and `noise` is ignored (it may be
+    None), so the final step is deterministic.
     """
     if score.shape != x_t.shape:
         raise SamplerError(f"score shape {score.shape} != latent shape {x_t.shape}")
     beta = schedule.beta_at(t)
     out = (1.0 + 0.5 * beta) * x_t + beta * score
     if t > 1:
-        if noise is None or noise.shape != x_t.shape[-2:]:
+        if noise is None or noise.shape not in (x_t.shape[-2:], x_t.shape):
             got = None if noise is None else noise.shape
             raise SamplerError(f"noise shape {got} != latent shape {x_t.shape[-2:]}")
         out = out + math.sqrt(beta) * noise
@@ -276,14 +279,28 @@ def _per_item(values: list[float]):
     return values[0] if len(values) == 1 else np.array(values).reshape(-1, 1, 1)
 
 
+def _item_masks(masks: list[BinaryMask], maps: dict[str, np.ndarray]):
+    """Each item's mask at every layer's resolution, resampled once per
+    distinct mask object: at K = 1 the lone item's layer masks, as
+    _evaluate_layers takes them, else one (K, h_l, w_l) stack per layer."""
+    resampled: dict[int, list[BinaryMask]] = {}
+    for m in masks:
+        if id(m) not in resampled:
+            resampled[id(m)] = _layer_masks(m, maps)
+    if len(masks) == 1:
+        return resampled[id(masks[0])]
+    return [np.stack([resampled[id(m)][j].a for m in masks]) for j in range(len(maps))]
+
+
 def _energies(
     maps: dict[str, np.ndarray],
-    layer_masks: list[BinaryMask],
+    layer_masks: list,
     cfgs: list[EnergyConfig],
     with_grads: bool,
 ) -> tuple[list[EnergyBreakdown], list[np.ndarray] | None]:
     """Each config's energy breakdown of its item of the map stacks and,
-    when asked, one cotangent stack per layer, from one stacked pass."""
+    when asked, one cotangent stack per layer, from one stacked pass;
+    layer_masks is what _item_masks returns."""
     if len(cfgs) > 1:
         return _evaluate_stack(maps, layer_masks, cfgs, with_grads)
     # K = 1 goes through this module's _evaluate_layers: perfbench's capture and tracer patch it
@@ -313,32 +330,33 @@ def sample(
     schedule: NoiseSchedule,
     noise: np.ndarray,
 ) -> tuple[Grid, TrajectoryRecord]:
-    """One trajectory: sample_points with the single config."""
-    return sample_points(model, mask, [config], schedule, noise)[0]
+    """One trajectory: sample_points with the single item."""
+    return sample_points(model, [mask], [config], schedule, [noise])[0]
 
 
 def sample_points(
     model,
-    mask: BinaryMask,
+    masks: list[BinaryMask],
     configs: list[SamplerConfig],
     schedule: NoiseSchedule,
-    noise: np.ndarray,
+    noises: list[np.ndarray],
 ) -> list[tuple[Grid, TrajectoryRecord]]:
     """Run the full recorded sampling loop from Gaussian noise, once per
-    config, with every config's latent stepped in lockstep.
+    item, with every item's latent stepped in lockstep.
 
-    `noise` is the trajectory's whole noise block, as `draw_noise` draws
-    it: field 0 is the initial latent and field k + 1 the noise of
-    executed step k, for every step with t > 1. Every config runs on the
-    same block. The sampler draws nothing itself and never writes the
-    block, so equal inputs give equal outputs. The configs must share
-    steps; each config's result is bit-equal to a run of that config
-    alone.
+    Item i samples configs[i] under masks[i] on noises[i]. A noise block
+    is a trajectory's whole noise, as `draw_noise` draws it: field 0 is
+    the initial latent and field k + 1 the noise of executed step k, for
+    every step with t > 1. Items that share a mask or a block pass the
+    same object, and each distinct one is read once per use. The sampler
+    draws nothing itself and never writes a block, so equal inputs give
+    equal outputs. The configs must share steps and the masks their
+    shape; each item's result is bit-equal to a run of it alone.
 
-    The mask defines the latent resolution; it must keep at least one
-    cell at every attention layer's resolution. Energies are always
-    measured on the conditional (garment-token) attention maps at the
-    pre-update latent, each item under its config's energy settings;
+    A mask defines the latent resolution; it must keep at least one cell
+    at every attention layer's resolution. Energies are always measured
+    on the conditional (garment-token) attention maps at the pre-update
+    latent, each item under its config's energy settings and its mask;
     the correction additionally needs their gradients and the model's
     VJP of that same forward, so those are computed only when some
     config has rho > 0. A rho = 0 item takes no gradient even then: its
@@ -346,11 +364,15 @@ def sample_points(
     is never named for a non-finite gradient, and stays bit-equal to its
     run alone. A step that leaves a latent or an energy gradient
     non-finite (overflow under extreme guidance, say) raises SamplerError
-    naming the step and the failing configs. Latents are a plain ndarray
+    naming the step and the failing items. Latents are a plain ndarray
     stack inside the loop and become Grids only when they are returned.
     """
     if not configs:
         raise SamplerError("no configs to sample")
+    if not len(masks) == len(noises) == len(configs):
+        raise SamplerError(
+            f"{len(configs)} configs but {len(masks)} masks and {len(noises)} noise blocks"
+        )
     shared = {c.steps for c in configs}
     if len(shared) != 1:
         raise SamplerError(f"configs run in lockstep must share steps, got {sorted(shared)}")
@@ -358,37 +380,51 @@ def sample_points(
     csc = any(c.rho > 0.0 for c in configs)
     if schedule.T < steps:
         raise SamplerError(f"schedule T={schedule.T} shorter than steps={steps}")
-    want = _noise_shape(mask, configs[0], schedule)
-    if noise.shape != want:
-        raise SamplerError(f"noise block shape {noise.shape} != expected {want}")
+    shapes = {m.shape for m in masks}
+    if len(shapes) != 1:
+        raise SamplerError(f"masks run in lockstep must share their shape, got {sorted(shapes)}")
+    want = _noise_shape(masks[0], configs[0], schedule)
+    for noise in {id(n): n for n in noises}.values():
+        if noise.shape != want:
+            raise SamplerError(f"noise block shape {noise.shape} != expected {want}")
+    one_block = all(n is noises[0] for n in noises)
+
+    def field(f: int) -> np.ndarray:  # field f of every item's block
+        return noises[0][f] if one_block else np.stack([n[f] for n in noises])
+
     scales = _per_item([c.guidance_scale for c in configs])
     rhos = _per_item([c.rho for c in configs])
     cfgs = [c.energy_cfg for c in configs]
-    x = np.broadcast_to(noise[0], (len(configs), *noise.shape[1:]))
-    entries: list[list[StepEntry]] = [[] for _ in configs]
-    for k, t in enumerate(_stride_ts(schedule.T, steps)):
+    layer_masks = None
+
+    def step(x: np.ndarray, k: int, t: int):
+        """(next latent stack, breakdowns, gradient norms) of executed step
+        k; every temporary of the step dies with the call."""
+        nonlocal layer_masks
         eps_u, _, _ = model.predict(x, t, Condition.NULL)
         eps_c, maps, tape = model.predict(x, t, Condition.GARMENT)
-        eps = cfg_mix(eps_u, eps_c, scales)
-        z = noise[k + 1] if t > 1 else None
-        m_t = ancestral_step(x, t, eps_to_score(eps, t, schedule), schedule, z)
-
+        score = eps_to_score(cfg_mix(eps_u, eps_c, scales), t, schedule)
+        del eps_u, eps_c  # not held through the energy pass and the VJP
+        m_t = ancestral_step(x, t, score, schedule, field(k + 1) if t > 1 else None)
         if k == 0:  # every forward has the first one's layer resolutions
-            layer_masks = _layer_masks(mask, maps)
+            layer_masks = _item_masks(masks, maps)
         breakdowns, cotangents = _energies(maps, layer_masks, cfgs, csc)
-        if csc:
-            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
-            if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
-                grad_x = np.where(rhos == 0.0, 0.0, grad_x)
-            grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
-            try:
-                x = csc_correct(m_t, grad_x, rhos)
-            except SamplerError:
-                _require_finite(grad_x, "the energy gradient", k, t)
-                raise
-        else:
-            grad_norms = np.zeros(len(configs))
-            x = m_t
+        if not csc:
+            return m_t, breakdowns, np.zeros(len(configs))
+        grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
+        if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
+            grad_x = np.where(rhos == 0.0, 0.0, grad_x)
+        grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
+        try:
+            return csc_correct(m_t, grad_x, rhos), breakdowns, grad_norms
+        except SamplerError:
+            _require_finite(grad_x, "the energy gradient", k, t)
+            raise
+
+    x = np.broadcast_to(field(0), (len(configs), *want[1:]))
+    entries: list[list[StepEntry]] = [[] for _ in configs]
+    for k, t in enumerate(_stride_ts(schedule.T, steps)):
+        x, breakdowns, grad_norms = step(x, k, t)
         _require_finite(x, "the latent", k, t)
         for record, breakdown, grad_norm in zip(entries, breakdowns, grad_norms):
             record.append(StepEntry(k, t, breakdown, float(grad_norm)))

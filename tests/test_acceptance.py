@@ -345,7 +345,7 @@ def test_criterion_06_zero_strength_correction_is_bit_identical(toy16, schedule2
     for s in range(16):
         x_off, rec_off = sample_seeded(toy16, mask, zero, schedule20, RandomStream(s).child("run"))
         noise = draw_noise(RandomStream(s).child("run"), mask, zero, schedule20)
-        points = sample_points(toy16, mask, stack, schedule20, noise)
+        points = sample_points(toy16, [mask] * 3, stack, schedule20, [noise] * 3)
         x_on, rec_on = points[1]
         assert x_on.a.tobytes() == x_off.a.tobytes()
         assert rec_on.csv_rows() == rec_off.csv_rows()

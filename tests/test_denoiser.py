@@ -16,6 +16,7 @@ from tryonlab import (
     make_schedule,
     toy_init,
 )
+import tryonlab.kernels as kernels
 from tryonlab.kernels import avg_pool2, correlate3x3, softplus
 
 H, W, C = 16, 12, 4
@@ -151,14 +152,27 @@ class TestZeroQueryShortcut:
 
 
 class TestToyVjp:
-    def test_tape_keeps_the_convolution_output(self, toy):
+    def test_tape_keeps_the_signed_exponential_of_the_convolution(self, toy):
         x = rand_x(7)
         _, _, tape = toy.predict(x, 5, Condition.GARMENT)
-        want = correlate3x3(x, toy.kernel).tobytes()
-        assert tape.z.tobytes() == want  # softplus left z alone
+        z = correlate3x3(x, toy.kernel)
+        want = np.where(z < 0, -np.exp(-np.abs(z)), np.exp(-np.abs(z))).tobytes()
+        assert tape.e_signed.tobytes() == want
         cots = [rand_x(8), rand_x(9, H // 2, W // 2)]
         toy.attention_vjp(tape, 5, Condition.GARMENT, cots)
-        assert tape.z.tobytes() == want  # and so did sigmoid
+        assert tape.e_signed.tobytes() == want  # sigmoid left it alone
+
+    def test_the_vjp_takes_no_exponential(self, toy, monkeypatch):
+        """The garment forward takes one e^-|z| and leaves it on the tape;
+        the VJP reads it from there."""
+        calls = []
+        exp_neg_abs = kernels._exp_neg_abs
+        monkeypatch.setattr(kernels, "_exp_neg_abs", lambda z: calls.append(z.shape) or
+                            exp_neg_abs(z))
+        _, _, tape = toy.predict(rand_x(7), 5, Condition.GARMENT)
+        assert calls == [(toy.channels, H, W)]
+        toy.attention_vjp(tape, 5, Condition.GARMENT, [rand_x(8), rand_x(9, H // 2, W // 2)])
+        assert len(calls) == 1
 
     def test_zero_cotangents_give_zero_gradient(self, toy):
         zeros = [np.zeros((H, W)), np.zeros((H // 2, W // 2))]

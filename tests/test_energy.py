@@ -590,6 +590,7 @@ FULL_MASK[2:6, 1:4] = 1.0
 HALF_MASK = np.zeros((4, 3))
 HALF_MASK[1:3, 0:2] = 1.0
 STACK_MASKS = [BinaryMask(FULL_MASK), BinaryMask(HALF_MASK)]
+SHARED_MASKS = [FULL_MASK, HALF_MASK]  # as _evaluate_stack takes a mask every item shares
 LAYER_SELECTS = [None, frozenset({"full"}), frozenset({"half"}), frozenset({"full", "half"})]
 # outer: support on both sides of the mask; inner: support inside it only;
 # clamp: in-mask mass far below epsilon_den; empty: no in-mask mass at all;
@@ -620,6 +621,16 @@ def configs_from(draws) -> list[EnergyConfig]:
     ]
 
 
+def draw_configs(data, k: int) -> list[EnergyConfig]:
+    return configs_from(data.draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.01, 0.5]),
+        st.sampled_from([0.0, 0.02, 0.3]),
+        st.sampled_from([0.01, 0.05, 0.2]),
+        st.sampled_from([1e-8, 1e-3, 0.05]),
+        st.sampled_from(LAYER_SELECTS),
+    ), min_size=k, max_size=k)))
+
+
 def breakdown_hex(bd) -> tuple:
     layers = tuple(
         (lid, le.e_attract.hex(), le.e_repel.hex(), le.branch, le.in_mask_mass.hex(), le.selected)
@@ -628,12 +639,19 @@ def breakdown_hex(bd) -> tuple:
     return bd.total.hex(), bd.e_attract.hex(), bd.e_repel.hex(), layers
 
 
-def assert_items_match_oracle(maps, cfgs, with_grads):
-    got, grads = _evaluate_stack(maps, STACK_MASKS, cfgs, with_grads)
+def assert_items_match_oracle(maps, cfgs, with_grads, item_masks=None):
+    """item_masks holds each item's (full, half) masks; by default every
+    item shares STACK_MASKS."""
+    if item_masks is None:
+        got, grads = _evaluate_stack(maps, SHARED_MASKS, cfgs, with_grads)
+        item_masks = [STACK_MASKS] * len(cfgs)
+    else:
+        stacks = [np.stack([masks[j].a for masks in item_masks]) for j in range(2)]
+        got, grads = _evaluate_stack(maps, stacks, cfgs, with_grads)
     assert len(got) == len(cfgs)
     for i, cfg in enumerate(cfgs):
         layers = [AttentionLayer(lid, Grid(a[i])) for lid, a in maps.items()]
-        want, want_grads = evaluate_layers_per_item(layers, STACK_MASKS, cfg, with_grads)
+        want, want_grads = evaluate_layers_per_item(layers, item_masks[i], cfg, with_grads)
         assert breakdown_hex(got[i]) == breakdown_hex(want), f"item {i}"
         if with_grads:
             for g, w in zip(grads, want_grads):
@@ -660,14 +678,25 @@ class TestStackedPass:
             lid: np.stack([stack_item(rng, kinds[2 * i + j], m.a) for i in range(k)])
             for j, (lid, m) in enumerate(zip(("full", "half"), STACK_MASKS))
         }
-        draws = data.draw(st.lists(st.tuples(
-            st.sampled_from([0.0, 0.01, 0.5]),
-            st.sampled_from([0.0, 0.02, 0.3]),
-            st.sampled_from([0.01, 0.05, 0.2]),
-            st.sampled_from([1e-8, 1e-3, 0.05]),
-            st.sampled_from(LAYER_SELECTS),
-        ), min_size=k, max_size=k))
-        assert_items_match_oracle(maps, configs_from(draws), with_grads)
+        assert_items_match_oracle(maps, draw_configs(data, k), with_grads)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 7]),
+        data=st.data(),
+        with_grads=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_item_under_its_own_mask_equals_the_oracle(self, seed, k, data, with_grads):
+        rng = RandomStream(seed)
+        item_masks = [[random_mask(rng, 8, 6), random_mask(rng, 4, 3)] for _ in range(k)]
+        kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=2 * k, max_size=2 * k))
+        maps = {
+            lid: np.stack([stack_item(rng, kinds[2 * i + j], item_masks[i][j].a)
+                           for i in range(k)])
+            for j, lid in enumerate(("full", "half"))
+        }
+        assert_items_match_oracle(maps, draw_configs(data, k), with_grads, item_masks)
 
     def test_a_mixed_stack_covers_both_branches_and_the_clamp(self):
         rng = RandomStream(11)
@@ -686,7 +715,7 @@ class TestStackedPass:
             (0.5, 0.02, 0.01, 0.05, None),
             (0.0, 0.02, 0.05, 1e-8, frozenset({"half"})),
         ])
-        got, _ = _evaluate_stack(maps, STACK_MASKS, cfgs, False)
+        got, _ = _evaluate_stack(maps, SHARED_MASKS, cfgs, False)
         branches = {(lid, le.branch) for bd in got for lid, le in bd.per_layer.items()}
         assert branches == {(lid, b) for lid in ("full", "half") for b in ("inner", "outer")}
         clamped = [bd.per_layer[lid].in_mask_mass < cfg.epsilon_den
@@ -700,7 +729,7 @@ class TestStackedPass:
         test must compare the largest off-mask value with <=."""
         a = np.array([[[1.0, 0.01], [0.5, 0.0]], [[1.0, 0.0101], [0.5, 0.0]]])
         m = BinaryMask(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        got, _ = _evaluate_stack({"full": a}, [m], [CFG, CFG], False)
+        got, _ = _evaluate_stack({"full": a}, [m.a], [CFG, CFG], False)
         assert [bd.per_layer["full"].branch for bd in got] == ["inner", "outer"]
 
     def test_unselected_layer_gets_zero_rows(self):
@@ -708,7 +737,7 @@ class TestStackedPass:
         maps = {lid: np.stack([stack_item(rng, "outer", m.a) for _ in range(3)])
                 for lid, m in zip(("full", "half"), STACK_MASKS)}
         cfgs = configs_from([(0.01, 0.02, 0.01, 1e-8, s) for s in LAYER_SELECTS[:3]])
-        _, (g_full, g_half) = _evaluate_stack(maps, STACK_MASKS, cfgs, True)
+        _, (g_full, g_half) = _evaluate_stack(maps, SHARED_MASKS, cfgs, True)
         assert not g_full[2].any() and not g_half[1].any()
         assert g_full[0].any() and g_full[1].any() and g_half[0].any() and g_half[2].any()
 
@@ -722,23 +751,23 @@ class TestStackedPass:
     @pytest.mark.parametrize("layer_id", ["full", "half"])
     def test_a_negative_map_is_rejected_naming_the_layer(self, layer_id):
         with pytest.raises(EnergyError, match=f"layer {layer_id}: attention map has negative"):
-            _evaluate_stack(self.bad_maps(layer_id, -1e-9), STACK_MASKS, [CFG] * 3, True)
+            _evaluate_stack(self.bad_maps(layer_id, -1e-9), SHARED_MASKS, [CFG] * 3, True)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("layer_id", ["full", "half"])
     def test_a_non_finite_map_is_rejected_naming_the_layer(self, layer_id, value):
         with pytest.raises(EnergyError, match=f"layer {layer_id}: attention map is not finite"):
-            _evaluate_stack(self.bad_maps(layer_id, value), STACK_MASKS, [CFG] * 3, False)
+            _evaluate_stack(self.bad_maps(layer_id, value), SHARED_MASKS, [CFG] * 3, False)
 
     def test_a_shape_mismatch_is_rejected_naming_the_layer(self):
         maps = self.bad_maps("full", 0.0)
         maps["half"] = maps["half"][:, :, :2]
         with pytest.raises(EnergyError, match="layer half: attention shape"):
-            _evaluate_stack(maps, STACK_MASKS, [CFG] * 3, False)
+            _evaluate_stack(maps, SHARED_MASKS, [CFG] * 3, False)
 
     def test_an_empty_selection_is_rejected_naming_the_layers(self):
         cfgs = [CFG, EnergyConfig(layer_select=frozenset({"quarter"})), CFG]
         want = "layer selection is empty: config 1 selects none of the layers full, half"
         with pytest.raises(EnergyError, match=want):
-            _evaluate_stack(self.bad_maps("full", 0.0), STACK_MASKS, cfgs, True)
+            _evaluate_stack(self.bad_maps("full", 0.0), SHARED_MASKS, cfgs, True)
 

@@ -20,7 +20,7 @@ from tryonlab import (
     mask_read,
     resample_mask,
 )
-from tryonlab.grids import warp_array
+from tryonlab.grids import _overlap_weights, warp_array
 
 # ---------------------------------------------------------------- oracles
 
@@ -231,6 +231,16 @@ class TestResampleMask:
     def test_identity_when_shapes_match(self):
         m = BinaryMask(Grid([[1.0, 0.0], [0.0, 1.0]]))
         assert resample_mask(m, 2, 2) == m
+
+    def test_overlap_weights_are_built_once_and_read_only(self):
+        w = _overlap_weights(48, 24)
+        assert _overlap_weights(48, 24) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 2.0
+        # what a fresh build gives, after a resample that reused it
+        resample_mask(BinaryMask(np.ones((48, 6))), 24, 3)
+        assert w.tobytes() == _overlap_weights.__wrapped__(48, 24).tobytes()
 
 
 # ------------------------------------------------------------- warp_array

@@ -22,7 +22,7 @@ from helpers import (
 import tryonlab.kernels as kernels
 from tryonlab import RandomStream
 from tryonlab.kernels import (
-    _adjoint_chunk,
+    _chunk,
     _im2col,
     avg_pool2,
     correlate3x3,
@@ -109,7 +109,9 @@ def test_sigmoid_bit_equal_to_boolean_mask_form():
     special = EXTREMES + [710.0, -710.0, 745.0, -745.0, 746.0, -746.0]
     special += [np.inf, -np.inf, np.nan, -np.nan]
     z = np.concatenate([special, 40.0 * normals("z", 4096)])
-    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+    e_signed = np.empty_like(z)  # sigmoid reads what softplus leaves here
+    softplus(z, e_signed)
+    assert sigmoid(e_signed).tobytes() == sigmoid_masked(z).tobytes()
 
 
 @pytest.mark.parametrize("kernel", [softplus, sigmoid], ids=lambda kernel: kernel.__name__)
@@ -182,28 +184,38 @@ class TestBitStability:
 
 
 class TestAdjointChunks:
-    """correlate3x3_adjoint contracts a stack in chunks of _adjoint_chunk
+    """correlate3x3 and its adjoint contract a stack in chunks of _chunk
     items, one product each; every chunking gives each item the bits of a
     call on that item alone."""
 
     def test_chunks_at_the_lab_canvases(self):
-        # all seven points of a 24x18 sweep in one product, two items per
-        # product at 48x36, one at 128x96
-        assert _adjoint_chunk(4, 24, 18) == 8
-        assert _adjoint_chunk(4, 48, 36) == 2
-        assert _adjoint_chunk(4, 128, 96) == 1
+        # the forward's im2col holds 9 rows per item, the adjoint's 9 C
+        assert [_chunk(1, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [8, 2, 1]
+        assert [_chunk(4, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [2, 1, 1]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 9])
     def test_every_chunking_equals_single_items(self, monkeypatch, chunk):
         h, w, k = 24, 18, 7
         dz, bank = normals("chunk", C, k, h, w), normals("bank", C, 3, 3)
         singles = [correlate3x3_adjoint(dz[:, i], bank).tobytes() for i in range(k)]
-        monkeypatch.setattr(kernels, "_ADJOINT_IM2COL_BYTES", chunk * 9 * C * h * w * 8)
-        assert _adjoint_chunk(C, h, w) == chunk
+        monkeypatch.setattr(kernels, "_IM2COL_BYTES", chunk * 9 * C * h * w * 8)
+        assert _chunk(C, h, w) == chunk
         got = correlate3x3_adjoint(dz, bank)
         assert got.shape == (k, h, w)
         for i in range(k):
             assert got[i].tobytes() == singles[i], f"item {i}"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 9])
+    def test_every_forward_chunking_equals_single_items(self, monkeypatch, chunk):
+        h, w, k = 24, 18, 7
+        x, bank = normals("chunk", k, h, w), normals("bank", C, 3, 3)
+        singles = [correlate3x3(x[i], bank).tobytes() for i in range(k)]
+        monkeypatch.setattr(kernels, "_IM2COL_BYTES", chunk * 9 * h * w * 8)
+        assert _chunk(1, h, w) == chunk
+        got = correlate3x3(x, bank)
+        assert got.shape == (C, k, h, w)
+        for i in range(k):
+            assert got[:, i].tobytes() == singles[i], f"item {i}"
 
 
 # Values that stress a 2x2 sum: signed zeros, subnormals, the smallest

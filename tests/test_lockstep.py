@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tryonlab.experiments as experiments
-from helpers import rect_mask, sample_per_step
+from helpers import rect_mask, sample_per_step, sweep_rows_grid_major
 from tryonlab import (
     Condition,
     EnergyConfig,
@@ -74,11 +74,62 @@ def test_each_point_equals_the_per_step_oracle(schedule, h, w, k, corrected):
     mask = rect_mask(h, w, h // 4, w // 4, h // 2, w // 2)
     cfgs = configs(k, corrected)
     noise = draw_noise(RandomStream(9).child("trial-0"), mask, cfgs[0], schedule)
-    got = sample_points(model, mask, cfgs, schedule, noise)
+    got = sample_points(model, [mask] * k, cfgs, schedule, [noise] * k)
     assert len(got) == k
     for i, (cfg, point) in enumerate(zip(cfgs, got)):
         want = sample_per_step(model, mask, cfg, schedule, RandomStream(9).child("trial-0"))
         assert outputs(*point) == outputs(*want), f"config {i}"
+
+
+# (h, w) -> a distinct mask for each of three trials
+def trial_masks(h: int, w: int) -> list:
+    return [rect_mask(h, w, h // 8 + t, w // 8 + 2 * t, h // 2 - t, w // 3 + t) for t in range(3)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("h,w", SIZES + [(128, 96)])
+def test_items_on_their_own_masks_and_blocks_equal_the_per_step_oracle(schedule, h, w, k):
+    """Items of three trials, trial-major as a sweep lists them: each
+    trial's items pass the same mask and block objects, and the trials'
+    masks and blocks differ."""
+    model = toy_init(7, h, w, 4)
+    masks = trial_masks(h, w)
+    cfgs = [configs(7, True)[i % 7] for i in range(k)]
+    streams = [RandomStream(9).child(f"trial-{t}") for t in range(3)]
+    blocks = [draw_noise(rng, m, cfgs[0], schedule) for rng, m in zip(streams, masks)]
+    trial = [i * 3 // k for i in range(k)]
+    got = sample_points(
+        model, [masks[t] for t in trial], cfgs, schedule, [blocks[t] for t in trial]
+    )
+    assert len(got) == k
+    for i, (cfg, t, point) in enumerate(zip(cfgs, trial, got)):
+        rng = RandomStream(9).child(f"trial-{t}")
+        want = sample_per_step(model, masks[t], cfg, schedule, rng)
+        assert outputs(*point) == outputs(*want), f"item {i} (trial {t})"
+
+
+def test_items_must_share_their_mask_shape(schedule):
+    model, cfgs = toy_init(7, 16, 12, 4), configs(2, True)
+    masks = [rect_mask(16, 12, 4, 3, 8, 5), rect_mask(16, 14, 4, 3, 8, 5)]
+    noise = draw_noise(RandomStream(1), masks[0], cfgs[0], schedule)
+    want = re.escape("masks run in lockstep must share their shape, got [(16, 12), (16, 14)]")
+    with pytest.raises(SamplerError, match=want):
+        sample_points(model, masks, cfgs, schedule, [noise] * 2)
+
+
+def test_every_item_needs_a_mask_and_a_block(schedule):
+    model, mask, cfgs = toy_init(7, 16, 12, 4), rect_mask(16, 12, 4, 3, 8, 5), configs(3, True)
+    noise = draw_noise(RandomStream(1), mask, cfgs[0], schedule)
+    with pytest.raises(SamplerError, match="3 configs but 2 masks and 3 noise blocks"):
+        sample_points(model, [mask] * 2, cfgs, schedule, [noise] * 3)
+
+
+def test_a_misshapen_second_block_is_rejected(schedule):
+    model, mask, cfgs = toy_init(7, 16, 12, 4), rect_mask(16, 12, 4, 3, 8, 5), configs(2, True)
+    noise = draw_noise(RandomStream(1), mask, cfgs[0], schedule)
+    want = re.escape("noise block shape (19, 16, 12) != expected (20, 16, 12)")
+    with pytest.raises(SamplerError, match=want):
+        sample_points(model, [mask] * 2, cfgs, schedule, [noise, noise[1:]])
 
 
 def test_configs_must_share_steps(schedule):
@@ -86,14 +137,14 @@ def test_configs_must_share_steps(schedule):
     cfgs = [SamplerConfig(), SamplerConfig(steps=7)]
     noise = draw_noise(RandomStream(1), mask, cfgs[0], schedule)
     with pytest.raises(SamplerError, match=re.escape("must share steps, got [7, 20]")):
-        sample_points(model, mask, cfgs, schedule, noise)
+        sample_points(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
 
 
 def test_no_configs_is_an_error(schedule):
     mask = rect_mask(16, 12, 4, 3, 8, 5)
     noise = draw_noise(RandomStream(1), mask, SamplerConfig(), schedule)
     with pytest.raises(SamplerError, match="no configs"):
-        sample_points(toy_init(7, 16, 12, 4), mask, [], schedule, noise)
+        sample_points(toy_init(7, 16, 12, 4), [mask], [], schedule, [noise])
 
 
 def test_leaves_the_noise_block_unwritten(schedule):
@@ -101,7 +152,7 @@ def test_leaves_the_noise_block_unwritten(schedule):
     cfgs = configs(7, True)
     noise = draw_noise(RandomStream(2), mask, cfgs[0], schedule)
     before = noise.tobytes()
-    sample_points(model, mask, cfgs, schedule, noise)
+    sample_points(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
     assert noise.tobytes() == before
 
 
@@ -117,7 +168,7 @@ def test_a_diverging_config_is_named_alone(schedule, corrected):
     noise = draw_noise(RandomStream(3), mask, cfgs[0], schedule)
     want = r"step \d+ \(t=\d+\): the latent is no longer finite \(config 1\)"
     with pytest.raises(SamplerError, match=want) as err:
-        sample_points(model, mask, cfgs, schedule, noise)
+        sample_points(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
     assert err.value.configs == (1,)
 
 
@@ -160,6 +211,59 @@ class TestSweepChecksTheCanvasFirst:
             sweep_rows("scale_factor", toy_init(7, 24, 18, 4), schedule, SamplerConfig(),
                        dataset, 2, 0)
         assert calls == []
+
+
+class TestSweepChunks:
+    """A sweep's rows do not depend on how its (trial, grid point) items
+    are cut into sampler calls."""
+
+    TRIALS = 3
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("chunks")
+        write_dataset(root, gen_dataset(seed=5, n=2, paired=True, h=24, w=18), "paired")
+        return load_dataset(root / "manifest.json")
+
+    def rows(self, kind, dataset, schedule, monkeypatch, budget_items):
+        """float.hex rows and the items of each sampler call, with the
+        budget set to hold budget_items items of a 24x18 step."""
+        per_item = experiments._STEP_FIELDS * 24 * 18 * 8
+        monkeypatch.setattr(experiments, "_SWEEP_STEP_BYTES", budget_items * per_item)
+        calls = []
+
+        def counted(model, masks, cfgs, sched, noises):
+            calls.append(len(cfgs))
+            return sample_points(model, masks, cfgs, sched, noises)
+
+        monkeypatch.setattr(experiments, "run_sampler", counted)
+        rows = sweep_rows(kind, toy_init(7, 24, 18, 4), schedule, SamplerConfig(steps=6),
+                          dataset, self.TRIALS, 11)
+        as_hex = [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                  for row in rows]
+        return as_hex, calls
+
+    @pytest.mark.parametrize("kind", list(experiments.SWEEPS))
+    def test_one_item_one_trial_or_every_item_per_call(self, kind, dataset, schedule,
+                                                       monkeypatch):
+        points = len(experiments.SWEEPS[kind].grid)
+        items = self.TRIALS * points
+        by_item, calls_1 = self.rows(kind, dataset, schedule, monkeypatch, 1)
+        by_trial, calls_t = self.rows(kind, dataset, schedule, monkeypatch, points)
+        at_once, calls_all = self.rows(kind, dataset, schedule, monkeypatch, items)
+        assert calls_1 == [1] * items
+        assert calls_t == [points] * self.TRIALS
+        assert calls_all == [items]
+        assert by_item == by_trial == at_once
+        want = sweep_rows_grid_major(kind, toy_init(7, 24, 18, 4), schedule,
+                                     SamplerConfig(steps=6), dataset, self.TRIALS, 11)
+        assert at_once == [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                           for row in want]
+
+    def test_calls_split_the_items_evenly(self, dataset, schedule, monkeypatch):
+        # 3 trials x 7 points, at most 8 items a call: 3 calls of 7
+        _, calls = self.rows("scale_factor", dataset, schedule, monkeypatch, 8)
+        assert calls == [7, 7, 7]
 
 
 MODELS = {

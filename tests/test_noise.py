@@ -188,9 +188,10 @@ def test_paired_run_calls_the_sampler_per_trial_and_arm_arm_major(toy, bench, mo
     calls = []
     run = experiments.run_sampler
 
-    def recording(model, mask, cfgs, sched, noise):
-        calls.append((mask, cfgs, noise))
-        return run(model, mask, cfgs, sched, noise)
+    def recording(model, masks, cfgs, sched, noises):
+        assert len(masks) == len(noises) == 1
+        calls.append((masks[0], cfgs, noises[0]))
+        return run(model, masks, cfgs, sched, noises)
 
     monkeypatch.setattr(experiments, "run_sampler", recording)
     paired_run(toy, schedule, cfg, bench, trials, 42)

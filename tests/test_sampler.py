@@ -264,7 +264,7 @@ class TestSampleLoop:
         noise = draw_noise(RandomStream(42).child("run"), region, base_cfg(), schedule)
         x_off, rec_off = sample(toy, region, base_cfg(), schedule, noise)
         (x_rho0, rec_rho0), (_, rec_on) = sample_points(
-            toy, region, [base_cfg(), SamplerConfig()], schedule, noise
+            toy, [region] * 2, [base_cfg(), SamplerConfig()], schedule, [noise] * 2
         )
         assert x_off.a.tobytes() == x_rho0.a.tobytes()
         for a, b in zip(rec_off.entries, rec_rho0.entries):
@@ -435,7 +435,7 @@ class TestKernelCalls:
     ):
         cfgs = [SamplerConfig(steps=self.STEPS, rho=rho) for rho in rhos]
         noise = draw_noise(RandomStream(24).child("run"), mask, cfgs[0], schedule)
-        sample_points(toy, mask, cfgs, schedule, noise)
+        sample_points(toy, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
         assert (counts["conv"], counts["vjp"]) == (self.STEPS + 1, vjp_calls)
 
 
@@ -460,7 +460,8 @@ def test_a_zero_rho_item_ignores_its_non_finite_vjp_row(toy, mask, schedule, val
     non-finite VJP row of it neither fails the stack nor reaches it."""
     cfgs = [SamplerConfig(rho=0.2), SamplerConfig(rho=0.0), SamplerConfig(rho=0.5)]
     noise = draw_noise(RandomStream(25).child("run"), mask, cfgs[0], schedule)
-    got = sample_points(_NonFiniteVjpRow(toy, 1, value), mask, cfgs, schedule, noise)
+    model = _NonFiniteVjpRow(toy, 1, value)
+    got = sample_points(model, [mask] * 3, cfgs, schedule, [noise] * 3)
     for cfg, (x, record) in zip(cfgs, got):
         want_x, want = sample(toy, mask, cfg, schedule, noise)
         assert x.a.tobytes() == want_x.a.tobytes()
@@ -473,8 +474,9 @@ def test_a_non_finite_vjp_row_names_its_config(toy, mask, schedule):
     cfgs = [SamplerConfig(rho=0.2), SamplerConfig(rho=0.0), SamplerConfig(rho=0.5)]
     noise = draw_noise(RandomStream(25).child("run"), mask, cfgs[0], schedule)
     want = re.escape("step 0 (t=20): the energy gradient is no longer finite (config 2)")
+    model = _NonFiniteVjpRow(toy, 2, math.nan)
     with pytest.raises(SamplerError, match=want) as err:
-        sample_points(_NonFiniteVjpRow(toy, 2, math.nan), mask, cfgs, schedule, noise)
+        sample_points(model, [mask] * 3, cfgs, schedule, [noise] * 3)
     assert err.value.configs == (2,)
 
 
@@ -524,7 +526,7 @@ class TestEnergySeam:
     def test_a_stack_sends_none(self, toy, mask, schedule, evaluations):
         cfgs = [SamplerConfig(steps=self.STEPS, rho=rho) for rho in (0.1, 0.0, 0.3)]
         noise = draw_noise(RandomStream(26).child("run"), mask, cfgs[0], schedule)
-        sample_points(toy, mask, cfgs, schedule, noise)
+        sample_points(toy, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
         assert evaluations == []
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -541,7 +543,7 @@ class TestEnergySeam:
         )
         cfgs = [SamplerConfig(steps=steps, rho=0.1 * i) for i in range(k)]
         noise = draw_noise(RandomStream(27).child("run"), mask, cfgs[0], schedule)
-        sample_points(model, mask, cfgs, schedule, noise)
+        sample_points(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
         assert sizes == ([(16, 12)] if linear else [(16, 12), (8, 6)])
 
     def test_an_empty_layer_mask_fails_at_the_first_step(self, toy, schedule):
