@@ -12,15 +12,15 @@ denominator as constants: they are discontinuous in the map, so only the
 smooth factors are differentiated.
 
 Every energy comes from one pass, _evaluate_stack, over (K, h_l, w_l)
-map stacks with one config and one mask per item. numpy takes every sum and maximum
-over the whole stack; a Python loop over the items derives each item's
-few scalars from those reductions, runs the inner hinge for the items on
-that branch and builds the breakdowns; one np.where per layer spreads
-the gradients, which are constant on and off the mask but for the hinge
-cells. Each item is bit-equal
-to a pass on it alone. The sampler calls it once per step for a lockstep
-stack; _evaluate_layers is its K = 1 adapter over validated layers, and
-e_total reads that without gradients.
+map stacks with one config and one mask per item. numpy takes every sum
+and maximum over the whole stack; a Python loop over the items derives
+each item's few scalars from those reductions, runs the inner hinge for
+the items on that branch and builds the breakdowns; one np.where per
+layer spreads the gradients, which are constant on and off the mask but
+for the hinge cells. Each item is bit-equal to a pass on it alone. The
+sampler calls it once per step for a lockstep stack; _evaluate_layers is
+its K = 1 adapter over validated layers, and e_total reads that without
+gradients.
 
 The inner hinge never forms the n x n pair matrix. It sorts the n
 in-support values and reads the active pairs off searchsorted cuts, in
@@ -306,10 +306,10 @@ def _evaluate_stack(
     """The energy of K items at once: maps holds one (K, h_l, w_l) stack
     per layer, masks the masks at each layer's resolution, in map order,
     as one (K, h_l, w_l) stack of one per item or one (h_l, w_l) array
-    that every item shares, and cfgs one config per item. Returns K breakdowns and, when asked,
-    one (K, h_l, w_l) stack per layer of the gradient of each item's
-    aggregate with respect to its map (zeros where an item does not
-    select the layer).
+    that every item shares, and cfgs one config per item. Returns K
+    breakdowns and, when asked, one (K, h_l, w_l) stack per layer of the
+    gradient of each item's aggregate with respect to its map (zeros
+    where an item does not select the layer).
     """
     if len(maps) != len(masks):
         raise EnergyError(f"{len(maps)} layers but {len(masks)} masks")

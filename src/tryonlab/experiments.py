@@ -64,14 +64,14 @@ _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 
 # Sweep chunks. A lockstep sampler call peaks at about _STEP_FIELDS
 # latent-sized float64 arrays per item, records included (tracemalloc:
-# 1.89 MiB for 21 items at 24x18, 27 fields per item; 29 for 5 items at
-# 48x36). A chunk keeps that within _SWEEP_STEP_BYTES: 23 items at 24x18
+# 2.16 MiB for 21 items at 24x18, 31 fields per item; 29 for 5 items at
+# 48x36). A chunk keeps that within _SWEEP_STEP_BYTES: 20 items at 24x18
 # (the ablation's 56-, 48- and 24-item sweeps run as calls of 19, 16 and
 # 12), 5 at 48x36 and 1 at 128x96. Peak memory sized it: over three
-# passes of the 24x18 ablation pipeline, ru_maxrss read 33.2 MB with one
-# call per trial, 34.1 MB with this budget and 34.6-35.1 MB with 28-item
+# passes of the 24x18 ablation pipeline, ru_maxrss read 33.3 MB with one
+# call per trial, 34.2 MB with this budget and 35.2 MB with 28-item
 # calls, for sweeps no faster than with 21 (2-core Xeon).
-_STEP_FIELDS = 26
+_STEP_FIELDS = 30
 _SWEEP_STEP_BYTES = 2 << 20
 
 # The most bytes of noise blocks that paired_run holds from its corrected

@@ -24,11 +24,12 @@ __all__ = [
 ]
 
 # The most bytes one im2col product may hold. With 4 channels the forward
-# takes 8 items per product at 24x18, 2 at 48x36 and 1 at 128x96, and the
-# adjoint, whose im2col is 4 times larger, 2 at 24x18 and 1 from 48x36 up.
-# A 28-item sweep stack at 24x18 peaked 0.55 MB lower (ru_maxrss of the
-# ablation pipeline) than under the earlier 1 MiB adjoint-only budget.
-_IM2COL_BYTES = 1 << 18
+# takes 16 items per product at 24x18, 4 at 48x36 and 1 at 128x96, and the
+# adjoint, whose im2col is 4 times larger, 4 at 24x18 and 1 from 48x36 up.
+# On the 24x18 ablation's sweeps (2-core Xeon, interleaved in-process
+# rounds) 512 KiB ran 4% faster than 256 KiB and 1 MiB 4% slower, and
+# ru_maxrss read 0.3 MB above 256 KiB and 0.7 MB below 1 MiB.
+_IM2COL_BYTES = 1 << 19
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
