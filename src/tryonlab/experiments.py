@@ -62,17 +62,20 @@ LAYER_SELECTIONS = {
 LAYER_GRID = tuple(LAYER_SELECTIONS)
 _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 
-# Sweep chunks. A lockstep sampler call peaks at about _STEP_FIELDS
-# latent-sized float64 arrays per item, records included (tracemalloc:
-# 2.16 MiB for 21 items at 24x18, 31 fields per item; 29 for 5 items at
-# 48x36). A chunk keeps that within _SWEEP_STEP_BYTES: 20 items at 24x18
-# (the ablation's 56-, 48- and 24-item sweeps run as calls of 19, 16 and
-# 12), 5 at 48x36 and 1 at 128x96. Peak memory sized it: over three
-# passes of the 24x18 ablation pipeline, ru_maxrss read 33.3 MB with one
-# call per trial, 34.2 MB with this budget and 35.2 MB with 28-item
-# calls, for sweeps no faster than with 21 (2-core Xeon).
+# Sweep chunks. Beside its im2col product (kernels._IM2COL_BYTES), a
+# lockstep step holds about _STEP_FIELDS latent-sized float64 arrays per
+# item, records included (tracemalloc peak of sample_points at 24x18:
+# 1.46 MiB for 7 items, 2.16 MiB for 14). A chunk keeps them within
+# _SWEEP_STEP_BYTES, the im2col budget: a step that frees much more than
+# twice its largest block makes glibc trim the heap and fault it back in
+# at the next step. 20-item calls under a 512 KiB im2col read 35,000 minor
+# faults per pass of the 24x18 ablation pipeline, against 7 here, and ran
+# no faster than one call per trial. This allows 10 items at 24x18 (the
+# ablation's sweeps take 6, 5 and 3 calls), 2 at 48x36 and 1 at 128x96;
+# ru_maxrss over three passes of that pipeline read 33.4 MB with one call
+# per trial and 33.9 MB here (2-core Xeon).
 _STEP_FIELDS = 30
-_SWEEP_STEP_BYTES = 2 << 20
+_SWEEP_STEP_BYTES = 1 << 20
 
 # The most bytes of noise blocks that paired_run holds from its corrected
 # arm for the baseline arm: all 8 blocks of a default 48x36 run (2.2 MB),

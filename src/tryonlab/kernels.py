@@ -24,12 +24,11 @@ __all__ = [
 ]
 
 # The most bytes one im2col product may hold. With 4 channels the forward
-# takes 16 items per product at 24x18, 4 at 48x36 and 1 at 128x96, and the
-# adjoint, whose im2col is 4 times larger, 4 at 24x18 and 1 from 48x36 up.
-# On the 24x18 ablation's sweeps (2-core Xeon, interleaved in-process
-# rounds) 512 KiB ran 4% faster than 256 KiB and 1 MiB 4% slower, and
-# ru_maxrss read 0.3 MB above 256 KiB and 0.7 MB below 1 MiB.
-_IM2COL_BYTES = 1 << 19
+# takes 33 items per product at 24x18, 8 at 48x36 and 1 at 128x96, and the
+# adjoint, whose im2col is 4 times larger, 8, 2 and 1. It is also the
+# largest block a lockstep step frees, which sets glibc's heap trim
+# threshold; experiments._SWEEP_STEP_BYTES keeps sweep steps under it.
+_IM2COL_BYTES = 1 << 20
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:

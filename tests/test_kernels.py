@@ -190,8 +190,8 @@ class TestAdjointChunks:
 
     def test_chunks_at_the_lab_canvases(self):
         # the forward's im2col holds 9 rows per item, the adjoint's 9 C
-        assert [_chunk(1, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [16, 4, 1]
-        assert [_chunk(4, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [4, 1, 1]
+        assert [_chunk(1, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [33, 8, 1]
+        assert [_chunk(4, h, w) for h, w in [(24, 18), (48, 36), (128, 96)]] == [8, 2, 1]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 9])
     def test_every_chunking_equals_single_items(self, monkeypatch, chunk):

@@ -275,8 +275,8 @@ MODELS = {
 
 
 # kernels._chunk: the adjoint of the VJP takes all items in one product at
-# 16x12, four per product at 24x18 and one from 48x36 up; the forward takes
-# up to 16 per product at 24x18, four at 48x36 and one at 128x96.
+# 16x12 and 24x18, two per product at 48x36 and one at 128x96; the forward
+# takes all at 24x18, up to eight per product at 48x36 and one at 128x96.
 @pytest.mark.parametrize("cond", list(Condition), ids=lambda c: c.value)
 @pytest.mark.parametrize("k", [3, 7, 8])
 @pytest.mark.parametrize("h,w", [(16, 12)] + SIZES + [(128, 96)])
