@@ -169,10 +169,9 @@ class ToyAttentionDenoiser:
 
         dl_full = a_full * (g_full - (a_full * g_full).sum(axis=(-2, -1), keepdims=True))
         dl_half = a_half * (g_half - (a_half * g_half).sum(axis=(-2, -1), keepdims=True))
-        g = scale * (dl_full + avg_pool2_adjoint(dl_half))
+        q = q.reshape(-1, *(1,) * a_full.ndim)
         dz = sigmoid(tape.e_signed)
-        for dz_c, q_c in zip(dz, q):  # times df, one channel at a time
-            dz_c *= q_c * g
+        dz *= q * (scale * (dl_full + avg_pool2_adjoint(dl_half)))  # times df
         return correlate3x3_adjoint(dz, self.kernel)
 
 
