@@ -134,13 +134,14 @@ def _environment(checkout: Path) -> dict:
     with contextlib.suppress(OSError), open("/proc/cpuinfo", encoding="utf-8") as f:
         cpu = next((line.split(":", 1)[1].strip() for line in f
                     if line.startswith("model name")), "")
-    try:
-        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:  # the build's name, version and configuration, not its install paths
+        blas = {k: v for k, v in numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                .items() if "directory" not in k}
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             numpy.show_config()
-        blas = buf.getvalue()
+        blas = [line.strip() for line in buf.getvalue().splitlines() if "dir" not in line]
     return {
         "machine": {"cores": os.cpu_count(), "cpu": cpu, "platform": platform.platform()},
         "python": platform.python_version(),
