@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Run the benchmark over seeds and write the next BENCH_<n>.json.
 
-    python3 scripts/bench.py [--seeds 1-7] [--workloads a,b] [--checkout DIR]
-    python3 scripts/bench.py --parent DIR [--seeds 1-10] [--workloads a,b]
+    python3 scripts/bench.py [--seeds 1-7]
+    python3 scripts/bench.py --parent DIR [--seeds 1-10]
 
-Runs ``perfbench/run.py --workload W --seed s --seconds S`` of a source
-checkout for every workload and seed, one run at a time, with S the
-``run_seconds`` of BENCHMARK.json. It writes ``BENCH_<n>.json`` at the root
-of this repository, n one above the highest BENCH file there. The file
-records the machine, the Python, numpy and BLAS versions, the checkout's
-commit and whether its tree was dirty, every run, and per workload the
-median and quartiles of each end-to-end metric, whether every run was
-correct, the failed share, and the signed change of each median against
-the highest-numbered BENCH file before it.
+Runs ``perfbench/run.py --workload W --seed s --seconds S`` of this
+checkout for every BENCHMARK.json workload and seed, one run at a time,
+with S the ``run_seconds`` of BENCHMARK.json. It writes ``BENCH_<n>.json``
+at the root of this repository, n one above the highest BENCH file there.
+The file records the machine, the Python, numpy and BLAS versions, the
+measured commit and whether its tree was dirty, every run, and per
+workload the median and quartiles of each end-to-end metric, whether
+every run was correct, the failed share, and the signed change of each
+median against the highest-numbered BENCH file before it.
 
 With ``--parent DIR`` it measures the checkout at DIR and this one in
 alternating order, each (workload, seed) pair starting with the other
@@ -194,19 +194,16 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     ap.add_argument("--seeds", default="1-7", help="inclusive range, e.g. 1-10")
-    ap.add_argument("--checkout", default=str(ROOT), help="source checkout to measure")
     ap.add_argument("--parent", default=None,
                     help="also measure this checkout, alternating, and write its file first")
     args = ap.parse_args()
 
-    checkout = Path(args.checkout).resolve()
     parent = Path(args.parent).resolve() if args.parent else None
     seconds = bench["run_seconds"]
-    runs: dict[Path, list[dict]] = {checkout: []} if parent is None else {parent: [], checkout: []}
+    runs: dict[Path, list[dict]] = {ROOT: []} if parent is None else {parent: [], ROOT: []}
     k = 0
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         for seed in _seeds(args.seeds):
             order = list(runs) if k % 2 == 0 else list(runs)[::-1]
             for side in order:
@@ -218,7 +215,7 @@ def main() -> int:
         path = ROOT / f"BENCH_{index}.json"
         _write(path, parent, runs[parent], bench, metrics, previous)
         index, previous = index + 1, path
-    _write(ROOT / f"BENCH_{index}.json", checkout, runs[checkout], bench, metrics, previous,
+    _write(ROOT / f"BENCH_{index}.json", ROOT, runs[ROOT], bench, metrics, previous,
            runs[parent] if parent is not None else None)
     return 0
 

@@ -65,15 +65,17 @@ _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 # Sweep chunks. Beside its im2col product (kernels._IM2COL_BYTES), a
 # lockstep step holds about _STEP_FIELDS latent-sized float64 arrays per
 # item, records included (tracemalloc peak of sample_points at 24x18:
-# 1.46 MiB for 7 items, 2.16 MiB for 14). A chunk keeps them within
-# _SWEEP_STEP_BYTES, the im2col budget: a step that frees much more than
-# twice its largest block makes glibc trim the heap and fault it back in
-# at the next step. 20-item calls under a 512 KiB im2col read 35,000 minor
-# faults per pass of the 24x18 ablation pipeline, against 7 here, and ran
-# no faster than one call per trial. This allows 10 items at 24x18 (the
-# ablation's sweeps take 6, 5 and 3 calls), 2 at 48x36 and 1 at 128x96;
-# ru_maxrss over three passes of that pipeline read 33.4 MB with one call
-# per trial and 33.9 MB here (2-core Xeon).
+# 1.46 MiB for 7 items, 2.16 MiB for 14). While one item's share fits
+# _SWEEP_STEP_BYTES, a call takes as many items as the budget holds and
+# never fewer than a trial's grid points: 10 items at 24x18, where the
+# 8-trial ablation's sweeps take 6, 5 and 3 calls, and one call per trial
+# at 48x36, where 2-item calls ran three 4-trial sweeps 17% slower.
+# Past the budget, at 128x96 (2.8 MiB an item), every item runs alone:
+# one call per trial there faulted 155,000 pages per pass of those sweeps
+# against 1,900 and ran 1.33 times as long. The budget bounds the 24x18
+# ablation's peak: ru_maxrss over five passes of that pipeline read
+# 34.2 MB, against 33.5 MB when every sweep made one call per trial
+# (fresh processes, 2-core Xeon).
 _STEP_FIELDS = 30
 _SWEEP_STEP_BYTES = 1 << 20
 
@@ -486,11 +488,15 @@ def run_summary(
     return out
 
 
-def _sweep_chunk(model) -> int:
-    """Items per sweep sampler call: as many as keep one step's working
-    set, _STEP_FIELDS latent-sized arrays per item, within
-    _SWEEP_STEP_BYTES, and at least one."""
-    return max(1, _SWEEP_STEP_BYTES // (_STEP_FIELDS * model.h * model.w * 8))
+def _sweep_chunk(model, points: int) -> int:
+    """Items per sweep sampler call. While one item's step working set,
+    _STEP_FIELDS latent-sized arrays, fits _SWEEP_STEP_BYTES, a call takes
+    as many items as the budget holds and never fewer than a trial's
+    points; past the budget every item runs alone."""
+    per_item = _STEP_FIELDS * model.h * model.w * 8
+    if per_item > _SWEEP_STEP_BYTES:
+        return 1
+    return max(points, _SWEEP_STEP_BYTES // per_item)
 
 
 def sweep_rows(
@@ -509,8 +515,12 @@ def sweep_rows(
     call per chunk; a trial's items pass its mask and noise block, each
     drawn or resampled once, and a chunk may end inside a trial. Every
     item is bit-equal to a run of its point alone, so the chunking never
-    changes a row. A row holds trial means, taken in trial order. A grid
-    point whose trajectory diverges is named by its value column.
+    changes a row. A row holds trial means, taken in trial order.
+
+    A diverging sweep raises as one call per trial would: the failing
+    chunk's trials are rerun over the whole grid, in trial order, and the
+    first that diverges names every grid point that diverged at its step,
+    by value column and by grid index.
     """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
@@ -518,7 +528,7 @@ def sweep_rows(
     sweep = SWEEPS[kind]
     cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
     items = [(i, j) for i in range(trials) for j in range(len(cfgs))]
-    calls = -(-len(items) // _sweep_chunk(model))
+    calls = -(-len(items) // _sweep_chunk(model, len(cfgs)))
     chunk = -(-len(items) // calls)  # the calls' items, balanced
     fx = pixel_extractor()
     inputs: dict[int, tuple] = {}  # trial -> (sample, mask, noise block)
@@ -539,9 +549,17 @@ def sweep_rows(
         except SamplerError as e:
             if not e.configs:
                 raise
-            named = dict.fromkeys(sweep.grid[part[k][1]] for k in e.configs)
-            named = ", ".join(f"{sweep.column}={v}" for v in named)
-            raise SamplerError(f"{named}: {e}", e.configs) from e
+            # name the points as one call per trial does (see the docstring)
+            for i in dict.fromkeys(i for i, _ in part):
+                _, mask, noise = inputs[i]
+                try:
+                    run_sampler(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
+                except SamplerError as trial:
+                    if not trial.configs:
+                        raise
+                    named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in trial.configs)
+                    raise SamplerError(f"{named}: {trial}", trial.configs) from trial
+            raise
         for (i, j), (x, record) in zip(part, points):
             per_point[j].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
             if j == len(cfgs) - 1:  # the trial's last item

@@ -27,7 +27,7 @@ __all__ = [
 # takes 33 items per product at 24x18, 8 at 48x36 and 1 at 128x96, and the
 # adjoint, whose im2col is 4 times larger, 8, 2 and 1. It is also the
 # largest block a lockstep step frees, which sets glibc's heap trim
-# threshold; experiments._SWEEP_STEP_BYTES keeps sweep steps under it.
+# threshold; experiments._SWEEP_STEP_BYTES takes the same size.
 _IM2COL_BYTES = 1 << 20
 
 

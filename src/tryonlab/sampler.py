@@ -395,12 +395,13 @@ def sample_points(
     scales = _per_item([c.guidance_scale for c in configs])
     rhos = _per_item([c.rho for c in configs])
     cfgs = [c.energy_cfg for c in configs]
-    layer_masks = None
-
-    def step(x: np.ndarray, k: int, t: int):
-        """(next latent stack, breakdowns, gradient norms) of executed step
-        k; every temporary of the step dies with the call."""
-        nonlocal layer_masks
+    x = np.broadcast_to(field(0), (len(configs), *want[1:]))
+    entries: list[list[StepEntry]] = [[] for _ in configs]
+    # A step's temporaries live until the next step rebinds them: freeing
+    # them all at a step's end lets glibc trim the heap and fault it back
+    # in at the next step (48x36, one 7-item call per trial: 51,000 minor
+    # faults per pass of three 4-trial sweeps against 16,000, 13% slower).
+    for k, t in enumerate(_stride_ts(schedule.T, steps)):
         eps_u, _, _ = model.predict(x, t, Condition.NULL)
         eps_c, maps, tape = model.predict(x, t, Condition.GARMENT)
         score = eps_to_score(cfg_mix(eps_u, eps_c, scales), t, schedule)
@@ -409,22 +410,19 @@ def sample_points(
         if k == 0:  # every forward has the first one's layer resolutions
             layer_masks = _item_masks(masks, maps)
         breakdowns, cotangents = _energies(maps, layer_masks, cfgs, csc)
-        if not csc:
-            return m_t, breakdowns, np.zeros(len(configs))
-        grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
-        if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
-            grad_x = np.where(rhos == 0.0, 0.0, grad_x)
-        grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
-        try:
-            return csc_correct(m_t, grad_x, rhos), breakdowns, grad_norms
-        except SamplerError:
-            _require_finite(grad_x, "the energy gradient", k, t)
-            raise
-
-    x = np.broadcast_to(field(0), (len(configs), *want[1:]))
-    entries: list[list[StepEntry]] = [[] for _ in configs]
-    for k, t in enumerate(_stride_ts(schedule.T, steps)):
-        x, breakdowns, grad_norms = step(x, k, t)
+        if csc:
+            grad_x = model.attention_vjp(tape, t, Condition.GARMENT, cotangents)
+            if isinstance(rhos, np.ndarray):  # rho = 0 items take no gradient
+                grad_x = np.where(rhos == 0.0, 0.0, grad_x)
+            grad_norms = np.sqrt((grad_x * grad_x).sum(axis=(-2, -1)))
+            try:
+                x = csc_correct(m_t, grad_x, rhos)
+            except SamplerError:
+                _require_finite(grad_x, "the energy gradient", k, t)
+                raise
+        else:
+            grad_norms = np.zeros(len(configs))
+            x = m_t
         _require_finite(x, "the latent", k, t)
         for record, breakdown, grad_norm in zip(entries, breakdowns, grad_norms):
             record.append(StepEntry(k, t, breakdown, float(grad_norm)))

@@ -214,8 +214,9 @@ class TestSweepChecksTheCanvasFirst:
 
 
 class TestSweepChunks:
-    """A sweep's rows do not depend on how its (trial, grid point) items
-    are cut into sampler calls."""
+    """A sweep's rows, and the grid points that it names when a trial
+    diverges, do not depend on how its (trial, grid point) items are cut
+    into sampler calls."""
 
     TRIALS = 3
 
@@ -225,11 +226,13 @@ class TestSweepChunks:
         write_dataset(root, gen_dataset(seed=5, n=2, paired=True, h=24, w=18), "paired")
         return load_dataset(root / "manifest.json")
 
-    def rows(self, kind, dataset, schedule, monkeypatch, budget_items):
-        """float.hex rows and the items of each sampler call, with the
-        budget set to hold budget_items items of a 24x18 step."""
+    @staticmethod
+    def budget(monkeypatch, budget_items) -> list[int]:
+        """Set the budget to hold budget_items items of a 24x18 step (0:
+        less than one) and return the list that each sampler call appends
+        its item count to."""
         per_item = experiments._STEP_FIELDS * 24 * 18 * 8
-        monkeypatch.setattr(experiments, "_SWEEP_STEP_BYTES", budget_items * per_item)
+        monkeypatch.setattr(experiments, "_SWEEP_STEP_BYTES", budget_items * per_item or 1)
         calls = []
 
         def counted(model, masks, cfgs, sched, noises):
@@ -237,6 +240,11 @@ class TestSweepChunks:
             return sample_points(model, masks, cfgs, sched, noises)
 
         monkeypatch.setattr(experiments, "run_sampler", counted)
+        return calls
+
+    def rows(self, kind, dataset, schedule, monkeypatch, budget_items):
+        """float.hex rows and the items of each sampler call."""
+        calls = self.budget(monkeypatch, budget_items)
         rows = sweep_rows(kind, toy_init(7, 24, 18, 4), schedule, SamplerConfig(steps=6),
                           dataset, self.TRIALS, 11)
         as_hex = [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
@@ -248,7 +256,7 @@ class TestSweepChunks:
                                                        monkeypatch):
         points = len(experiments.SWEEPS[kind].grid)
         items = self.TRIALS * points
-        by_item, calls_1 = self.rows(kind, dataset, schedule, monkeypatch, 1)
+        by_item, calls_1 = self.rows(kind, dataset, schedule, monkeypatch, 0)
         by_trial, calls_t = self.rows(kind, dataset, schedule, monkeypatch, points)
         at_once, calls_all = self.rows(kind, dataset, schedule, monkeypatch, items)
         assert calls_1 == [1] * items
@@ -264,6 +272,38 @@ class TestSweepChunks:
         # 3 trials x 7 points, at most 8 items a call: 3 calls of 7
         _, calls = self.rows("scale_factor", dataset, schedule, monkeypatch, 8)
         assert calls == [7, 7, 7]
+
+    @pytest.mark.parametrize("budget_items", [1, 2, 6])
+    def test_a_budget_that_holds_an_item_never_cuts_a_trial(self, budget_items, dataset,
+                                                             schedule, monkeypatch):
+        _, calls = self.rows("scale_factor", dataset, schedule, monkeypatch, budget_items)
+        assert calls == [7, 7, 7]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("kind, named", [
+        # rho = 0 takes no gradient, so only the corrected points diverge
+        ("scale_factor", "rho=0.05, rho=0.1, rho=0.15, rho=0.2, rho=0.25, rho=0.3: "),
+        ("layers", "layers=both, layers=full_only, layers=half_only: "),
+    ])
+    def test_a_diverging_trial_is_named_as_one_call_per_trial_names_it(
+        self, kind, named, dataset, schedule, monkeypatch
+    ):
+        sweep = experiments.SWEEPS[kind]
+        points = len(sweep.grid)
+        cfg = SamplerConfig(guidance_scale=1e30, rho=0.2, energy_cfg=EnergyConfig(lam=1e200))
+        raised = {}
+        for budget_items in (0, points, self.TRIALS * points):
+            self.budget(monkeypatch, budget_items)
+            with pytest.raises(SamplerError) as err:
+                sweep_rows(kind, toy_init(7, 24, 18, 4), schedule, cfg, dataset,
+                           self.TRIALS, 11)
+            raised[budget_items] = (str(err.value), err.value.configs)
+        message, configs = raised[points]  # one call per trial
+        assert message.startswith(named)
+        names = named.removesuffix(": ").split(", ")
+        assert configs == tuple(j for j, value in enumerate(sweep.grid)
+                                if f"{sweep.column}={value}" in names)
+        assert set(raised.values()) == {(message, configs)}
 
 
 MODELS = {
