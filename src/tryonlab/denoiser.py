@@ -92,11 +92,9 @@ def _uniform_map(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ToyTape:
-    """The forward's intermediates that the VJP reuses: the maps and e^-|z|
-    signed as the conv output z, which softplus left (None for a zero
-    query)."""
+    """The forward's intermediates that the VJP reuses; z is None for a zero query."""
 
-    e_signed: np.ndarray | None
+    z: np.ndarray | None
     a_full: np.ndarray
     a_half: np.ndarray
 
@@ -136,15 +134,15 @@ class ToyAttentionDenoiser:
             raise ModelError(f"latent shape {x.shape} != model dims {(self.h, self.w)}")
         q = self._query(cond)
         if q.any():
-            e_signed = correlate3x3(x, self.kernel)  # z, until softplus signs e^-|z| into it
-            a_full, a_half = self._attention_maps(softplus(e_signed, e_signed), q, x.shape)
+            z = correlate3x3(x, self.kernel)
+            a_full, a_half = self._attention_maps(softplus(z), q, x.shape)
         else:
-            e_signed = None
+            z = None
             a_full = _uniform_map(x.shape)
             a_half = _uniform_map((*x.shape[:-2], self.h // 2, self.w // 2))
         eps = self.u * x + self.v * (self.h * self.w) * a_full * x
         maps = {LAYER_FULL: a_full, LAYER_HALF: a_half}
-        return eps, maps, _ToyTape(e_signed, a_full, a_half)
+        return eps, maps, _ToyTape(z, a_full, a_half)
 
     def attention_vjp(
         self, tape: _ToyTape, t: int, cond: Condition, cotangents: list[np.ndarray]
@@ -163,14 +161,14 @@ class ToyAttentionDenoiser:
             raise ModelError(f"full cotangent shape {g_full.shape} != {a_full.shape}")
         if g_half.shape != a_half.shape:
             raise ModelError(f"half cotangent shape {g_half.shape} != {a_half.shape}")
-        if tape.e_signed is None:
+        if tape.z is None:
             return np.zeros(a_full.shape)
         scale = 1.0 / math.sqrt(self.channels)
 
         dl_full = a_full * (g_full - (a_full * g_full).sum(axis=(-2, -1), keepdims=True))
         dl_half = a_half * (g_half - (a_half * g_half).sum(axis=(-2, -1), keepdims=True))
         q = q.reshape(-1, *(1,) * a_full.ndim)
-        dz = sigmoid(tape.e_signed)
+        dz = sigmoid(tape.z)
         dz *= q * (scale * (dl_full + avg_pool2_adjoint(dl_half)))  # times df
         return correlate3x3_adjoint(dz, self.kernel)
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .denoiser import LAYER_FULL, LAYER_HALF, ToyAttentionDenoiser, toy_init
 from .energy import EnergyConfig, EnergyError
 from .grids import BinaryMask, Grid, GridError, grid_read, mask_read, resample_mask
@@ -62,11 +63,12 @@ LAYER_SELECTIONS = {
 LAYER_GRID = tuple(LAYER_SELECTIONS)
 _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 
-# Sweep chunks. Beside its im2col product (kernels._IM2COL_BYTES), a
-# lockstep step holds about _STEP_FIELDS latent-sized float64 arrays per
-# item, records included (tracemalloc peak of sample_points at 24x18:
-# 1.46 MiB for 7 items, 2.16 MiB for 14). While one item's share fits
-# _SWEEP_STEP_BYTES, a call takes as many items as the budget holds and
+# Sweep chunks. Beside its im2col product, a lockstep step holds about
+# _STEP_FIELDS latent-sized float64 arrays per item, records included
+# (tracemalloc peak of sample_points at 24x18: 1.46 MiB for 7 items,
+# 2.16 MiB for 14). That working set is held to the im2col budget,
+# kernels._IM2COL_BYTES, the largest block a step frees. While one item's
+# share fits it, a call takes as many items as the budget holds and
 # never fewer than a trial's grid points: 10 items at 24x18, where the
 # 8-trial ablation's sweeps take 6, 5 and 3 calls, and one call per trial
 # at 48x36, where 2-item calls ran three 4-trial sweeps 17% slower.
@@ -77,7 +79,6 @@ _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 # 34.2 MB, against 33.5 MB when every sweep made one call per trial
 # (fresh processes, 2-core Xeon).
 _STEP_FIELDS = 30
-_SWEEP_STEP_BYTES = 1 << 20
 
 # The most bytes of noise blocks that paired_run holds from its corrected
 # arm for the baseline arm: all 8 blocks of a default 48x36 run (2.2 MB),
@@ -344,6 +345,11 @@ def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
     return [DatasetSample(**{role: load(i, role) for role in roles}) for i in range(n)]
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials: must be >= 1, got {trials}")
+
+
 def _require_canvas(model, dataset: list[DatasetSample], trials: int) -> None:
     """The try-on proxy metric compares final latents with the canvases
     of the samples that `trials` trials read, so their shapes must agree."""
@@ -442,6 +448,7 @@ def paired_run(
     past that cap draws its block again, the same bytes from the same
     stream. Only the samples' masks are read.
     """
+    _require_trials(trials)
     held: dict[int, np.ndarray] = {}
     csc = []
     for i, (noise, record) in enumerate(
@@ -490,13 +497,13 @@ def run_summary(
 
 def _sweep_chunk(model, points: int) -> int:
     """Items per sweep sampler call. While one item's step working set,
-    _STEP_FIELDS latent-sized arrays, fits _SWEEP_STEP_BYTES, a call takes
-    as many items as the budget holds and never fewer than a trial's
+    _STEP_FIELDS latent-sized arrays, fits kernels._IM2COL_BYTES, a call
+    takes as many items as the budget holds and never fewer than a trial's
     points; past the budget every item runs alone."""
     per_item = _STEP_FIELDS * model.h * model.w * 8
-    if per_item > _SWEEP_STEP_BYTES:
+    if per_item > kernels._IM2COL_BYTES:
         return 1
-    return max(points, _SWEEP_STEP_BYTES // per_item)
+    return max(points, kernels._IM2COL_BYTES // per_item)
 
 
 def sweep_rows(
@@ -524,6 +531,7 @@ def sweep_rows(
     """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
+    _require_trials(trials)
     _require_canvas(model, dataset, trials)
     sweep = SWEEPS[kind]
     cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]

@@ -27,7 +27,7 @@ __all__ = [
 # takes 33 items per product at 24x18, 8 at 48x36 and 1 at 128x96, and the
 # adjoint, whose im2col is 4 times larger, 8, 2 and 1. It is also the
 # largest block a lockstep step frees, which sets glibc's heap trim
-# threshold; experiments._SWEEP_STEP_BYTES takes the same size.
+# threshold, so experiments._sweep_chunk holds a step's working set to it.
 _IM2COL_BYTES = 1 << 20
 
 
@@ -123,35 +123,21 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def softplus(z: np.ndarray, e_out: np.ndarray | None = None) -> np.ndarray:
+def softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + e^z) as log1p(e^-|z|) + max(z, 0), a form that neither
-    overflows nor loses small values. When e_out, an array shaped as z, is
-    given, e^-|z| with the sign of z is also written into it: all that
-    sigmoid needs, so a backward pass that keeps it makes no second exp.
-    e_out may be z itself; z is not written otherwise."""
+    overflows nor loses small values; z is not written."""
     e = _exp_neg_abs(z)
     positive = np.maximum(z, 0.0)
-    if e_out is not None:  # e >= 0, so OR-ing in z's sign bit is copysign(e, z)
-        signed = e_out.view(np.int64)
-        np.bitwise_and(z.view(np.int64), _SIGN_BIT, out=signed)
-        signed |= e.view(np.int64)
     out = np.log1p(e, out=e)
     out += positive
     return out
 
 
-def sigmoid(e_signed: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) from e = e^-|z| with the sign of z, as softplus's
-    e_out holds it: a numerator of 1 where z >= 0 and e elsewhere, over
-    1 + e.
-
-    Both are computed negated, -1 or -e over -e - 1, which leaves every
-    quotient's bits as they are, and a NaN z yields exp's negative NaN,
-    as the form computed from z does. At z = +-0, e = 1, so either
-    numerator is 1.
-    """
-    e_neg = _neg_abs(e_signed)
-    out = np.where(np.signbit(e_signed), e_neg, -1.0)
-    e_neg -= 1.0
-    out /= e_neg
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) from e = e^-|z|: a numerator of 1 where z >= 0 and
+    e elsewhere, over 1 + e; z is not written."""
+    e = _exp_neg_abs(z)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out

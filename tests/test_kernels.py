@@ -109,9 +109,7 @@ def test_sigmoid_bit_equal_to_boolean_mask_form():
     special = EXTREMES + [710.0, -710.0, 745.0, -745.0, 746.0, -746.0]
     special += [np.inf, -np.inf, np.nan, -np.nan]
     z = np.concatenate([special, 40.0 * normals("z", 4096)])
-    e_signed = np.empty_like(z)  # sigmoid reads what softplus leaves here
-    softplus(z, e_signed)
-    assert sigmoid(e_signed).tobytes() == sigmoid_masked(z).tobytes()
+    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
 
 @pytest.mark.parametrize("kernel", [softplus, sigmoid], ids=lambda kernel: kernel.__name__)

@@ -6,11 +6,13 @@ each item of a stack what a call on that item alone gives.
 """
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 import tryonlab.experiments as experiments
+import tryonlab.kernels as kernels
 from helpers import rect_mask, sample_per_step, sweep_rows_grid_major
 from tryonlab import (
     Condition,
@@ -29,7 +31,7 @@ from tryonlab import (
     toy_init,
     write_dataset,
 )
-from tryonlab.experiments import ConfigError, load_dataset, sweep_rows
+from tryonlab.experiments import ConfigError, load_dataset, paired_run, sweep_rows
 
 SIZES = [(24, 18), (48, 36)]
 FULL, HALF = frozenset({"full"}), frozenset({"half"})
@@ -213,6 +215,18 @@ class TestSweepChecksTheCanvasFirst:
         assert calls == []
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize(
+    "driver", [paired_run, partial(sweep_rows, "scale_factor")], ids=["paired_run", "sweep_rows"]
+)
+def test_drivers_reject_fewer_than_one_trial(driver, trials, schedule, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_sampler", lambda *a: calls.append(a))
+    with pytest.raises(ConfigError, match=f"trials: must be >= 1, got {trials}"):
+        driver(toy_init(7, 24, 18, 4), schedule, SamplerConfig(), [], trials, 0)
+    assert calls == []
+
+
 class TestSweepChunks:
     """A sweep's rows, and the grid points that it names when a trial
     diverges, do not depend on how its (trial, grid point) items are cut
@@ -232,7 +246,7 @@ class TestSweepChunks:
         less than one) and return the list that each sampler call appends
         its item count to."""
         per_item = experiments._STEP_FIELDS * 24 * 18 * 8
-        monkeypatch.setattr(experiments, "_SWEEP_STEP_BYTES", budget_items * per_item or 1)
+        monkeypatch.setattr(kernels, "_IM2COL_BYTES", budget_items * per_item or 1)
         calls = []
 
         def counted(model, masks, cfgs, sched, noises):
