@@ -12,7 +12,9 @@ The file records the machine, the Python, numpy and BLAS versions, the
 measured commit and whether its tree was dirty, every run, and per
 workload the median and quartiles of each end-to-end metric, whether
 every run was correct, the failed share, and the signed change of each
-median against the highest-numbered BENCH file before it.
+median against the highest-numbered BENCH file before it. A run that
+exits non-zero does not stop the others: it is recorded as incorrect,
+with its exit code and the last lines of its stderr.
 
 With ``--parent DIR`` it measures the checkout at DIR and this one in
 alternating order, each (workload, seed) pair starting with the other
@@ -62,17 +64,20 @@ def pair_wins(before: list[float], after: list[float], better: str) -> dict:
 
 
 def summarise_runs(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload: the summary of each metric over its runs, whether
-    every run was correct, and the failed share of attempted items."""
+    """Per workload: the summary of each metric over the runs that report
+    it, whether every run was correct, and the failed share of attempted
+    items (None when no run attempted any)."""
     out = {}
     for name in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == name]
+        attempted = sum(r["attempted"] for r in mine)
+        values = {m: [r["metrics"][m]["value"] for r in mine if m in r["metrics"]]
+                  for m in metrics}
         out[name] = {
             "runs": len(mine),
             "correct": all(r["correct"] for r in mine),
-            "failed_share": sum(r["failed"] for r in mine) / sum(r["attempted"] for r in mine),
-            "metrics": {m: summarise([r["metrics"][m]["value"] for r in mine])
-                        for m in metrics if all(m in r["metrics"] for r in mine)},
+            "failed_share": sum(r["failed"] for r in mine) / attempted if attempted else None,
+            "metrics": {m: summarise(v) for m, v in values.items() if v},
         }
     return out
 
@@ -99,11 +104,11 @@ def paired_deltas(before_runs: list[dict], after_runs: list[dict], metrics: dict
         seeds = {r["seed"]: r for r in before_runs if r["workload"] == name}
         pairs = [(seeds[r["seed"]], r) for r in after_runs
                  if r["workload"] == name and r["seed"] in seeds]
-        out[name] = {
-            m: pair_wins([b["metrics"][m]["value"] for b, _ in pairs],
-                         [a["metrics"][m]["value"] for _, a in pairs], better)
-            for m, better in metrics.items()
-        }
+        out[name] = {}
+        for m, better in metrics.items():
+            both = [(b, a) for b, a in pairs if m in b["metrics"] and m in a["metrics"]]
+            out[name][m] = pair_wins([b["metrics"][m]["value"] for b, _ in both],
+                                     [a["metrics"][m]["value"] for _, a in both], better)
     return out
 
 
@@ -152,18 +157,30 @@ def _environment(checkout: Path) -> dict:
     }
 
 
+# The stderr lines that a run which exits non-zero keeps in its record.
+_STDERR_LINES = 20
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run's result line. A run that exits non-zero is recorded, not
+    raised: it is incorrect, keeps its exit code and the tail of its
+    stderr, and keeps whatever result line it printed (perfbench/run.py
+    prints one, then exits 1, when a pass is incorrect)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, timeout=600)
+    try:
+        doc = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        doc = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     if proc.returncode != 0:
-        raise SystemExit(f"{checkout} {workload} seed {seed}: exit {proc.returncode}\n"
-                         f"{proc.stderr}")
-    doc = json.loads(proc.stdout.splitlines()[-1])
+        doc.update(correct=False, exit=proc.returncode,
+                   stderr=proc.stderr.splitlines()[-_STDERR_LINES:])
     doc.update(workload=workload, seed=seed)
     line = ", ".join(f"{k} {v['value']:.6g}" for k, v in doc["metrics"].items())
-    print(f"{checkout.name}: {workload} seed {seed}: {line}", flush=True)
+    bad = f" (exit {proc.returncode}, correct: false)" if proc.returncode != 0 else ""
+    print(f"{checkout.name}: {workload} seed {seed}: {line}{bad}", flush=True)
     return doc
 
 

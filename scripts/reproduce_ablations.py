@@ -3,9 +3,12 @@
 
 Generates a synthetic try-on benchmark, scores its ground-truth
 composites, runs the paired corrected-vs-baseline experiment, sweeps
-correction strength / guidance scale / layer selection, and renders
-trajectory charts. Every artifact is byte-deterministic in --seed, so
-two runs with the same arguments produce identical trees.
+correction strength / guidance scale / layer selection in one sweep
+call, and renders trajectory charts. That call loads the dataset, builds
+the model and draws each trial's noise block once for all three grids,
+and samples the default point, which all three list, once per trial.
+Every artifact is byte-deterministic in --seed, so two runs with the
+same arguments produce identical trees.
 
 Outputs under --out:
     bench/              dataset tree + manifest.json + vtid.{json,csv}
@@ -62,11 +65,8 @@ def main() -> int:
     cfg_path = out / "config.json"
 
     steps += [["run", "--config", str(cfg_path)]]
-    steps += [
-        ["sweep", "--config", str(cfg_path), "--kind", kind,
-         "--out", str(out / "sweeps")]
-        for kind in ("scale_factor", "guidance", "layers")
-    ]
+    steps += [["sweep", "--config", str(cfg_path), "--kind", "scale_factor", "guidance",
+               "layers", "--out", str(out / "sweeps")]]
     steps += [["plot", "--csv", str(out / "run" / "trajectories.csv"),
                "--out", str(out / "plots")]]
 

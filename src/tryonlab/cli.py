@@ -108,14 +108,17 @@ def cmd_sweep(args) -> int:
     rows = sweep_rows(args.kind, model, schedule, cfg.sampler, dataset, cfg.trials, cfg.seed)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    value_col = SWEEPS[args.kind].column
-    path = outdir / f"sweep_{args.kind}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow((value_col,) + SWEEP_METRIC_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(row[value_col])] + [_cell(row[m]) for m in SWEEP_METRIC_COLUMNS])
-    print(f"{path} ({len(rows)} grid points x {cfg.trials} trials)")
+    for kind, kind_rows in rows.items():
+        value_col = SWEEPS[kind].column
+        path = outdir / f"sweep_{kind}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow((value_col,) + SWEEP_METRIC_COLUMNS)
+            for row in kind_rows:
+                writer.writerow(
+                    [_cell(row[value_col])] + [_cell(row[m]) for m in SWEEP_METRIC_COLUMNS]
+                )
+        print(f"{path} ({len(kind_rows)} grid points x {cfg.trials} trials)")
     return 0
 
 
@@ -201,8 +204,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="ablation grid over one knob")
-    p_sweep.add_argument("--kind", required=True, choices=tuple(SWEEPS))
+    p_sweep = sub.add_parser(
+        "sweep", help="ablation grids over one or more knobs, each shared point run once"
+    )
+    p_sweep.add_argument(
+        "--kind", required=True, nargs="+", choices=tuple(SWEEPS), help="one CSV per kind"
+    )
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -5,18 +5,19 @@ schedule, sampler and energy settings, dataset manifest, trial count.
 Runs and sweeps read each trial's sample, mask and noise block the same
 way. Runs make a corrected pass, then a baseline pass, one sampler call
 per trial and pass, on one noise block per trial. Sweeps run every
-(trial, grid point) item of a fixed ablation, trial-major, in lockstep
-chunks sized by a byte budget; each item runs on its trial's mask and
+(trial, point) item of one or more fixed ablations, trial-major, in
+lockstep chunks sized by a byte budget, where a config that several of
+their grids list is one point; each item runs on its trial's mask and
 block. Each grid point reduces to mean final metrics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from math import nan
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,12 +70,15 @@ _LAYER_IDS = (LAYER_FULL, LAYER_HALF)
 # 2.16 MiB for 14). That working set is held to the im2col budget,
 # kernels._IM2COL_BYTES, the largest block a step frees. While one item's
 # share fits it, a call takes as many items as the budget holds and
-# never fewer than a trial's grid points: 10 items at 24x18, where the
-# 8-trial ablation's sweeps take 6, 5 and 3 calls, and one call per trial
-# at 48x36, where 2-item calls ran three 4-trial sweeps 17% slower.
-# Past the budget, at 128x96 (2.8 MiB an item), every item runs alone:
-# one call per trial there faulted 155,000 pages per pass of those sweeps
-# against 1,900 and ran 1.33 times as long. The budget bounds the 24x18
+# never fewer than the largest requested kind's grid: 10 items at 24x18,
+# where the 8-trial ablation's one sweep of the three kinds takes 12
+# calls, and 7 at 48x36, where 2-item calls ran three 4-trial sweeps 17%
+# slower. The floor is not a trial's distinct points: calls of all 14
+# points of the three kinds ran such a 48x36 sweep no faster than 7-item
+# calls, at 2.5 times the minor faults and +1.8 MB ru_maxrss. Past the
+# budget, at 128x96 (2.8 MiB an item), every item runs alone: one call
+# per trial there faulted 155,000 pages per pass of those sweeps against
+# 1,900 and ran 1.33 times as long. The budget bounds the 24x18
 # ablation's peak: ru_maxrss over five passes of that pipeline read
 # 34.2 MB, against 33.5 MB when every sweep made one call per trial
 # (fresh processes, 2-core Xeon).
@@ -498,45 +502,87 @@ def run_summary(
 def _sweep_chunk(model, points: int) -> int:
     """Items per sweep sampler call. While one item's step working set,
     _STEP_FIELDS latent-sized arrays, fits kernels._IM2COL_BYTES, a call
-    takes as many items as the budget holds and never fewer than a trial's
-    points; past the budget every item runs alone."""
+    takes as many items as the budget holds and never fewer than `points`,
+    the largest requested kind's grid; past the budget every item runs
+    alone."""
     per_item = _STEP_FIELDS * model.h * model.w * 8
     if per_item > kernels._IM2COL_BYTES:
         return 1
     return max(points, kernels._IM2COL_BYTES // per_item)
 
 
+def _config_key(obj):
+    """A key that two configs share only when every field is equal bit for
+    bit: floats compare by float.hex, so +0.0 and -0.0 stay apart, and an
+    int never equals a float."""
+    if is_dataclass(obj):
+        return tuple(_config_key(getattr(obj, f.name)) for f in fields(obj))
+    return obj.hex() if isinstance(obj, float) else obj
+
+
+def _sweep_row(column: str, value, point: list[tuple]) -> dict:
+    """A grid point's row: the trial means of its (final breakdown, toy
+    vtid) pairs, taken in trial order."""
+    finals, vtids = zip(*point)
+    row = {column: value}
+    for m in _SWEPT_METRICS:
+        row[f"mean_{m}"] = float(np.mean([FINAL_METRICS[m](f) for f in finals]))
+    row["mean_toy_vtid_vs_reference"] = float(np.mean(vtids))
+    return row
+
+
 def sweep_rows(
-    kind: str,
+    kinds: Sequence[str],
     model,
     schedule: NoiseSchedule,
     samp_cfg: SamplerConfig,
     dataset: list[DatasetSample],
     trials: int,
     seed: int,
-) -> list[dict]:
-    """One row per grid point, in grid order, keyed by the value column.
+) -> dict[str, list[dict]]:
+    """Each kind's rows, in the order of `kinds`: one row per grid point,
+    in grid order, keyed by the kind's value column.
 
-    The sweep's items are its (trial, grid point) pairs, trial-major.
-    They run in lockstep in chunks of _sweep_chunk items, one sampler
-    call per chunk; a trial's items pass its mask and noise block, each
-    drawn or resampled once, and a chunk may end inside a trial. Every
-    item is bit-equal to a run of its point alone, so the chunking never
-    changes a row. A row holds trial means, taken in trial order.
+    The kinds' grids share their points: grid values whose configs are
+    equal bit for bit (see _config_key) are one point, numbered in order
+    of first listing, so one kind's points are its grid indices. The
+    sweep's items are its (trial, point) pairs, trial-major. They run in
+    lockstep in chunks of _sweep_chunk items, one sampler call per chunk;
+    a trial's items pass its mask and noise block, each drawn or resampled
+    once, and a chunk may end inside a trial. Every item is bit-equal to a
+    run of its point alone, so neither the chunking nor the other kinds
+    change a row. A row holds trial means, taken in trial order.
 
     A diverging sweep raises as one call per trial would: the failing
-    chunk's trials are rerun over the whole grid, in trial order, and the
-    first that diverges names every grid point that diverged at its step,
-    by value column and by grid index.
+    chunk's trials are rerun over all points, in trial order, and the
+    first that diverges names every point that diverged at its step,
+    under every kind that lists it, by value column; its configs are
+    those points.
     """
-    if kind not in SWEEPS:
-        raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
+    if not kinds:
+        raise ConfigError(f"no sweep kind given (use {', '.join(SWEEPS)})")
+    for n, kind in enumerate(kinds):
+        if kind not in SWEEPS:
+            raise ConfigError(f"unknown sweep kind {kind!r} (use {', '.join(SWEEPS)})")
+        if kind in kinds[:n]:
+            raise ConfigError(f"sweep kind {kind!r} given more than once")
     _require_trials(trials)
     _require_canvas(model, dataset, trials)
-    sweep = SWEEPS[kind]
-    cfgs = [sweep.apply(samp_cfg, value) for value in sweep.grid]
-    items = [(i, j) for i in range(trials) for j in range(len(cfgs))]
-    calls = -(-len(items) // _sweep_chunk(model, len(cfgs)))
+    cfgs: list[SamplerConfig] = []
+    point_of: dict[str, list[int]] = {}  # kind -> the point of each grid value
+    points: dict[tuple, int] = {}  # config key -> point
+    for kind in kinds:
+        sweep = SWEEPS[kind]
+        point_of[kind] = []
+        for value in sweep.grid:
+            cfg = sweep.apply(samp_cfg, value)
+            p = points.setdefault(_config_key(cfg), len(cfgs))
+            if p == len(cfgs):
+                cfgs.append(cfg)
+            point_of[kind].append(p)
+    items = [(i, p) for i in range(trials) for p in range(len(cfgs))]
+    floor = max(len(SWEEPS[kind].grid) for kind in kinds)
+    calls = -(-len(items) // _sweep_chunk(model, floor))
     chunk = -(-len(items) // calls)  # the calls' items, balanced
     fx = pixel_extractor()
     inputs: dict[int, tuple] = {}  # trial -> (sample, mask, noise block)
@@ -547,10 +593,10 @@ def sweep_rows(
             if i not in inputs:
                 inputs[i] = _trial_inputs(model, schedule, cfgs[0], dataset, i, seed)
         try:
-            points = run_sampler(
+            results = run_sampler(
                 model,
                 [inputs[i][1] for i, _ in part],
-                [cfgs[j] for _, j in part],
+                [cfgs[p] for _, p in part],
                 schedule,
                 [inputs[i][2] for i, _ in part],
             )
@@ -565,22 +611,25 @@ def sweep_rows(
                 except SamplerError as trial:
                     if not trial.configs:
                         raise
-                    named = ", ".join(f"{sweep.column}={sweep.grid[j]}" for j in trial.configs)
+                    named = ", ".join(
+                        f"{SWEEPS[kind].column}={value}"
+                        for kind in kinds
+                        for value, p in zip(SWEEPS[kind].grid, point_of[kind])
+                        if p in trial.configs
+                    )
                     raise SamplerError(f"{named}: {trial}", trial.configs) from trial
             raise
-        for (i, j), (x, record) in zip(part, points):
-            per_point[j].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
-            if j == len(cfgs) - 1:  # the trial's last item
+        for (i, p), (x, record) in zip(part, results):
+            per_point[p].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
+            if p == len(cfgs) - 1:  # the trial's last item
                 del inputs[i]
-    rows = []
-    for value, point in zip(sweep.grid, per_point):
-        finals, vtids = zip(*point)
-        row = {sweep.column: value}
-        for m in _SWEPT_METRICS:
-            row[f"mean_{m}"] = float(np.mean([FINAL_METRICS[m](f) for f in finals]))
-        row["mean_toy_vtid_vs_reference"] = float(np.mean(vtids))
-        rows.append(row)
-    return rows
+    return {
+        kind: [
+            _sweep_row(SWEEPS[kind].column, value, per_point[p])
+            for value, p in zip(SWEEPS[kind].grid, point_of[kind])
+        ]
+        for kind in kinds
+    }
 
 
 def build_model(cfg: ExperimentConfig) -> ToyAttentionDenoiser:

@@ -399,11 +399,11 @@ def test_criterion_07_correction_directionally_improves_attention(
 def test_criterion_08_sweeps_emit_exact_grids_and_zero_matches_baseline(toy16, bench):
     sched = make_schedule(8, 0.05, 0.3)
     samp = SamplerConfig(steps=6)
-    rows_scale = sweep_rows("scale_factor", toy16, sched, samp, bench, 3, 42)
+    rows_scale = sweep_rows(["scale_factor"], toy16, sched, samp, bench, 3, 42)["scale_factor"]
     assert tuple(r["rho"] for r in rows_scale) == SCALE_GRID
-    rows_guid = sweep_rows("guidance", toy16, sched, samp, bench, 3, 42)
+    rows_guid = sweep_rows(["guidance"], toy16, sched, samp, bench, 3, 42)["guidance"]
     assert tuple(r["guidance_scale"] for r in rows_guid) == GUIDANCE_GRID
-    rows_layers = sweep_rows("layers", toy16, sched, samp, bench, 3, 42)
+    rows_layers = sweep_rows(["layers"], toy16, sched, samp, bench, 3, 42)["layers"]
     assert tuple(r["layers"] for r in rows_layers) == LAYER_GRID
 
     baseline = point_metrics(

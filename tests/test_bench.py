@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,69 @@ def test_next_index_follows_the_highest_file(tmp_path):
     for name in ("BENCH_1.json", "BENCH_10.json", "BENCH_2.json", "BENCH_x.json"):
         (tmp_path / name).write_text(json.dumps({}), encoding="utf-8")
     assert bench.next_index(tmp_path) == (11, tmp_path / "BENCH_10.json")
+
+
+def bad_run(workload, seed, exit_code=2):
+    """What _run records for a run that printed no result line."""
+    return {"workload": workload, "seed": seed, "correct": False, "attempted": 0, "failed": 0,
+            "metrics": {}, "exit": exit_code, "stderr": ["error: no pass completed"]}
+
+
+def test_a_run_without_a_result_is_summarised_from_the_others():
+    lacks_rss = run("a", 3, RATES[2], 0.0, 0.2)
+    del lacks_rss["metrics"]["peak_rss_mb"]
+    runs = [run("a", 1, RATES[0], 39.0, 0.2), bad_run("a", 2), lacks_rss,
+            bad_run("only-bad", 1)]
+    got = bench.summarise_runs(runs, METRICS)
+    assert not got["a"]["correct"] and got["a"]["runs"] == 3
+    assert got["a"]["failed_share"] == 0.0
+    assert got["a"]["metrics"]["items_per_s"] == bench.summarise(RATES[:1] + RATES[2:3])
+    assert got["a"]["metrics"]["peak_rss_mb"] == bench.summarise([39.0])
+    assert got["only-bad"] == {"runs": 1, "correct": False, "failed_share": None, "metrics": {}}
+    parent = [run("a", s, 100.0, 40.0, 0.2) for s in (1, 2, 3)]
+    pairs = bench.paired_deltas(parent, runs, METRICS)["a"]
+    assert pairs["items_per_s"] == {"won": 0, "lost": 2, "tied": 0}
+    assert pairs["peak_rss_mb"] == {"won": 1, "lost": 0, "tied": 0}
+
+
+@pytest.mark.parametrize(
+    "code, stdout, metrics",
+    [(2, "", {}),
+     (1, json.dumps({"correct": False, "attempted": 16, "failed": 0,
+                     "metrics": {"items_per_s": {"value": 1.5, "unit": "1/s"}}}),
+      {"items_per_s": {"value": 1.5, "unit": "1/s"}})],
+    ids=["no-result", "incorrect-result"],
+)
+def test_a_run_that_exits_non_zero_is_recorded(monkeypatch, tmp_path, code, stdout, metrics):
+    stderr = "\n".join(f"line {i}" for i in range(30))
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kw: subprocess.CompletedProcess(
+        argv, code, stdout=stdout, stderr=stderr))
+    got = bench._run(tmp_path, "a", 4, 1.0)
+    assert got["correct"] is False and got["exit"] == code
+    assert got["stderr"] == [f"line {i}" for i in range(10, 30)]
+    assert got["metrics"] == metrics
+    assert (got["workload"], got["seed"]) == ("a", 4)
+
+
+def test_a_bad_run_does_not_throw_the_others_away(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": m, "better": b} for m, b in METRICS.items()]}),
+        encoding="utf-8")
+    seen = []
+
+    def stub(checkout, workload, seed, seconds):
+        seen.append((workload, seed))
+        if (workload, seed) == ("a", 2):
+            return bad_run(workload, seed)
+        return run(workload, seed, 10.0 * seed, 40.0, 0.2)
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_run", stub)
+    monkeypatch.setattr("sys.argv", ["bench.py", "--seeds", "1-3"])
+    assert bench.main() == 0
+    assert seen == [(w, s) for w in ("a", "b") for s in (1, 2, 3)]
+    doc = json.loads((tmp_path / "BENCH_1.json").read_text(encoding="utf-8"))
+    assert len(doc["runs"]) == 6 and doc["runs"][1]["exit"] == 2
+    assert not doc["workloads"]["a"]["correct"] and doc["workloads"]["b"]["correct"]
+    assert doc["workloads"]["a"]["metrics"]["items_per_s"] == bench.summarise([10.0, 30.0])

@@ -492,6 +492,26 @@ class TestSweepCommand:
         full = self.run_sweep("layers", dataset_dir, tmp_path)
         assert self.run_sweep("layers", data, tmp_path / "part") == full
 
+    def test_one_call_of_three_kinds_writes_each_kind_alone(self, dataset_dir, tmp_path):
+        cfg = write_config(tmp_path / "config.json", dataset_dir, trials=2)
+        kinds = ["scale_factor", "guidance", "layers"]
+        rc = main(["sweep", "--kind", *kinds, "--config", str(cfg), "--out", str(tmp_path / "all")])
+        assert rc == 0
+        for kind in kinds:
+            alone = tmp_path / kind
+            assert main(["sweep", "--kind", kind, "--config", str(cfg), "--out", str(alone)]) == 0
+            assert [p.name for p in alone.iterdir()] == [f"sweep_{kind}.csv"]
+            name = f"sweep_{kind}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes(), kind
+
+    def test_a_repeated_kind_is_a_user_error(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", dataset_dir)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--kind", "layers", "layers", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "error: sweep kind 'layers' given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_rejected_by_parser(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "config.json", dataset_dir)
         with pytest.raises(SystemExit) as exc:

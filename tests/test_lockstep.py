@@ -210,14 +210,14 @@ class TestSweepChecksTheCanvasFirst:
         monkeypatch.setattr(experiments, "run_sampler", lambda *a: calls.append(a))
         want = re.escape("model dims (24, 18) != dataset canvas (16, 12)")
         with pytest.raises(ConfigError, match=want):
-            sweep_rows("scale_factor", toy_init(7, 24, 18, 4), schedule, SamplerConfig(),
+            sweep_rows(["scale_factor"], toy_init(7, 24, 18, 4), schedule, SamplerConfig(),
                        dataset, 2, 0)
         assert calls == []
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 @pytest.mark.parametrize(
-    "driver", [paired_run, partial(sweep_rows, "scale_factor")], ids=["paired_run", "sweep_rows"]
+    "driver", [paired_run, partial(sweep_rows, ["scale_factor"])], ids=["paired_run", "sweep_rows"]
 )
 def test_drivers_reject_fewer_than_one_trial(driver, trials, schedule, monkeypatch):
     calls = []
@@ -227,18 +227,33 @@ def test_drivers_reject_fewer_than_one_trial(driver, trials, schedule, monkeypat
     assert calls == []
 
 
+def as_hex(rows: list[dict]) -> list[dict]:
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+
 class TestSweepChunks:
     """A sweep's rows, and the grid points that it names when a trial
     diverges, do not depend on how its (trial, grid point) items are cut
-    into sampler calls."""
+    into sampler calls, nor on which other kinds share the call."""
 
     TRIALS = 3
+    KINDS = list(experiments.SWEEPS)
+    # the three grids list the default point (rho 0.2, guidance 2, both
+    # layers) once each: 7 + 6 + 3 grid points, 14 distinct
+    POINTS = 14
 
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("chunks")
         write_dataset(root, gen_dataset(seed=5, n=2, paired=True, h=24, w=18), "paired")
         return load_dataset(root / "manifest.json")
+
+    @pytest.fixture(scope="class")
+    def alone(self, dataset, schedule):
+        """float.hex rows of each kind swept alone at the default budget."""
+        return {kind: as_hex(sweep_rows([kind], toy_init(7, 24, 18, 4), schedule,
+                                        SamplerConfig(steps=6), dataset, self.TRIALS, 11)[kind])
+                for kind in self.KINDS}
 
     @staticmethod
     def budget(monkeypatch, budget_items) -> list[int]:
@@ -256,42 +271,75 @@ class TestSweepChunks:
         monkeypatch.setattr(experiments, "run_sampler", counted)
         return calls
 
-    def rows(self, kind, dataset, schedule, monkeypatch, budget_items):
-        """float.hex rows and the items of each sampler call."""
+    def rows(self, kinds, dataset, schedule, monkeypatch, budget_items):
+        """float.hex rows of each kind and the items of each sampler call."""
         calls = self.budget(monkeypatch, budget_items)
-        rows = sweep_rows(kind, toy_init(7, 24, 18, 4), schedule, SamplerConfig(steps=6),
+        rows = sweep_rows(kinds, toy_init(7, 24, 18, 4), schedule, SamplerConfig(steps=6),
                           dataset, self.TRIALS, 11)
-        as_hex = [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
-                  for row in rows]
-        return as_hex, calls
+        assert list(rows) == list(kinds)
+        return {kind: as_hex(kind_rows) for kind, kind_rows in rows.items()}, calls
 
     @pytest.mark.parametrize("kind", list(experiments.SWEEPS))
     def test_one_item_one_trial_or_every_item_per_call(self, kind, dataset, schedule,
                                                        monkeypatch):
         points = len(experiments.SWEEPS[kind].grid)
         items = self.TRIALS * points
-        by_item, calls_1 = self.rows(kind, dataset, schedule, monkeypatch, 0)
-        by_trial, calls_t = self.rows(kind, dataset, schedule, monkeypatch, points)
-        at_once, calls_all = self.rows(kind, dataset, schedule, monkeypatch, items)
+        by_item, calls_1 = self.rows([kind], dataset, schedule, monkeypatch, 0)
+        by_trial, calls_t = self.rows([kind], dataset, schedule, monkeypatch, points)
+        at_once, calls_all = self.rows([kind], dataset, schedule, monkeypatch, items)
         assert calls_1 == [1] * items
         assert calls_t == [points] * self.TRIALS
         assert calls_all == [items]
         assert by_item == by_trial == at_once
         want = sweep_rows_grid_major(kind, toy_init(7, 24, 18, 4), schedule,
                                      SamplerConfig(steps=6), dataset, self.TRIALS, 11)
-        assert at_once == [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
-                           for row in want]
+        assert at_once[kind] == as_hex(want)
 
     def test_calls_split_the_items_evenly(self, dataset, schedule, monkeypatch):
         # 3 trials x 7 points, at most 8 items a call: 3 calls of 7
-        _, calls = self.rows("scale_factor", dataset, schedule, monkeypatch, 8)
+        _, calls = self.rows(["scale_factor"], dataset, schedule, monkeypatch, 8)
         assert calls == [7, 7, 7]
 
     @pytest.mark.parametrize("budget_items", [1, 2, 6])
     def test_a_budget_that_holds_an_item_never_cuts_a_trial(self, budget_items, dataset,
                                                              schedule, monkeypatch):
-        _, calls = self.rows("scale_factor", dataset, schedule, monkeypatch, budget_items)
+        _, calls = self.rows(["scale_factor"], dataset, schedule, monkeypatch, budget_items)
         assert calls == [7, 7, 7]
+
+    @pytest.mark.parametrize("budget_items", [0, 7, TRIALS * POINTS],
+                             ids=["one-item", "one-grid", "every-item"])
+    def test_three_kinds_give_each_kind_alone(self, budget_items, dataset, schedule,
+                                              monkeypatch, alone):
+        got, calls = self.rows(self.KINDS, dataset, schedule, monkeypatch, budget_items)
+        assert got == alone
+        # the shared default point runs once per trial, and no call holds
+        # more items than the budget or the largest grid allows
+        assert sum(calls) == self.TRIALS * self.POINTS
+        assert calls == {0: [1] * 42, 7: [7] * 6, 42: [42]}[budget_items]
+
+    def test_three_kinds_give_the_grid_major_oracle(self, alone, dataset, schedule):
+        for kind in self.KINDS:
+            want = sweep_rows_grid_major(kind, toy_init(7, 24, 18, 4), schedule,
+                                         SamplerConfig(steps=6), dataset, self.TRIALS, 11)
+            assert alone[kind] == as_hex(want), kind
+
+    @pytest.mark.parametrize("kinds", [["layers", "layers"], ["guidance", "layers", "guidance"]])
+    def test_a_repeated_kind_is_rejected_before_any_trajectory(self, kinds, dataset, schedule,
+                                                               monkeypatch):
+        calls = self.budget(monkeypatch, 7)
+        with pytest.raises(ConfigError, match=f"sweep kind {kinds[-1]!r} given more than once"):
+            sweep_rows(kinds, toy_init(7, 24, 18, 4), schedule, SamplerConfig(steps=6),
+                       dataset, self.TRIALS, 11)
+        assert calls == []
+
+    def test_configs_merge_only_when_equal_bit_for_bit(self):
+        key = experiments._config_key
+        assert key(SamplerConfig(rho=0.2)) == key(SamplerConfig(rho=0.2))
+        assert key(SamplerConfig(rho=0.0)) != key(SamplerConfig(rho=-0.0))
+        assert key(SamplerConfig(guidance_scale=2)) != key(SamplerConfig(guidance_scale=2.0))
+        both = EnergyConfig(layer_select=["full", "half"])
+        assert key(both) == key(EnergyConfig(layer_select=["half", "full"]))
+        assert key(both) != key(EnergyConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("kind, named", [
@@ -309,7 +357,7 @@ class TestSweepChunks:
         for budget_items in (0, points, self.TRIALS * points):
             self.budget(monkeypatch, budget_items)
             with pytest.raises(SamplerError) as err:
-                sweep_rows(kind, toy_init(7, 24, 18, 4), schedule, cfg, dataset,
+                sweep_rows([kind], toy_init(7, 24, 18, 4), schedule, cfg, dataset,
                            self.TRIALS, 11)
             raised[budget_items] = (str(err.value), err.value.configs)
         message, configs = raised[points]  # one call per trial
@@ -318,6 +366,30 @@ class TestSweepChunks:
         assert configs == tuple(j for j, value in enumerate(sweep.grid)
                                 if f"{sweep.column}={value}" in names)
         assert set(raised.values()) == {(message, configs)}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_a_diverging_three_kind_sweep_names_a_point_under_every_kind(
+        self, dataset, schedule, monkeypatch
+    ):
+        # the scale grid's points keep guidance 1e30 and diverge, rho = 0
+        # aside; rho 0.2 is also layers=both. The guidance grid's points
+        # replace 1e30 and stay finite at that step.
+        cfg = SamplerConfig(guidance_scale=1e30, rho=0.2, energy_cfg=EnergyConfig(lam=1e200))
+        named = ("rho=0.05, rho=0.1, rho=0.15, rho=0.2, rho=0.25, rho=0.3, "
+                 "layers=both, layers=full_only, layers=half_only: ")
+        points = 7 + 6 + 2
+        raised = {}
+        for budget_items in (0, 7, self.TRIALS * points):
+            self.budget(monkeypatch, budget_items)
+            with pytest.raises(SamplerError) as err:
+                sweep_rows(self.KINDS, toy_init(7, 24, 18, 4), schedule, cfg, dataset,
+                           self.TRIALS, 11)
+            raised[budget_items] = (str(err.value), err.value.configs)
+        [(message, configs)] = set(raised.values())
+        assert message.startswith(named)
+        # the points in order of first listing: the scale grid's 7, the
+        # guidance grid's 6, then full_only and half_only
+        assert configs == (1, 2, 3, 4, 5, 6, 13, 14)
 
 
 MODELS = {

@@ -96,7 +96,7 @@ def test_wrong_block_shape_names_both_shapes(toy, mask, schedule, shape):
 def test_trial_major_sweep_equals_grid_major_sweep(toy, bench, kind):
     sched = make_schedule(8, 0.05, 0.3)
     samp = SamplerConfig(steps=6)
-    got = sweep_rows(kind, toy, sched, samp, bench, 3, 42)
+    got = sweep_rows([kind], toy, sched, samp, bench, 3, 42)[kind]
     want = sweep_rows_grid_major(kind, toy, sched, samp, bench, 3, 42)
     as_hex = lambda rows: [
         {k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows
@@ -112,7 +112,16 @@ def test_a_sweep_trial_warps_its_garment_once(toy, bench, kind, monkeypatch):
     warps = []
     warp = vtid.warp_array
     monkeypatch.setattr(vtid, "warp_array", lambda *a: warps.append(a) or warp(*a))
-    sweep_rows(kind, toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench, 3, 42)
+    sweep_rows([kind], toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench, 3, 42)
+    assert len(warps) == 3
+
+
+def test_a_three_kind_sweep_warps_each_garment_once(toy, bench, monkeypatch):
+    warps = []
+    warp = vtid.warp_array
+    monkeypatch.setattr(vtid, "warp_array", lambda *a: warps.append(a) or warp(*a))
+    sweep_rows(list(SWEEPS), toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
+               3, 42)
     assert len(warps) == 3
 
 
@@ -142,8 +151,13 @@ class TestDrawCounts:
 
     @pytest.mark.parametrize("kind", list(SWEEPS))
     def test_sweep_draws_one_block_per_trial(self, toy, bench, draws, kind):
-        sweep_rows(kind, toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
+        sweep_rows([kind], toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6), bench,
                    self.TRIALS, 42)
+        assert draws == [self.trial(i) for i in range(self.TRIALS)]
+
+    def test_a_three_kind_sweep_draws_one_block_per_trial(self, toy, bench, draws):
+        sweep_rows(list(SWEEPS), toy, make_schedule(8, 0.05, 0.3), SamplerConfig(steps=6),
+                   bench, self.TRIALS, 42)
         assert draws == [self.trial(i) for i in range(self.TRIALS)]
 
     def test_paired_run_draws_one_block_per_trial(self, toy, bench, draws):
