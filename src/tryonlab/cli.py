@@ -22,6 +22,7 @@ from .experiments import (
     SWEEPS,
     build_model,
     build_schedule,
+    iter_dataset,
     load_dataset,
     paired_run,
     read_config,
@@ -34,7 +35,13 @@ from .plotting import PlotError, plot_all
 from .sampler import CSV_HEADER, SamplerError
 from .scenes import SceneError, gen_dataset, write_dataset
 from .schedule import ScheduleError
-from .vtid import VtidError, pixel_extractor, random_feature_extractor, vtid_score
+from .vtid import (
+    VtidError,
+    forget_reference,
+    pixel_extractor,
+    random_feature_extractor,
+    vtid_score,
+)
 
 __all__ = ["main"]
 
@@ -127,16 +134,26 @@ _VTID_SCORES = ("human_dist", "clothing_dist", "vtid")
 
 
 def cmd_vtid(args) -> int:
-    samples = load_dataset(args.manifest)
+    """Score every sample of a manifest; write vtid.json and vtid.csv.
+
+    The samples stream from iter_dataset, chunk by chunk, so a file is
+    held only from its chunk to the chunk that lists it last; a missing
+    file is reported before the first score. The outputs are written
+    after the last sample, so an error writes nothing: a malformed file
+    or a VtidError names its sample, and the error of an earlier sample
+    comes first. vtid_score's memo is emptied when scoring ends, also on
+    error.
+    """
+    samples = iter_dataset(args.manifest)
     if args.features == "pixel":
         fx = pixel_extractor()
     else:
         fx = random_feature_extractor(args.feature_seed, args.feature_scales, args.feature_channels)
-    reports = []
-    for i, s in enumerate(samples):
-        try:
-            reports.append(
-                vtid_score(
+    scores = []
+    try:
+        for i, s in enumerate(samples):
+            try:
+                report = vtid_score(
                     person=s.person,
                     garment=s.garment,
                     flow_x=s.flow_x,
@@ -146,13 +163,14 @@ def cmd_vtid(args) -> int:
                     gen_clothing_mask=s.gen_mask,
                     fx=fx,
                 )
-            )
-        except VtidError as e:
-            raise VtidError(f"sample {i}: {e}") from e
+            except VtidError as e:
+                raise VtidError(f"sample {i}: {e}") from e
+            scores.append({k: getattr(report, k) for k in _VTID_SCORES})
+    finally:
+        forget_reference()
     outdir = Path(args.out) if args.out else Path(args.manifest).parent
     outdir.mkdir(parents=True, exist_ok=True)
-    n = len(reports)
-    scores = [{k: getattr(r, k) for k in _VTID_SCORES} for r in reports]
+    n = len(scores)
     mean = {k: sum(sc[k] for sc in scores) / n for k in _VTID_SCORES}
     doc = {
         "n": n,

@@ -30,7 +30,14 @@ from .sampler import SamplerConfig, SamplerError, TrajectoryRecord, draw_noise
 from .sampler import sample_points as run_sampler
 from .scenes import DATASET_ROLES, DatasetSample
 from .schedule import NoiseSchedule, ScheduleError, make_schedule
-from .vtid import FeatureExtractor, SceneImage, pixel_extractor, scene_read, vtid_score
+from .vtid import (
+    FeatureExtractor,
+    SceneImage,
+    forget_reference,
+    pixel_extractor,
+    scene_read,
+    vtid_score,
+)
 
 __all__ = [
     "ConfigError",
@@ -41,6 +48,7 @@ __all__ = [
     "read_config",
     "resolve_paths",
     "config_to_dict",
+    "iter_dataset",
     "load_dataset",
     "paired_run",
     "run_summary",
@@ -280,17 +288,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
-def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
-    """Read the files of `roles` for every sample of a dataset manifest.
-
-    Every role's list is checked, read or not. Paths are relative to the
-    manifest's directory. A file that the manifest lists more than once,
-    in one role or in roles with the same reader, is read once, and every
-    sample that lists it shares that one read-only object. Missing or
-    malformed files are reported with their sample index and path; an
-    empty manifest is an error.
-    """
-    manifest_path = Path(manifest_path)
+def _manifest_lists(manifest_path: Path) -> dict[str, list[str]]:
+    """Each role's list of paths from a dataset manifest, every list
+    checked; an empty manifest is an error."""
     if not manifest_path.exists():
         raise ConfigError(f"dataset: manifest not found: {manifest_path}")
     try:
@@ -308,6 +308,29 @@ def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
         raise ConfigError("dataset: manifest lists no samples")
     if any(len(lists[r]) != n for r in DATASET_ROLES):
         raise ConfigError("dataset: manifest role lists have differing lengths")
+    return lists
+
+
+def iter_dataset(manifest_path, roles=DATASET_ROLES) -> Iterator[DatasetSample]:
+    """The samples of a dataset manifest, in order, with the files of
+    `roles` read in chunks.
+
+    Before it returns, every role's list is checked, read or not, and
+    every listed file of `roles` is looked up, so a missing one is
+    reported before the first sample. Paths are relative to the
+    manifest's directory. A file that the manifest lists more than once,
+    in one role or in roles with the same reader, is read once, and every
+    sample that lists it shares that one read-only object.
+
+    The samples are read in chunks of consecutive samples (see the
+    comment on _read_chunks). A chunk's files are read before its first
+    sample is yielded, and a file is let go once the chunk that lists it
+    last has been yielded, so a file listed again later is held until
+    then. A malformed file is reported, when its chunk is read, with the
+    index of the first sample that lists it and its path.
+    """
+    manifest_path = Path(manifest_path)
+    lists = _manifest_lists(manifest_path)
     root = manifest_path.parent
     # read at call time, so that a patched module binding is the one called
     readers = {
@@ -319,34 +342,80 @@ def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
         "generated": scene_read,
         "gen_mask": mask_read,
     }
-    # (reader, file) -> what it read. A file is its device and inode, so
-    # every path that resolves to it, hard links included, shares one key;
-    # one stat costs far less than Path.resolve. A path string listed again
-    # for the same reader skips even the stat.
-    by_file: dict[tuple, object] = {}
-    by_name: dict[tuple, object] = {}
+    # A file is its reader with its device and inode, so every path that
+    # resolves to it, hard links included, is one file; one stat costs far
+    # less than Path.resolve. A path string listed again for the same
+    # reader skips even the stat. Files are numbered in order of first
+    # listing.
+    by_file: dict[tuple, int] = {}  # (reader, device, inode) -> file
+    by_name: dict[tuple, int] = {}  # (reader, path string) -> file
+    files: list[tuple] = []  # file -> (reader, path of its first listing, size in bytes)
+    last: list[int] = []  # file -> the index of its last listing
+    listed: list[tuple] = []  # each sample's files, in the order of roles
+    for i in range(len(lists["person"])):
+        row = []
+        for role in roles:
+            read, name = readers[role], lists[role][i]
+            f = by_name.get((read, name))
+            if f is None:
+                p = root / name
+                try:
+                    st = p.stat()
+                except (FileNotFoundError, NotADirectoryError):
+                    raise ConfigError(f"dataset: sample {i}: file not found: {p}") from None
+                f = by_file.setdefault((read, st.st_dev, st.st_ino), len(files))
+                by_name[read, name] = f
+                if f == len(files):
+                    files.append((read, str(p), st.st_size))
+                    last.append(i)
+            last[f] = i
+            row.append(f)
+        listed.append(tuple(row))
+    return _read_chunks(roles, listed, files, last)
 
-    def load(i: int, role: str):
-        read, name = readers[role], lists[role][i]
-        if (read, name) in by_name:
-            return by_name[read, name]
-        p = root / name
-        try:
-            st = p.stat()
-        except (FileNotFoundError, NotADirectoryError):
-            raise ConfigError(f"dataset: sample {i}: file not found: {p}") from None
-        key = (read, st.st_dev, st.st_ino)
-        if key not in by_file:
-            try:
-                by_file[key] = read(p)
-            except GridError as e:
-                # a format error names its file; a bad value does not
-                where = "" if str(p) in str(e) else f"{p}: "
-                raise ConfigError(f"dataset: sample {i}: {where}{e}") from e
-        by_name[read, name] = by_file[key]
-        return by_file[key]
 
-    return [DatasetSample(**{role: load(i, role) for role in roles}) for i in range(n)]
+# Dataset chunks. A chunk is as many consecutive samples as the files they
+# list fit kernels._IM2COL_BYTES, each file counted at every listing, and
+# at least one sample: 5 samples of a 48x36 dataset (180 KB each), all 6
+# of the 24x18 ablation's. Counting only the files not yet held made
+# 15-sample chunks of the benchmark's levels manifest, whose five
+# corruption levels of a scene share six of its seven files. Freeing such
+# a 1 MB chunk at once let glibc trim the heap, and the next chunk faulted
+# it back in: about 500 minor faults a pass against 11, 2% fewer items a
+# second and 0.4 MB more peak RSS over 6 alternating fresh-process pairs
+# (2-core Xeon). Chunks counted per listing ran that manifest, and a
+# plain 240-sample one, as fast as one list of every sample.
+def _read_chunks(roles, listed, files, last) -> Iterator[DatasetSample]:
+    """iter_dataset's samples, read chunk by chunk."""
+    held: dict[int, object] = {}  # file -> what it read
+    start = 0
+    while start < len(listed):
+        end, size = start, 0
+        while end < len(listed):
+            size += sum(files[f][2] for f in listed[end])
+            if end > start and size > kernels._IM2COL_BYTES:
+                break
+            end += 1
+        for i in range(start, end):
+            for f in listed[i]:
+                if f not in held:
+                    read, path, _ = files[f]
+                    try:
+                        held[f] = read(path)
+                    except GridError as e:
+                        # a format error names its file; a bad value does not
+                        where = "" if path in str(e) else f"{path}: "
+                        raise ConfigError(f"dataset: sample {i}: {where}{e}") from e
+        for i in range(start, end):
+            yield DatasetSample(**{role: held[f] for role, f in zip(roles, listed[i])})
+        held = {f: v for f, v in held.items() if last[f] >= end}
+        start = end
+
+
+def load_dataset(manifest_path, roles=DATASET_ROLES) -> list[DatasetSample]:
+    """Every sample of a dataset manifest, as one list: iter_dataset's
+    checks, reads and errors, with every file held by the list."""
+    return list(iter_dataset(manifest_path, roles))
 
 
 def _require_trials(trials: int) -> None:
@@ -557,7 +626,8 @@ def sweep_rows(
     chunk's trials are rerun over all points, in trial order, and the
     first that diverges names every point that diverged at its step,
     under every kind that lists it, by value column; its configs are
-    those points.
+    those points. vtid_score's memo is emptied when the sweep returns or
+    raises.
     """
     if not kinds:
         raise ConfigError(f"no sweep kind given (use {', '.join(SWEEPS)})")
@@ -587,42 +657,47 @@ def sweep_rows(
     fx = pixel_extractor()
     inputs: dict[int, tuple] = {}  # trial -> (sample, mask, noise block)
     per_point: list[list[tuple]] = [[] for _ in cfgs]  # (final breakdown, toy vtid)
-    for start in range(0, len(items), chunk):
-        part = items[start : start + chunk]
-        for i, _ in part:
-            if i not in inputs:
-                inputs[i] = _trial_inputs(model, schedule, cfgs[0], dataset, i, seed)
-        try:
-            results = run_sampler(
-                model,
-                [inputs[i][1] for i, _ in part],
-                [cfgs[p] for _, p in part],
-                schedule,
-                [inputs[i][2] for i, _ in part],
-            )
-        except SamplerError as e:
-            if not e.configs:
+    try:
+        for start in range(0, len(items), chunk):
+            part = items[start : start + chunk]
+            for i, _ in part:
+                if i not in inputs:
+                    inputs[i] = _trial_inputs(model, schedule, cfgs[0], dataset, i, seed)
+            try:
+                results = run_sampler(
+                    model,
+                    [inputs[i][1] for i, _ in part],
+                    [cfgs[p] for _, p in part],
+                    schedule,
+                    [inputs[i][2] for i, _ in part],
+                )
+            except SamplerError as e:
+                if not e.configs:
+                    raise
+                # name the points as one call per trial does (see the docstring)
+                for i in dict.fromkeys(i for i, _ in part):
+                    _, mask, noise = inputs[i]
+                    try:
+                        run_sampler(
+                            model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs)
+                        )
+                    except SamplerError as trial:
+                        if not trial.configs:
+                            raise
+                        named = ", ".join(
+                            f"{SWEEPS[kind].column}={value}"
+                            for kind in kinds
+                            for value, p in zip(SWEEPS[kind].grid, point_of[kind])
+                            if p in trial.configs
+                        )
+                        raise SamplerError(f"{named}: {trial}", trial.configs) from trial
                 raise
-            # name the points as one call per trial does (see the docstring)
-            for i in dict.fromkeys(i for i, _ in part):
-                _, mask, noise = inputs[i]
-                try:
-                    run_sampler(model, [mask] * len(cfgs), cfgs, schedule, [noise] * len(cfgs))
-                except SamplerError as trial:
-                    if not trial.configs:
-                        raise
-                    named = ", ".join(
-                        f"{SWEEPS[kind].column}={value}"
-                        for kind in kinds
-                        for value, p in zip(SWEEPS[kind].grid, point_of[kind])
-                        if p in trial.configs
-                    )
-                    raise SamplerError(f"{named}: {trial}", trial.configs) from trial
-            raise
-        for (i, p), (x, record) in zip(part, results):
-            per_point[p].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
-            if p == len(cfgs) - 1:  # the trial's last item
-                del inputs[i]
+            for (i, p), (x, record) in zip(part, results):
+                per_point[p].append((record.final, _toy_vtid(inputs[i][0], x, fx)))
+                if p == len(cfgs) - 1:  # the trial's last item
+                    del inputs[i]
+    finally:
+        forget_reference()
     return {
         kind: [
             _sweep_row(SWEEPS[kind].column, value, per_point[p])

@@ -5,9 +5,13 @@ are stacked into one contiguous array and contracted with the kernel bank
 in a single matmul. The single-channel convolution and its adjoint take a
 stack of items on leading axes, (..., h, w), and make one matmul per chunk
 of items, each chunk's im2col within one fixed byte budget. A product's
-columns run item by item, and each item's block of columns is bit-equal
-to the product on that item alone, so every chunking gives each item the
-same bits."""
+columns run item by item. For the denoiser's products, a (4, 9) bank
+forward and a (1, 36) adjoint, tests pin each item's block of columns
+bit-equal to the product on that item alone, at canvases whose columns
+per item are a multiple of 8 or not, so every chunking gives each item
+the same bits there. That is BLAS behaviour, not a rule: VTID's (8, 27)
+bank on a (3, 4, 12, 9) stack gives every item other bits than alone, by
+up to 4.4e-16, so VTID extracts each image alone."""
 
 from __future__ import annotations
 

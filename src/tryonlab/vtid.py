@@ -37,6 +37,7 @@ __all__ = [
     "warp_scene",
     "perceptual_l2",
     "vtid_score",
+    "forget_reference",
     "pixel_extractor",
     "random_feature_extractor",
     "scene_write",
@@ -223,6 +224,13 @@ def vtid_score(
         human_dist=_distance(agnostic, fx.features(gen * (1.0 - gen_clothing_mask.a))),
         clothing_dist=_distance(clothing, fx.features(gen * gen_clothing_mask.a)),
     )
+
+
+def forget_reference() -> None:
+    """Empty vtid_score's memo, so that it holds no inputs or features once
+    the calls that could reuse them are done."""
+    global _last_reference
+    _last_reference = ((), ())
 
 
 class _PixelExtractor:

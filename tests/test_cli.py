@@ -1,6 +1,7 @@
 """Command-line verbs, config parsing, and batch experiment drivers."""
 
 import csv
+import gc
 import importlib.util
 import json
 import math
@@ -19,7 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tryonlab
+import tryonlab.cli as cli
 import tryonlab.experiments as experiments
+import tryonlab.kernels as kernels
+import tryonlab.vtid as vtid
 from tryonlab import Grid, RandomStream, SceneImage, grid_write, scene_read, scene_write
 from tryonlab.cli import main
 from tryonlab.experiments import (
@@ -473,6 +477,10 @@ class TestSweepCommand:
             for cell in row[1:]:
                 assert np.isfinite(float(cell))
 
+    def test_leaves_the_vtid_memo_empty(self, dataset_dir, tmp_path):
+        self.run_sweep("layers", dataset_dir, tmp_path)
+        assert vtid._last_reference == ((), ())
+
     def test_guidance_grid(self, dataset_dir, tmp_path):
         rows = self.run_sweep("guidance", dataset_dir, tmp_path)
         assert rows[0][0] == "guidance_scale"
@@ -632,6 +640,175 @@ class TestVtidCommand:
         assert main(["vtid", "--manifest", str(d / "manifest.json")]) == 0
         assert (d / "vtid.json").is_file()
         assert (d / "vtid.csv").is_file()
+
+
+@pytest.fixture(scope="module")
+def scored_dir(tmp_path_factory):
+    """A 3-sample 16x12 dataset with corrupted generated images, so that
+    each sample has its own positive scores."""
+    d = tmp_path_factory.mktemp("scored")
+    assert main(
+        ["gen", "--seed", "6", "--n", "3", "--out", str(d), "--height", "16", "--width", "12"]
+    ) == 0
+    manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+    for i, path in enumerate(manifest["generated"]):
+        rng = RandomStream(i).child("corrupt")
+        noisy = scene_read(d / path).stack() + 0.1 * rng.normals(3 * 16 * 12).reshape(3, 16, 12)
+        scene_write(d / path, SceneImage(noisy))
+    return d
+
+
+def relisted(d: Path, order, name: str, edit=lambda doc: None) -> Path:
+    """d/name: a manifest listing the samples of d/manifest.json in
+    `order`, after edit(doc) has changed its role lists."""
+    manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+    doc = {role: [manifest[role][k] for k in order] for role in DATASET_ROLES}
+    edit(doc)
+    (d / name).write_text(json.dumps(doc), encoding="utf-8")
+    return d / name
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    """The per-sample rows of a vtid.csv."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))[1:-1]
+
+
+class TestVtidStreaming:
+    """vtid reads its manifest in chunks of consecutive samples and lets a
+    file go after the chunk that lists it last."""
+
+    TWICE = [0, 1, 2, 0, 1, 2]
+    # kernels._IM2COL_BYTES -> samples per chunk; a 16x12 sample is 20 KB
+    BUDGETS = {"one-sample": 1, "every-sample": 1 << 40, "default": None}
+
+    def vtid(self, monkeypatch, manifest, out, budget) -> int:
+        with monkeypatch.context() as m:
+            if budget is not None:
+                m.setattr(kernels, "_IM2COL_BYTES", budget)
+            argv = ["vtid", "--manifest", str(manifest), "--features", "random"]
+            return main(argv + ["--out", str(out)])
+
+    def test_every_budget_reads_each_file_once_and_writes_the_plain_rows(
+        self, scored_dir, tmp_path, monkeypatch
+    ):
+        plain = tmp_path / "plain"
+        assert self.vtid(monkeypatch, scored_dir / "manifest.json", plain, None) == 0
+        twice = relisted(scored_dir, self.TWICE, "twice.json")
+        reads, scored = [], []
+        for name in ("scene_read", "mask_read", "grid_read"):
+            read = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda p, _r=read: reads.append(p) or _r(p))
+        score = cli.vtid_score
+        monkeypatch.setattr(cli, "vtid_score", lambda **kw: scored.append(kw) or score(**kw))
+        outputs = set()
+        for label, budget in self.BUDGETS.items():
+            reads.clear()
+            scored.clear()
+            assert self.vtid(monkeypatch, twice, tmp_path / label, budget) == 0
+            assert len(reads) == len(set(reads)) == 3 * len(DATASET_ROLES), label
+            for k in range(3):
+                for arg, value in scored[k].items():
+                    assert value is scored[k + 3][arg], (label, k, arg)
+            outputs.add(tuple((tmp_path / label / n).read_bytes() for n in ("vtid.json", "vtid.csv")))
+            rows = read_rows(tmp_path / label / "vtid.csv")
+            want = read_rows(plain / "vtid.csv")
+            assert [r[1:] for r in rows] == [want[j % 3][1:] for j in range(6)], label
+            assert all(float(r[3]) > 0.0 for r in rows)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("order", [TWICE, [0, 1, 2]], ids=["abcabc", "abc"])
+    @pytest.mark.parametrize("label", list(BUDGETS))
+    def test_live_scenes_stay_within_a_chunk_and_the_files_listed_again(
+        self, scored_dir, tmp_path, monkeypatch, label, order
+    ):
+        """While sample k is scored, the live SceneImages are the chunk's
+        plus those of earlier chunks that a later sample lists again;
+        three scene files per distinct sample. SceneImage has no
+        __weakref__ slot, so the garbage collector counts them."""
+        manifest = relisted(scored_dir, order, f"live-{len(order)}.json")
+        per_chunk = 1 if label == "one-sample" else len(order)
+        bound = []
+        for k in range(len(order)):
+            start = k - k % per_chunk
+            end = min(start + per_chunk, len(order))
+            kept = {s for s in order[:start] if s in order[end:]}
+            bound.append(3 * len(set(order[start:end]) | kept))
+
+        def scenes() -> int:
+            gc.collect()
+            return sum(isinstance(o, SceneImage) for o in gc.get_objects())
+
+        live = []
+        score = cli.vtid_score
+
+        def counting(**kw):
+            report = score(**kw)
+            live.append(scenes() - before)
+            return report
+
+        monkeypatch.setattr(cli, "vtid_score", counting)
+        before = scenes()
+        assert self.vtid(monkeypatch, manifest, tmp_path / "out", self.BUDGETS[label]) == 0
+        assert len(live) == len(order)
+        assert all(n <= b for n, b in zip(live, bound)), (live, bound)
+        assert scenes() == before
+
+    def test_a_missing_file_in_the_last_sample_exits_before_any_score(
+        self, scored_dir, tmp_path, monkeypatch, capsys
+    ):
+        manifest = relisted(
+            scored_dir, self.TWICE, "ghost.json", lambda doc: doc["gen_mask"].__setitem__(-1, "ghost")
+        )
+        calls = []
+        monkeypatch.setattr(cli, "vtid_score", lambda **kw: calls.append(kw))
+        out = tmp_path / "out"
+        assert self.vtid(monkeypatch, manifest, out, 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: sample 5: file not found: ")
+        assert err.rstrip().endswith("ghost")
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("label", list(BUDGETS))
+    def test_a_malformed_file_names_the_first_sample_that_lists_it(
+        self, scored_dir, tmp_path, monkeypatch, capsys, label
+    ):
+        bad = tmp_path / "bad.f64grid"
+        bad.write_bytes(b"F64X" + bytes(8))
+
+        def edit(doc):
+            doc["garment"][4] = doc["garment"][5] = str(bad)
+
+        manifest = relisted(scored_dir, self.TWICE, f"bad-{label}.json", edit)
+        out = tmp_path / "out"
+        assert self.vtid(monkeypatch, manifest, out, self.BUDGETS[label]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset: sample 4: {bad}: bad magic")
+        assert not out.exists()
+        assert vtid._last_reference == ((), ())
+
+    def test_the_memo_is_empty_after_a_clean_run_and_after_a_failing_sample(
+        self, scored_dir, tmp_path, monkeypatch, capsys
+    ):
+        manifest = scored_dir / "manifest.json"
+        assert self.vtid(monkeypatch, manifest, tmp_path / "clean", None) == 0
+        assert vtid._last_reference == ((), ())
+        small = tmp_path / "small.f64grid"
+        scene_write(small, SceneImage(np.zeros((3, 8, 6))))
+
+        def edit(doc):
+            doc["generated"][1] = str(small)
+
+        manifest = relisted(scored_dir, [0, 1, 2], "small.json", edit)
+        scored = []
+        score = cli.vtid_score
+        monkeypatch.setattr(cli, "vtid_score", lambda **kw: scored.append(1) or score(**kw))
+        out = tmp_path / "failing"
+        assert self.vtid(monkeypatch, manifest, out, None) == 2
+        assert "error: sample 1: image shapes differ" in capsys.readouterr().err
+        assert len(scored) == 2  # sample 0 filled the memo
+        assert vtid._last_reference == ((), ())
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

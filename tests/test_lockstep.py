@@ -401,11 +401,13 @@ MODELS = {
 
 
 # kernels._chunk: the adjoint of the VJP takes all items in one product at
-# 16x12 and 24x18, two per product at 48x36 and one at 128x96; the forward
-# takes all at 24x18, up to eight per product at 48x36 and one at 128x96.
+# 16x12, 18x14 and 24x18, two per product at 48x36 and one at 128x96; the
+# forward takes all at 24x18, up to eight per product at 48x36 and one at
+# 128x96. At 18x14 an item's 252 columns, and the half layer's 63, are not
+# a multiple of 8.
 @pytest.mark.parametrize("cond", list(Condition), ids=lambda c: c.value)
 @pytest.mark.parametrize("k", [3, 7, 8])
-@pytest.mark.parametrize("h,w", [(16, 12)] + SIZES + [(128, 96)])
+@pytest.mark.parametrize("h,w", [(16, 12), (18, 14)] + SIZES + [(128, 96)])
 @pytest.mark.parametrize("name", list(MODELS))
 class TestStackEqualsSingleCalls:
     def stack(self, k, h, w):
