@@ -26,7 +26,11 @@ The inner hinge never forms the n x n pair matrix. It sorts the n
 in-support values and reads the active pairs off searchsorted cuts, in
 O(n log n) time and O(n) memory. A pair (p, q) is active exactly when
 fl(|p - q|) < delta, the test a dense pairwise pass makes, so the
-gradient is the dense one bit for bit. The energy is summed through exact
+gradient is the dense one bit for bit. When the sorted values s have
+fl(s_max - s_min) < delta, every pair is active, since rounding is
+monotone (fl(s_j - s_i) <= fl(s_max - s_min)), and the cut search is
+skipped. The tie runs and sign sums that make the gradient are built only
+when the caller asks for gradients. The energy is summed through exact
 prefix sums and lies within (n - 1) eps delta (plus a relative log2(n) eps)
 of the exact hinge mean.
 """
@@ -134,60 +138,73 @@ class EnergyBreakdown:
         return {lid: le.in_mask_mass for lid, le in self.per_layer.items()}
 
 
-def _support_raw(a: np.ndarray, tau: float) -> np.ndarray:
-    return a > tau * a.max()
-
-
-def _inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
-    """Mean hinge over the ordered distinct pairs of pts (n > 1), and each
-    point's sign sum: its active partners below it minus those above it.
+def _inner_repel(
+    pts: np.ndarray, delta: float, with_grads: bool
+) -> tuple[float, np.ndarray | None]:
+    """Mean hinge over the ordered distinct pairs of pts (n > 1) and, when
+    with_grads, each point's sign sum: its active partners below it minus
+    those above it (else None).
 
     A pair is active iff fl(|p - q|) < delta, the dense pairwise test. In
     sorted order s that test, fl(s_j - s_i) < delta, is monotone in j, so
-    the active partners above s_i are the points up to a cut hi_i. Sorting,
-    searchsorted cuts and prefix sums take O(n log n) time and O(n) memory.
-    The counts are exact. The energy is 2/n sum_i (c_i delta - w_i), with
-    c_i active partners above i and w_i the sum of their s_j - s_i.
-    Rounding c_i delta, w_i and their difference costs at most eps c_i
-    delta per term, so the energy is within (n - 1) eps delta of the exact
-    hinge mean, plus a relative log2(n) eps from the final sum.
+    the active partners above s_i are the points up to a cut hi_i. When
+    fl(s_max - s_min) < delta every pair is active, since rounding is
+    monotone: fl(s_j - s_i) <= fl(s_max - s_min). Then hi_i = n and lo_k =
+    0, and no cut is searched. Otherwise sorting, searchsorted cuts and
+    prefix sums take O(n log n) time and O(n) memory. The sign sums are
+    built only when with_grads; so are the tie runs on the all-active path,
+    while the cut search needs them for its corrections. The counts are
+    exact. The energy is 2/n sum_i (c_i delta - w_i), with c_i active
+    partners above i and w_i the sum of their s_j - s_i. Rounding c_i
+    delta, w_i and their difference costs at most eps c_i delta per term,
+    so the energy is within (n - 1) eps delta of the exact hinge mean, plus
+    a relative log2(n) eps from the final sum.
     """
     n = pts.size
-    order = np.argsort(pts)
+    order = pts.argsort()
     s = pts[order]
     idx = np.arange(n)
-    # [tie_start, tie_end) is the run of values equal to each point
-    tie_start = np.searchsorted(s, s)
-    tie_end = np.searchsorted(s, s, side="right")
-    # The cut hi_i = #{j: s_j < x}, x = fl(s_i + delta), can disagree with
-    # the dense test fl(s_j - s_i) < delta on two runs only. An active s_j
-    # is at most x, so only the run of x can be active above the cut. An
-    # inactive s_j has s_j - s_i >= delta minus half the gap below delta,
-    # so s_j >= x - gap below x: only the run of pred(x) can be inactive
-    # below the cut. One step each way, by a whole tie run, moves the cut
-    # onto the dense active set; at either end the clamped j leaves hi as
-    # it is.
-    hi = np.searchsorted(s, s + delta)
-    j = np.minimum(hi, n - 1)
-    hi = np.where(s[j] - s < delta, tie_end[j], hi)
-    j = np.maximum(hi - 1, 0)
-    hi = np.where(s[j] - s >= delta, tie_start[j], hi)
-    # hi is non-decreasing, so the active partners below point k are the
-    # points from lo_k, the first i with hi_i > k, up to k's tie start
-    lo = np.searchsorted(hi, idx, side="right")
-    sign_sum = np.empty(n)
-    sign_sum[order] = np.maximum(tie_start - lo, 0) - np.maximum(hi - tie_end, 0)
+    sign_sum = np.empty(n) if with_grads else None
+    if s[-1] - s[0] < delta:
+        # every pair is active: hi_i = n and lo_k = 0, so a point's sign
+        # sum is the points below its tie run minus those above it
+        last = n - 1
+        if with_grads:
+            sign_sum[order] = s.searchsorted(s) - (n - s.searchsorted(s, "right"))
+    else:
+        # [tie_start, tie_end) is the run of values equal to each point
+        tie_start = s.searchsorted(s)
+        tie_end = s.searchsorted(s, "right")
+        # The cut hi_i = #{j: s_j < x}, x = fl(s_i + delta), can disagree
+        # with the dense test fl(s_j - s_i) < delta on two runs only. An
+        # active s_j is at most x, so only the run of x can be active above
+        # the cut. An inactive s_j has s_j - s_i >= delta minus half the gap
+        # below delta, so s_j >= x - gap below x: only the run of pred(x)
+        # can be inactive below the cut. One step each way, by a whole tie
+        # run, moves the cut onto the dense active set; at either end the
+        # clamped j leaves hi as it is.
+        hi = s.searchsorted(s + delta)
+        j = np.minimum(hi, n - 1)
+        hi = np.where(s[j] - s < delta, tie_end[j], hi)
+        j = np.maximum(hi - 1, 0)
+        hi = np.where(s[j] - s >= delta, tie_start[j], hi)
+        if with_grads:
+            # hi is non-decreasing, so the active partners below point k are
+            # the points from lo_k, the first i with hi_i > k, up to k's tie
+            # start
+            lo = hi.searchsorted(idx, "right")
+            sign_sum[order] = np.maximum(tie_start - lo, 0) - np.maximum(hi - tie_end, 0)
+        last = np.maximum(hi - 1, idx)  # hi <= i only when delta = 0
     # w_i = sum_{i<j<=last_i} (s_j - s_i). Plain prefix sums of s would
     # cancel here and lose up to n eps max(s) per term, so s = coarse +
     # fine, with coarse a multiple of a power of two q: every coarse sum
     # and c_i * coarse_i stays below 2^53 q and is exact, and the fine
     # parts are below q / 2.
-    last = np.maximum(hi - 1, idx)  # hi <= i only when delta = 0
     c = last - idx
     q = math.ldexp(1.0, max(math.frexp(2.0 * n * s[-1])[1] - 53, -1074))
     coarse = np.rint(s / q) * q
     fine = s - coarse
-    pc, pf = np.cumsum(coarse), np.cumsum(fine)
+    pc, pf = coarse.cumsum(), fine.cumsum()
     window = (pc[last] - pc - c * coarse) + (pf[last] - pf - c * fine)
     hinge = c * delta - window
     return 2.0 * float(hinge.sum()) / n, sign_sum
@@ -240,12 +257,13 @@ def _layer_terms(
     s_tot = a.sum(axis=1).tolist()
     off = np.subtract(a, am, out=am)  # the off-mask values, 0 in the mask
     off_max = off.max(axis=1).tolist()
-    e_att, e_rep, inner, d_in, d_off = [], [], [], [], []
+    e_att, e_rep, inner, thr, d_in, d_off = [], [], [], [], [], []
     for c, s, tot, top, off_top in zip(cfgs, s_in, s_tot, a_max, off_max):
         s_out = tot - s
         e_att.append(s_out / max(s, c.epsilon_den))
         e_rep.append(-s)
-        inner.append(off_top <= c.support_tau * top < top)
+        thr.append(c.support_tau * top)
+        inner.append(off_top <= thr[-1] < top)
         # the attract gradient (1 - m) / S_in - S_out / S_in^2 m is, bit for
         # bit while S_out / S_in^2 is finite (see EnergyConfig), 1 / S_in off
         # the mask and 0 - S_out / S_in^2 on it; a clamped denominator is a
@@ -254,16 +272,16 @@ def _layer_terms(
         d_in.append(0.0 if s < c.epsilon_den else 0.0 - s_out / (s * s))
     hinge = {}
     # inner rows: the mean hinge over ordered distinct pairs of in-support
-    # values, all of which lie in the mask
+    # values (those above thr), all of which lie in the mask
     for i, on in enumerate(inner):
         if not on:
             continue
-        sel = _support_raw(a[i], cfgs[i].support_tau)
+        sel = a[i] > thr[i]
         pts = a[i][sel]
         n = pts.size
         e_rep[i] = 0.0
         if n > 1:
-            e_rep[i], sign_sum = _inner_repel(pts, cfgs[i].delta)
+            e_rep[i], sign_sum = _inner_repel(pts, cfgs[i].delta, with_grads)
             if with_grads:
                 # an active pair (p, q) enters in both orders, each adding
                 # -sign(p - q) / n at p

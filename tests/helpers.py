@@ -117,6 +117,11 @@ def hinge_safe(values: np.ndarray, idx: int, delta: float, h: float) -> bool:
     return bool((np.abs(d - delta) >= 10 * h).all() and (d >= 10 * h).all())
 
 
+def support_raw(a: np.ndarray, tau: float) -> np.ndarray:
+    """The support of a map: its entries above tau times its maximum."""
+    return a > tau * a.max()
+
+
 def dense_inner_repel(pts: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     """Inner repel by the dense n x n pairwise pass: the mean hinge over
     ordered distinct pairs of pts, and its gradient w.r.t. each point."""
@@ -178,7 +183,7 @@ def evaluate_item(a: np.ndarray, m: np.ndarray, cfg, with_grads: bool) -> LayerE
         else:
             grad_att = (1.0 - m) / s_in - (s_out / (s_in * s_in)) * m
 
-    sup = a > cfg.support_tau * a.max()
+    sup = support_raw(a, cfg.support_tau)
     inside = m > 0.0
     sel = sup & inside
     if (sup & ~inside).any() or not sel.any():
@@ -192,7 +197,7 @@ def evaluate_item(a: np.ndarray, m: np.ndarray, cfg, with_grads: bool) -> LayerE
     if with_grads:
         grad_rep = np.zeros_like(a)
     if n > 1:
-        e_rep, sign_sum = _inner_repel(pts, cfg.delta)
+        e_rep, sign_sum = _inner_repel(pts, cfg.delta, with_grads)
         if with_grads:
             grad_rep[sel] = -2.0 * sign_sum / n
     return LayerEval(e_att, e_rep, BRANCH_INNER, s_in, grad_att, grad_rep)

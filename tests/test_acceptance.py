@@ -33,6 +33,7 @@ from helpers import (
     rect_mask,
     sample_seeded,
     softmax_map,
+    support_raw,
 )
 from tryonlab import (
     BinaryMask,
@@ -61,7 +62,7 @@ from tryonlab import (
     write_dataset,
 )
 from tryonlab.cli import main as cli_main
-from tryonlab.energy import BRANCH_INNER, BRANCH_OUTER, _layer_terms, _support_raw
+from tryonlab.energy import BRANCH_INNER, BRANCH_OUTER, _layer_terms
 from tryonlab.experiments import (
     FINAL_METRICS,
     GUIDANCE_GRID,
@@ -133,7 +134,7 @@ def test_criterion_01_energy_gradients_match_finite_differences():
         ev = energy_of(A.a, M.a, cfg, True)
         assert ev.branch == "inner"
         gr = ev.grad_repel
-        pts = _support_raw(A.a, cfg.support_tau) & (M.a > 0)
+        pts = support_raw(A.a, cfg.support_tau) & (M.a > 0)
         vals = A.a[pts]
         for k, (r, c) in enumerate(np.argwhere(pts)):
             if not hinge_safe(vals, k, cfg.delta, h):

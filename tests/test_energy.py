@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from tryonlab import (
@@ -20,7 +20,7 @@ from tryonlab import (
     RandomStream,
     e_total,
 )
-from tryonlab.energy import _evaluate_layers, _evaluate_stack, _support_raw
+from tryonlab.energy import _evaluate_layers, _evaluate_stack
 from helpers import (
     dense_inner_repel,
     energy_of,
@@ -31,6 +31,7 @@ from helpers import (
     inner_case,
     random_mask,
     softmax_map,
+    support_raw,
 )
 
 CFG = EnergyConfig()
@@ -52,19 +53,19 @@ def repel_inner_oracle(values: list[float], delta: float) -> float:
 
 class TestSupport:
     def test_all_zero_map_has_empty_support(self):
-        assert _support_raw(np.zeros((3, 3)), 0.01).sum() == 0.0
+        assert support_raw(np.zeros((3, 3)), 0.01).sum() == 0.0
 
     def test_threshold_is_relative_to_max(self):
-        s = _support_raw(np.array([[1.0, 0.005]]), 0.01)
+        s = support_raw(np.array([[1.0, 0.005]]), 0.01)
         assert s.tolist() == [[True, False]]
 
     def test_uniform_map_has_full_support(self):
-        s = _support_raw(np.full((2, 2), 0.25), 0.01)
+        s = support_raw(np.full((2, 2), 0.25), 0.01)
         assert s.sum() == 4.0
 
     def test_boundary_is_strict(self):
         # exactly tau * max is excluded
-        s = _support_raw(np.array([[1.0, 0.01]]), 0.01)
+        s = support_raw(np.array([[1.0, 0.01]]), 0.01)
         assert s.tolist() == [[True, False]]
 
 
@@ -258,7 +259,19 @@ def inner_values(draw):
                 pts.append(float(np.nextafter(a + delta, np.inf * shift)) if shift else a + delta)
     size = draw(st.sampled_from([1, 2, len(pts)]))
     order = draw(st.permutations(range(len(pts))))
-    return np.array([pts[k] for k in order[:size]]), delta
+    pts = np.array([pts[k] for k in order[:size]])
+    spread = float(pts.max() - pts.min())
+    edge = draw(st.sampled_from([None, "spread_below_delta", "spread_at_delta"]))
+    if edge and spread > 0.0:
+        # one ulp above the rounded spread every pair is active; at it the
+        # extreme pair is not
+        delta = float(np.nextafter(spread, np.inf)) if edge == "spread_below_delta" else spread
+    return pts, delta
+
+
+def all_active(pts: np.ndarray, delta: float) -> bool:
+    """The hinge's all-active test: the rounded spread is below delta."""
+    return float(pts.max() - pts.min()) < delta
 
 
 class TestInnerRepelAgainstDense:
@@ -283,6 +296,9 @@ class TestInnerRepelAgainstDense:
         # 2 n eps delta bounds both, and rel covers the final summations.
         tol = 1e-12 * abs(want_e) + 2.0 * pts.size * np.finfo(float).eps * delta
         assert abs(ev.e_repel - want_e) <= tol
+        # without gradients the hinge skips its sign sums, not a bit of energy
+        assert energy_of(pts[None, :], np.ones((1, pts.size)), cfg, False).e_repel.hex() == \
+            ev.e_repel.hex()
         return want_e
 
     @given(case=inner_values())
@@ -291,6 +307,37 @@ class TestInnerRepelAgainstDense:
         pts, delta = case
         want_e = self.check(pts, delta)
         assert want_e == pytest.approx(repel_inner_oracle(list(pts), delta), rel=1e-12)
+
+    @pytest.mark.parametrize("side", [True, False])
+    def test_inner_values_draws_both_sides_of_the_all_active_test(self, side):
+        find(inner_values(), lambda case: case[0].size > 1 and all_active(*case) == side)
+
+    # the lower point and the spread: one pair whose difference is exact
+    # (Sterbenz), and one whose difference rounds
+    EDGES = [(0.3, 0.0125), (3.0000000000000004e-05, 0.019537)]
+
+    @pytest.mark.parametrize("low, spread", EDGES)
+    def test_a_spread_one_ulp_below_delta_is_all_active(self, low, spread):
+        pts = np.array([low + spread, low + 0.4 * spread, low, low + 0.7 * spread])
+        delta = float(np.nextafter(pts.max() - pts.min(), np.inf))
+        assert all_active(pts, delta)
+        want_e = self.check(pts, delta)
+        # the extreme pair adds its one-ulp margin twice
+        assert want_e > 0.0
+
+    @pytest.mark.parametrize("low, spread", EDGES)
+    def test_a_rounded_difference_equal_to_delta_is_inactive(self, low, spread):
+        pts = np.array([low + spread, low])
+        delta = float(pts[0] - pts[1])
+        assert not all_active(pts, delta)
+        assert self.check(pts, delta) == 0.0
+        ev = energy_of(pts[None, :], np.ones((1, 2)), EnergyConfig(delta=delta), True)
+        assert ev.e_repel == 0.0 and not ev.grad_repel.any()
+
+    def test_ties_inside_an_all_active_set(self):
+        pts = np.array([0.5, 0.51, 0.5, 0.505, 0.51, 0.505, 0.5, 0.512])
+        assert all_active(pts, CFG.delta)
+        self.check(pts, CFG.delta)
 
     @pytest.mark.parametrize(
         "a, delta, cut_moves",
@@ -319,7 +366,7 @@ class TestInnerRepelAgainstDense:
         layers = [AttentionLayer("full", Grid(a / a.sum()))]
         masks = [BinaryMask(np.ones((96, 72)))]
         assert e_total(layers, masks, CFG).branch_label == "inner"
-        assert _support_raw(layers[0].map.a, CFG.support_tau).sum() == 96 * 72
+        assert support_raw(layers[0].map.a, CFG.support_tau).sum() == 96 * 72
         tracemalloc.start()
         try:
             _evaluate_layers(layers, masks, CFG, True)
@@ -697,6 +744,24 @@ class TestStackedPass:
             for j, lid in enumerate(("full", "half"))
         }
         assert_items_match_oracle(maps, draw_configs(data, k), with_grads, item_masks)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 3, 7]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_inner_breakdowns_without_gradients_equal_those_with(self, seed, k, data):
+        """The hinge builds no sign sums without gradients, and the
+        breakdowns keep every bit; the deltas drawn (0, 0.02, 0.3) put
+        these maps on both sides of its all-active test."""
+        rng = RandomStream(seed)
+        maps = {
+            lid: np.stack([stack_item(rng, "inner", m.a) for _ in range(k)])
+            for lid, m in zip(("full", "half"), STACK_MASKS)
+        }
+        cfgs = draw_configs(data, k)
+        without, no_grads = _evaluate_stack(maps, SHARED_MASKS, cfgs, False)
+        with_, grads = _evaluate_stack(maps, SHARED_MASKS, cfgs, True)
+        assert no_grads is None and len(grads) == 2
+        assert {le.branch for bd in with_ for le in bd.per_layer.values()} == {"inner"}
+        assert [breakdown_hex(bd) for bd in without] == [breakdown_hex(bd) for bd in with_]
 
     def test_a_mixed_stack_covers_both_branches_and_the_clamp(self):
         rng = RandomStream(11)
