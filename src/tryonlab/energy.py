@@ -241,6 +241,7 @@ def _layer_terms(
     (K,) arrays). The branch test reads maxima, not the support set: with
     thr = tau max(a), an item is inner iff its largest off-mask value is
     at most thr and thr < max(a), so that the maximum lies in the mask.
+    An inner item's hinge runs over its values above that same thr.
     """
     if a.ndim != 3 or m.shape not in (a.shape, a.shape[1:]):
         raise EnergyError(f"layer {layer_id}: attention shape {a.shape} != mask shape {m.shape}")
@@ -272,7 +273,7 @@ def _layer_terms(
         d_in.append(0.0 if s < c.epsilon_den else 0.0 - s_out / (s * s))
     hinge = {}
     # inner rows: the mean hinge over ordered distinct pairs of in-support
-    # values (those above thr), all of which lie in the mask
+    # values, all of which lie in the mask
     for i, on in enumerate(inner):
         if not on:
             continue
