@@ -1,8 +1,9 @@
 """Small convolution/pooling primitives shared by the toy denoiser and the
 random feature extractor. All convolutions are 3x3 cross-correlations with
-zero padding, done as im2col: the nine shifted copies of each input channel
-are stacked into one contiguous array and contracted with the kernel bank
-in a single matmul. The single-channel convolution and its adjoint take a
+zero padding, done as im2col: one copy of a strided window view of the
+zero-padded input lays out the nine shifted reads of each input channel
+as one contiguous array, contracted with the kernel bank in a single
+matmul. The single-channel convolution and its adjoint take a
 stack of items on leading axes, (..., h, w), and make one matmul per chunk
 of items, each chunk's im2col within one fixed byte budget. A product's
 columns run item by item. For the denoiser's products, a (4, 9) bank
@@ -38,15 +39,16 @@ _IM2COL_BYTES = 1 << 20
 def _im2col(x: np.ndarray) -> np.ndarray:
     """(K, ..., h, w) -> (9 K, n h w), n items on the middle axes; row
     9k + 3a + b is channel k of x, zero padded by one, read at offset
-    (a - 1, b - 1), and its columns run item-major."""
+    (a - 1, b - 1), and its columns run item-major. It is one C-order
+    copy of a (K, 3, 3, ..., h, w) window view of the padded input, which
+    is only read and not kept. The copy is explicit: the windows overlap,
+    but at a 1x1 canvas a reshape could return the view itself."""
     k, *lead, h, w = x.shape
     xp = np.zeros((k, *lead, h + 2, w + 2))
     xp[..., 1:-1, 1:-1] = x
-    cols = np.empty((k, 3, 3, *lead, h, w))
-    for a in range(3):
-        for b in range(3):
-            cols[:, a, b] = xp[..., a : a + h, b : b + w]
-    return cols.reshape(9 * k, -1)
+    s = xp.strides
+    view = np.ndarray((k, 3, 3, *lead, h, w), np.float64, xp, 0, (s[0], s[-2], s[-1], *s[1:]))
+    return view.copy().reshape(9 * k, -1)
 
 
 def correlate3x3_multi(x: np.ndarray, bank: np.ndarray) -> np.ndarray:

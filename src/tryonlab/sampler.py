@@ -273,9 +273,9 @@ def _layer_masks(mask: BinaryMask, maps: dict[str, np.ndarray]) -> list[BinaryMa
 def _per_item(values: list[float]):
     """A lone config's value, or an (n, 1, 1) array of one per config, as
     cfg_mix and csc_correct take them."""
-    # K = 1 forks stay: with one array path a corrected trajectory ran 3.5% slower at 48x36
-    # (8.22 -> 8.52 ms) and 4.5% at 24x18, median ratios of 300 interleaved in-process
-    # rounds of `sample` (2-core Xeon); an uncorrected one ran 1.7% and 2.4% slower
+    # K = 1 forks stay: with one array path paired_48x36 ran 1.4% fewer items_per_s (77.6
+    # against 78.8, medians of 8 alternating 16 s perfbench/run.py pairs, 2-core Xeon); the
+    # forks won 7 of the 8 pairs, by less than the runs' quartile spread of 4.8
     return values[0] if len(values) == 1 else np.array(values).reshape(-1, 1, 1)
 
 

@@ -237,6 +237,20 @@ def evaluate_layers_per_item(layers, masks, cfg, with_grads: bool):
     return breakdown, grads
 
 
+def im2col_slices(x: np.ndarray) -> np.ndarray:
+    """(K, ..., h, w) -> (9 K, n h w), the im2col layout built from nine
+    strided slice copies of the zero-padded input: row 9k + 3a + b is
+    channel k read at offset (a - 1, b - 1), columns item-major."""
+    k, *lead, h, w = x.shape
+    xp = np.zeros((k, *lead, h + 2, w + 2))
+    xp[..., 1:-1, 1:-1] = x
+    cols = np.empty((k, 3, 3, *lead, h, w))
+    for a in range(3):
+        for b in range(3):
+            cols[:, a, b] = xp[..., a : a + h, b : b + w]
+    return cols.reshape(9 * k, -1)
+
+
 def correlate3x3_windows(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """(h, w) input, (C, 3, 3) bank -> (C, h, w), by sliding windows over
     the zero-padded input and one einsum."""

@@ -1,7 +1,7 @@
 """Convolution, adjoint, softplus, sigmoid and pooling kernels against
-the sliding-window, logaddexp, boolean-mask and mean oracles, and the
-bit-stability of their outputs under misaligned inputs and inside a
-batched product."""
+the sliding-window, logaddexp, boolean-mask and mean oracles, im2col
+against the nine-slice layout, and the bit-stability of their outputs
+under misaligned inputs and inside a batched product."""
 
 import warnings
 
@@ -16,6 +16,7 @@ from helpers import (
     correlate3x3_adjoint_windows,
     correlate3x3_multi_windows,
     correlate3x3_windows,
+    im2col_slices,
     sigmoid_masked,
     softplus_logaddexp,
 )
@@ -82,6 +83,43 @@ class TestAgainstOracles:
         rhs = float((x * correlate3x3_adjoint(dz, bank)).sum())
         terms = float((correlate3x3(np.abs(x), np.abs(bank)) * np.abs(dz)).sum())
         assert abs(lhs - rhs) <= 1e-13 * terms
+
+
+IM2COL_SIZES = SIZES + [(25, 19), (7, 5)]
+
+
+def assert_im2col_equals_slices(x: np.ndarray) -> None:
+    """_im2col(x) equals the nine-slice oracle element for element, is a
+    new C-contiguous array, and leaves x as it was."""
+    before = x.copy()
+    got = _im2col(x)
+    want = im2col_slices(x)
+    assert got.shape == want.shape == (9 * x.shape[0], x[0].size)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, x)
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("h,w", IM2COL_SIZES)
+class TestIm2col:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_stacks(self, k, n, h, w):
+        assert_im2col_equals_slices(normals("im2col", k, n, h, w))
+
+    def test_vtid_image(self, h, w):
+        assert_im2col_equals_slices(normals("im2col", 3, h, w))
+
+    def test_non_contiguous_input(self, h, w):
+        x = normals("im2col", 4, 7, h, w)[..., ::-1]
+        assert not x.flags.c_contiguous or w == 1
+        assert_im2col_equals_slices(x)
+
+    def test_read_only_input(self, h, w):
+        x = normals("im2col", 4, 7, h, w)
+        x.flags.writeable = False
+        assert_im2col_equals_slices(x)
 
 
 def test_one_pixel_convolution_keeps_only_the_centre_tap():
@@ -168,7 +206,7 @@ class TestBitStability:
     def test_one_item_of_a_batch_of_16(self, kernel, h, w):
         items, bank = inputs(kernel, "batch", BATCH, h=h, w=w)
         if kernel in BANK_ROWS:
-            cols = np.concatenate([_im2col(item.reshape(-1, h, w)) for item in items], axis=1)
+            cols = np.concatenate([im2col_slices(item.reshape(-1, h, w)) for item in items], axis=1)
             blocks = np.split(BANK_ROWS[kernel](bank) @ cols, BATCH, axis=1)
             # the kernel's own batched form: items on the axis after the channels
             batched = apply(kernel, np.moveaxis(items, 0, 1) if items.ndim == 4 else items, bank)
