@@ -19,8 +19,11 @@ with its exit code and the last lines of its stderr.
 With ``--parent DIR`` it measures the checkout at DIR and this one in
 alternating order, each (workload, seed) pair starting with the other
 side than the pair before, and writes two files: the parent's, then this
-checkout's, whose deltas also count the pairs that each side won. Nothing
-under ``perfbench/`` is changed.
+checkout's, whose deltas also count the pairs that each side won and
+record, per workload and metric, whether a gain claim's rule is met: this
+checkout won at least nine tenths of the pairs, ties counting for neither,
+and its median beats the parent's by more than the parent's quartile
+spread. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,20 @@ def pair_wins(before: list[float], after: list[float], better: str) -> dict:
     diffs = [sign * (a - b) for b, a in zip(before, after)]
     return {"won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
             "tied": sum(d == 0 for d in diffs)}
+
+
+def claim_rule(wins: dict, parent: dict, head: dict, better: str) -> dict:
+    """Whether a gain claim holds on one metric: the head won at least
+    nine tenths of the pairs run (ties count for neither), and the gap
+    between the medians, signed by the better direction, exceeds the
+    parent's quartile spread. parent and head are summarise() results."""
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (head["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    run = wins["won"] + wins["lost"] + wins["tied"]
+    won = run > 0 and 10 * wins["won"] >= 9 * run
+    return {"won_nine_tenths": won, "gap": gap, "parent_iqr": spread,
+            "gap_exceeds_iqr": gap > spread, "claim": "met" if won and gap > spread else "not met"}
 
 
 def summarise_runs(runs: list[dict], metrics: dict[str, str]) -> dict:
@@ -200,9 +217,15 @@ def _write(path: Path, checkout: Path, runs: list[dict], bench: dict, metrics: d
         doc["delta"] = deltas(before["workloads"], summary, metrics)
         if paired is not None:
             pairs = paired_deltas(paired, runs, metrics)
+            parent = summarise_runs(paired, metrics)
             for name, per_metric in pairs.items():
                 for m, wins in per_metric.items():
-                    doc["delta"].setdefault(name, {}).setdefault(m, {})["pairs"] = wins
+                    entry = doc["delta"].setdefault(name, {}).setdefault(m, {})
+                    entry["pairs"] = wins
+                    before = parent.get(name, {"metrics": {}})["metrics"].get(m)
+                    if before and m in summary[name]["metrics"]:
+                        entry["rule"] = claim_rule(wins, before, summary[name]["metrics"][m],
+                                                   metrics[m])
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 

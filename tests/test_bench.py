@@ -147,3 +147,75 @@ def test_a_bad_run_does_not_throw_the_others_away(monkeypatch, tmp_path):
     assert len(doc["runs"]) == 6 and doc["runs"][1]["exit"] == 2
     assert not doc["workloads"]["a"]["correct"] and doc["workloads"]["b"]["correct"]
     assert doc["workloads"]["a"]["metrics"]["items_per_s"] == bench.summarise([10.0, 30.0])
+
+
+# Parent runs whose quartile spread (q3 - q1) is 11.5 items per second.
+SPREAD = [95.0, 90.0, 110.0, 100.0, 105.0, 92.0, 108.0, 98.0, 102.0, 100.0]
+
+
+def rule(parent_rates, head_rates, better="higher"):
+    parent = [run("a", s, r, 40.0, 0.2) for s, r in enumerate(parent_rates, 1)]
+    head = [run("a", s, r, 40.0, 0.2) for s, r in enumerate(head_rates, 1)]
+    wins = bench.paired_deltas(parent, head, METRICS)["a"]["items_per_s"]
+    return bench.claim_rule(wins, bench.summarise(parent_rates), bench.summarise(head_rates),
+                            better)
+
+
+def test_a_win_in_every_pair_inside_the_parents_spread_is_not_met():
+    got = rule(SPREAD, [r + 1.0 for r in SPREAD])
+    assert got == {"won_nine_tenths": True, "gap": 1.0, "parent_iqr": 11.5,
+                   "gap_exceeds_iqr": False, "claim": "not met"}
+
+
+@pytest.mark.parametrize(
+    "lost, gap, won, met",
+    [(0, 20.0, True, True), (1, 20.0, True, True), (2, 20.0, False, False),
+     (0, 11.0, True, False)],
+    ids=["10-of-10", "9-of-10", "8-of-10", "inside-spread"],
+)
+def test_the_rule_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread(lost, gap, won, met):
+    head = [r + gap for r in SPREAD]
+    for i in range(lost):  # each lost pair stays below its parent run
+        head[i] = SPREAD[i] - 1.0
+    got = rule(SPREAD, head)
+    assert got["won_nine_tenths"] is won and got["gap_exceeds_iqr"] is (gap > 11.5)
+    assert got["claim"] == ("met" if met else "not met")
+
+
+def test_a_tie_counts_for_neither_side_and_lower_is_better_is_signed():
+    wins = {"won": 9, "lost": 0, "tied": 1}
+    parent, head = bench.summarise([40.0, 41.0, 42.0]), bench.summarise([30.0, 30.5, 31.0])
+    got = bench.claim_rule(wins, parent, head, "lower")
+    q1, _, q3 = statistics.quantiles([40.0, 41.0, 42.0], n=4)
+    assert got["gap"] == 10.5 and got["parent_iqr"] == q3 - q1 == 2.0 and got["claim"] == "met"
+    assert bench.claim_rule({"won": 8, "lost": 0, "tied": 2}, parent, head, "lower")[
+        "claim"] == "not met"
+    assert bench.claim_rule({"won": 0, "lost": 0, "tied": 0}, parent, head, "lower")[
+        "claim"] == "not met"
+    assert bench.claim_rule(wins, parent, head, "higher")["gap"] == -10.5
+
+
+def test_the_head_file_records_the_rule_per_workload_and_metric(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "a"}],
+        "end_to_end": [{"name": m, "better": b} for m, b in METRICS.items()]}),
+        encoding="utf-8")
+    parent_dir = tmp_path / "parent"
+
+    def stub(checkout, workload, seed, seconds):
+        rate = SPREAD[seed - 1] + (0.0 if checkout == parent_dir else 1.0)
+        return run(workload, seed, rate, 40.0 if checkout == parent_dir else 30.0, 0.2)
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_run", stub)
+    monkeypatch.setattr("sys.argv", ["bench.py", "--parent", str(parent_dir), "--seeds", "1-10"])
+    assert bench.main() == 0
+    assert json.loads((tmp_path / "BENCH_1.json").read_text(encoding="utf-8"))["delta"] == {}
+    delta = json.loads((tmp_path / "BENCH_2.json").read_text(encoding="utf-8"))["delta"]["a"]
+    assert delta["items_per_s"]["pairs"] == {"won": 10, "lost": 0, "tied": 0}
+    assert delta["items_per_s"]["rule"]["claim"] == "not met"
+    assert delta["items_per_s"]["rule"]["won_nine_tenths"] is True
+    assert delta["peak_rss_mb"]["rule"] == {"won_nine_tenths": True, "gap": 10.0,
+                                            "parent_iqr": 0.0, "gap_exceeds_iqr": True,
+                                            "claim": "met"}
+    assert delta["setup_s"]["rule"]["claim"] == "not met"

@@ -147,17 +147,21 @@ def test_sigmoid_bit_equal_to_boolean_mask_form():
     special = EXTREMES + [710.0, -710.0, 745.0, -745.0, 746.0, -746.0]
     special += [np.inf, -np.inf, np.nan, -np.nan]
     z = np.concatenate([special, 40.0 * normals("z", 4096)])
-    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+    # a sweep chunk's and a 128x96 stack's z: more values than numpy's
+    # 8,192-value ufunc buffer, through which the sign mask is cast
+    for x in (z, 40.0 * normals("z", 4, 10, 24, 18), 40.0 * normals("z", 4, 128, 96)):
+        assert sigmoid(x).tobytes() == sigmoid_masked(x).tobytes()
 
 
 @pytest.mark.parametrize("kernel", [softplus, sigmoid], ids=lambda kernel: kernel.__name__)
 def test_never_writes_its_input(kernel):
-    z = np.concatenate([EXTREMES, 40.0 * normals("z", 4096)])
-    before = z.tobytes()
-    want = kernel(z)
-    assert z.tobytes() == before
-    z.flags.writeable = False  # a write into z would now raise
-    assert kernel(z).tobytes() == want.tobytes()
+    for z in (np.concatenate([EXTREMES, 40.0 * normals("z", 4096)]),
+              40.0 * normals("z", 4, 128, 96)):
+        before = z.tobytes()
+        want = kernel(z)
+        assert z.tobytes() == before
+        z.flags.writeable = False  # a write into z would now raise
+        assert kernel(z).tobytes() == want.tobytes()
 
 
 # How each convolution's matmul sees its bank: one row per output

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tryonlab.rng as rng_module
 from tryonlab import RandomStream, gaussian_field
 
 _M = (1 << 64) - 1
@@ -135,16 +136,39 @@ class TestGaussianField:
         assert isinstance(g, np.ndarray) and g.dtype == np.float64
         assert g.shape == (3, 5)
 
-    @pytest.mark.parametrize("fields, h, w", [(1, 3, 5), (4, 6, 4), (20, 8, 8), (3, 1, 1)])
-    def test_block_equals_sequential_fields(self, fields, h, w):
-        """A block of F fields is F single-field draws, byte for byte, and
-        leaves the stream at the same counter."""
-        block_rng, seq_rng = RandomStream(19).child("b"), RandomStream(19).child("b")
-        block = gaussian_field(block_rng, fields, h, w)
-        seq = [gaussian_field(seq_rng, h, w) for _ in range(fields)]
-        assert block.shape == (fields, h, w) and block.dtype == np.float64
-        assert block.tobytes() == b"".join(f.tobytes() for f in seq)
-        assert block_rng.counter == seq_rng.counter == 2 * fields * h * w
+    @pytest.mark.parametrize(
+        "fields, h, w", [(1, 3, 5), (4, 6, 4), (20, 8, 8), (3, 1, 1), (7, 6, 4)])
+    def test_block_equals_sequential_fields(self, monkeypatch, fields, h, w):
+        """A block of F fields is F normals(h w) draws, byte for byte, and
+        leaves the stream at the same counter, whatever the fields per
+        pass: the default budget, 1, 2 or 3, or a budget below one field.
+        No pass size but 1 divides 7 fields."""
+        seq_rng = RandomStream(19).child("b")
+        seq = b"".join(seq_rng.normals(h * w).tobytes() for _ in range(fields))
+        passes = []
+        box_muller = rng_module._box_muller
+        monkeypatch.setattr(rng_module, "_box_muller",
+                            lambda r, rows: passes.append(len(rows)) or box_muller(r, rows))
+        field_bytes = 16 * h * w
+        for budget, per_pass in [(rng_module._NOISE_BYTES, None), (field_bytes, 1),
+                                 (2 * field_bytes, 2), (3 * field_bytes, 3),
+                                 (field_bytes - 8, 1)]:
+            monkeypatch.setattr(rng_module, "_NOISE_BYTES", budget)
+            passes.clear()
+            block_rng = RandomStream(19).child("b")
+            block = gaussian_field(block_rng, fields, h, w)
+            assert block.shape == (fields, h, w) and block.dtype == np.float64
+            assert block.tobytes() == seq
+            assert block_rng.counter == seq_rng.counter == 2 * fields * h * w
+            if per_pass is not None:
+                full, rest = divmod(fields, per_pass)
+                assert passes == [per_pass] * full + [rest] * (rest > 0)
+
+    def test_an_empty_block_consumes_nothing(self):
+        r = RandomStream(19, counter=5)
+        block = gaussian_field(r, 0, 6, 4)
+        assert block.shape == (0, 6, 4) and block.dtype == np.float64
+        assert r.counter == 5
 
     def test_large_field_moments(self):
         g = gaussian_field(RandomStream(7), 64, 64)
