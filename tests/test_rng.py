@@ -141,8 +141,8 @@ class TestGaussianField:
     def test_block_equals_sequential_fields(self, monkeypatch, fields, h, w):
         """A block of F fields is F normals(h w) draws, byte for byte, and
         leaves the stream at the same counter, whatever the fields per
-        pass: the default budget, 1, 2 or 3, or a budget below one field.
-        No pass size but 1 divides 7 fields."""
+        pass: all of them (the default budget, at these sizes), 1, 2 or 3,
+        or a budget below one field. No pass size but 1 divides 7 fields."""
         seq_rng = RandomStream(19).child("b")
         seq = b"".join(seq_rng.normals(h * w).tobytes() for _ in range(fields))
         passes = []
@@ -150,7 +150,7 @@ class TestGaussianField:
         monkeypatch.setattr(rng_module, "_box_muller",
                             lambda r, rows: passes.append(len(rows)) or box_muller(r, rows))
         field_bytes = 16 * h * w
-        for budget, per_pass in [(rng_module._NOISE_BYTES, None), (field_bytes, 1),
+        for budget, per_pass in [(rng_module._NOISE_BYTES, fields), (field_bytes, 1),
                                  (2 * field_bytes, 2), (3 * field_bytes, 3),
                                  (field_bytes - 8, 1)]:
             monkeypatch.setattr(rng_module, "_NOISE_BYTES", budget)
@@ -160,9 +160,8 @@ class TestGaussianField:
             assert block.shape == (fields, h, w) and block.dtype == np.float64
             assert block.tobytes() == seq
             assert block_rng.counter == seq_rng.counter == 2 * fields * h * w
-            if per_pass is not None:
-                full, rest = divmod(fields, per_pass)
-                assert passes == [per_pass] * full + [rest] * (rest > 0)
+            full, rest = divmod(fields, per_pass)
+            assert passes == [per_pass] * full + [rest] * (rest > 0)
 
     def test_an_empty_block_consumes_nothing(self):
         r = RandomStream(19, counter=5)
